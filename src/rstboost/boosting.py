@@ -22,6 +22,7 @@ from .errors import (
     EmptyTreebank,
     InvalidConfig,
     InvalidPrefix,
+    MalformedSyntax,
     RelationInventoryMismatch,
     TerminalState,
 )
@@ -110,17 +111,32 @@ class TrainReport:
         }
 
 
-def aggregate_logits(ensemble: BoostedEnsemble, m: int, x: np.ndarray) -> LogitPair:
-    """Elementwise sum of the first m steps' logits for both heads."""
+def _check_prefix(ensemble: BoostedEnsemble, m: int) -> None:
     if not 1 <= m <= len(ensemble.steps):
         raise InvalidPrefix(f"prefix {m} outside 1..{len(ensemble.steps)}")
-    s = np.zeros(wl.N_STRUCTURE)
-    r = np.zeros(len(ensemble.relation_inventory))
+
+
+def _logit_sum(
+    ensemble: BoostedEnsemble, m: int, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Summed (structure, relation) logits of the first m steps (m = 0 gives zeros).
+
+    ``x`` is one state ``(dim,)`` or a batch ``(N, dim)``.
+    """
+    lead = np.shape(x)[:-1]
+    s = np.zeros(lead + (wl.N_STRUCTURE,))
+    r = np.zeros(lead + (len(ensemble.relation_inventory),))
     for step in ensemble.steps[:m]:
         out = wl.forward(step, x)
         s += out.structure
         r += out.relation
-    return LogitPair(s, r)
+    return s, r
+
+
+def aggregate_logits(ensemble: BoostedEnsemble, m: int, x: np.ndarray) -> LogitPair:
+    """Elementwise sum of the first m steps' logits for both heads."""
+    _check_prefix(ensemble, m)
+    return LogitPair(*_logit_sum(ensemble, m, x))
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +185,6 @@ def _build_instances(
     )
 
 
-def _batch_logits(learner: WeakLearner, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if learner.w_hidden is not None:
-        h = np.tanh(x @ learner.w_hidden.T + learner.b_hidden)
-    else:
-        h = x
-    return (
-        h @ learner.w_structure.T + learner.b_structure,
-        h @ learner.w_relation.T + learner.b_relation,
-    )
-
-
 def _mean_combined_ce(
     z_structure: np.ndarray,
     z_relation: np.ndarray,
@@ -204,32 +209,17 @@ def _mean_combined_ce(
 
 def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
     """Mean combined cross-entropy of prefix m over the gold oracle states."""
-    if not 1 <= m <= len(ensemble.steps):
-        raise InvalidPrefix(f"prefix {m} outside 1..{len(ensemble.steps)}")
+    _check_prefix(ensemble, m)
     inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    zs = np.zeros((len(inst), wl.N_STRUCTURE))
-    zr = np.zeros((len(inst), len(ensemble.relation_inventory)))
-    for step in ensemble.steps[:m]:
-        s, r = _batch_logits(step, inst.x)
-        zs += s
-        zr += r
-    return _mean_combined_ce(zs, zr, inst)
+    return _mean_combined_ce(*_logit_sum(ensemble, m, inst.x), inst)
 
 
 def oracle_action_accuracy(ensemble: BoostedEnsemble, m: int, entries) -> float:
     """Fraction of oracle states where prefix m predicts the full gold action."""
-    if not 1 <= m <= len(ensemble.steps):
-        raise InvalidPrefix(f"prefix {m} outside 1..{len(ensemble.steps)}")
+    _check_prefix(ensemble, m)
     inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    zs = np.zeros((len(inst), wl.N_STRUCTURE))
-    zr = np.zeros((len(inst), len(ensemble.relation_inventory)))
-    for step in ensemble.steps[:m]:
-        s, r = _batch_logits(step, inst.x)
-        zs += s
-        zr += r
-    zs = np.where(inst.mask, zs, -np.inf)
-    pred_s = zs.argmax(axis=1)
-    ok = pred_s == inst.gold_structure
+    zs, zr = _logit_sum(ensemble, m, inst.x)
+    ok = np.where(inst.mask, zs, -np.inf).argmax(axis=1) == inst.gold_structure
     is_reduce = inst.gold_relation >= 0
     ok &= ~is_reduce | (zr.argmax(axis=1) == inst.gold_relation)
     return float(ok.mean())
@@ -247,25 +237,18 @@ class _Trainer:
         self.params = {name: arr.copy() for name, arr in learner.param_items()}
 
     def snapshot(self) -> WeakLearner:
-        p = {name: arr.copy() for name, arr in self.params.items()}
-        return WeakLearner(
-            cfg=self.cfg,
-            w_hidden=p.get("w_hidden"),
-            b_hidden=p.get("b_hidden"),
-            w_structure=p["w_structure"],
-            b_structure=p["b_structure"],
-            w_relation=p["w_relation"],
-            b_relation=p["b_relation"],
-        )
+        return WeakLearner.from_params(
+            self.cfg, {name: arr.copy() for name, arr in self.params.items()})
 
     def run_epoch(self, inst: _Instances, frozen_s, frozen_r, order) -> None:
-        lr = self.cfg.learning_rate
-        if self.cfg.l2_penalty > 0:
-            self._run_epoch_dense(inst, frozen_s, frozen_r, order, lr)
-        else:
-            self._run_epoch_sparse(inst, frozen_s, frozen_r, order, lr)
+        """Per-instance SGD over ``order``, touching only each row's nonzero columns.
 
-    def _run_epoch_sparse(self, inst, frozen_s, frozen_r, order, lr) -> None:
+        With ``l2_penalty`` > 0 every update first decays all parameters by
+        ``1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
+        taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.
+        """
+        lr = self.cfg.learning_rate
+        decay = 1.0 - 2.0 * lr * self.cfg.l2_penalty
         p = self.params
         hidden = "w_hidden" in p
         w1 = p.get("w_hidden")
@@ -275,12 +258,12 @@ class _Trainer:
         for i in order:
             idx = inst.nonzero[i]
             xv = inst.x[i, idx]
+            # The heads read the hidden layer, or the row's nonzero inputs.
             if hidden:
-                h = np.tanh(w1[:, idx] @ xv + b1)
-                zs = frozen_s[i] + ws @ h + bs
+                h, cols = np.tanh(w1[:, idx] @ xv + b1), slice(None)
             else:
-                h = None
-                zs = frozen_s[i] + ws[:, idx] @ xv + bs
+                h, cols = xv, idx
+            zs = frozen_s[i] + ws[:, cols] @ h + bs
             zs = np.where(inst.mask[i], zs, -np.inf)
             e = np.exp(zs - zs.max())
             dz_s = e / e.sum()
@@ -288,10 +271,7 @@ class _Trainer:
 
             g_rel = inst.gold_relation[i]
             if g_rel >= 0:
-                if hidden:
-                    zr = frozen_r[i] + wr @ h + br
-                else:
-                    zr = frozen_r[i] + wr[:, idx] @ xv + br
+                zr = frozen_r[i] + wr[:, cols] @ h + br
                 e = np.exp(zr - zr.max())
                 dz_r = e / e.sum()
                 dz_r[g_rel] -= 1.0
@@ -303,39 +283,21 @@ class _Trainer:
                 if dz_r is not None:
                     dh += wr.T @ dz_r
                 dpre = dh * (1.0 - h * h)
-                ws -= lr * np.outer(dz_s, h)
-                bs -= lr * dz_s
-                if dz_r is not None:
-                    wr -= lr * np.outer(dz_r, h)
-                    br -= lr * dz_r
+            if decay != 1.0:
+                for arr in p.values():
+                    arr *= decay
+            ws[:, cols] -= lr * np.outer(dz_s, h)
+            bs -= lr * dz_s
+            if dz_r is not None:
+                wr[:, cols] -= lr * np.outer(dz_r, h)
+                br -= lr * dz_r
+            if hidden:
                 w1[:, idx] -= lr * np.outer(dpre, xv)
                 b1 -= lr * dpre
-            else:
-                ws[:, idx] -= lr * np.outer(dz_s, xv)
-                bs -= lr * dz_s
-                if dz_r is not None:
-                    wr[:, idx] -= lr * np.outer(dz_r, xv)
-                    br -= lr * dz_r
-
-    def _run_epoch_dense(self, inst, frozen_s, frozen_r, order, lr) -> None:
-        # Reference path: exact l2 gradients on every parameter, every update.
-        learner = self.snapshot()
-        for i in order:
-            g_rel = inst.gold_relation[i]
-            _, grads = wl.boosted_loss_and_grad(
-                learner,
-                inst.x[i],
-                LogitPair(frozen_s[i], frozen_r[i]),
-                int(inst.gold_structure[i]),
-                int(g_rel) if g_rel >= 0 else None,
-                inst.mask[i],
-            )
-            learner = wl.sgd_step(learner, grads, lr)
-        self.params = {name: arr.copy() for name, arr in learner.param_items()}
 
     def combined_ce(self, inst: _Instances, frozen_s, frozen_r) -> float:
-        s, r = _batch_logits(self.snapshot(), inst.x)
-        return _mean_combined_ce(frozen_s + s, frozen_r + r, inst)
+        out = wl.forward(WeakLearner.from_params(self.cfg, self.params), inst.x)
+        return _mean_combined_ce(frozen_s + out.structure, frozen_r + out.relation, inst)
 
 
 def _child_seed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -361,18 +323,6 @@ def split_dev(
     return train, dev
 
 
-def _frozen_logits(
-    ensemble: BoostedEnsemble, inst: _Instances
-) -> tuple[np.ndarray, np.ndarray]:
-    zs = np.zeros((len(inst), wl.N_STRUCTURE))
-    zr = np.zeros((len(inst), len(ensemble.relation_inventory)))
-    for step in ensemble.steps:
-        s, r = _batch_logits(step, inst.x)
-        zs += s
-        zr += r
-    return zs, zr
-
-
 def _train_one_step(
     cfg: BoostConfig,
     learner_cfg: LearnerConfig,
@@ -393,9 +343,9 @@ def _train_one_step(
             return trainer.combined_ce(train_inst, *frozen_train)
         return trainer.combined_ce(dev_inst, *frozen_dev)
 
-    baseline_train = _mean_combined_ce(frozen_train[0], frozen_train[1], train_inst)
+    baseline_train = _mean_combined_ce(*frozen_train, train_inst)
 
-    best_dev = float("inf")
+    best_dev = best_dev_train = float("inf")
     best_dev_params = None
     best_train = float("inf")
     best_train_params = None
@@ -413,7 +363,7 @@ def _train_one_step(
         if t < best_train:
             best_train, best_train_params = t, trainer.snapshot()
         if d < best_dev:
-            best_dev, best_dev_params = d, trainer.snapshot()
+            best_dev, best_dev_train, best_dev_params = d, t, trainer.snapshot()
             bad = 0
         else:
             bad += 1
@@ -421,15 +371,10 @@ def _train_one_step(
                 break
 
     # Never append a step that degrades the combined training loss: fall
-    # back to the best-train epoch, then to an inert all-zero learner.
-    def train_ce_of(learner: WeakLearner) -> float:
-        s, r = _batch_logits(learner, train_inst.x)
-        return _mean_combined_ce(frozen_train[0] + s, frozen_train[1] + r, train_inst)
-
-    selection = "dev"
-    chosen = best_dev_params
-    final_ce = train_ce_of(chosen)
-    if final_ce > baseline_train:
+    # back to the best-train epoch, then to an inert all-zero learner.  A
+    # step whose dev CE was never finite has no dev pick and falls back too.
+    selection, chosen, final_ce = "dev", best_dev_params, best_dev_train
+    if not final_ce <= baseline_train:
         if best_train_params is not None and best_train <= baseline_train:
             selection, chosen, final_ce = "train", best_train_params, best_train
         else:
@@ -488,10 +433,11 @@ def train_step(
                          ensemble.relation_inventory)
         if dev_entries else None
     )
-    frozen_train = _frozen_logits(ensemble, train_inst)
-    frozen_dev = _frozen_logits(ensemble, dev_inst) if dev_inst is not None else None
+    m = len(ensemble.steps)
+    frozen_train = _logit_sum(ensemble, m, train_inst.x)
+    frozen_dev = _logit_sum(ensemble, m, dev_inst.x) if dev_inst is not None else None
     learner, report = _train_one_step(
-        cfg, lc, len(ensemble.steps) + 1, seed,
+        cfg, lc, m + 1, seed,
         train_inst, dev_inst, frozen_train, frozen_dev,
     )
     return replace(ensemble, steps=ensemble.steps + (learner,)), report
@@ -518,27 +464,22 @@ def train(
     train_inst = _build_instances(train_entries, enc_cfg, inventory)
     dev_inst = _build_instances(dev_entries, enc_cfg, inventory) if dev_entries else None
 
-    zs = np.zeros((len(train_inst), wl.N_STRUCTURE))
-    zr = np.zeros((len(train_inst), len(inventory)))
-    zs_dev = np.zeros((len(dev_inst), wl.N_STRUCTURE)) if dev_inst is not None else None
-    zr_dev = np.zeros((len(dev_inst), len(inventory))) if dev_inst is not None else None
+    frozen_train = _logit_sum(ensemble, 0, train_inst.x)
+    frozen_dev = _logit_sum(ensemble, 0, dev_inst.x) if dev_inst is not None else None
 
     report = TrainReport()
     total_params = 0
     for k in range(1, cfg.n_steps + 1):
         learner, step_report = _train_one_step(
-            cfg, lc, k, cfg.seed, train_inst, dev_inst,
-            (zs, zr),
-            (zs_dev, zr_dev) if dev_inst is not None else None,
-        )
+            cfg, lc, k, cfg.seed, train_inst, dev_inst, frozen_train, frozen_dev)
         ensemble = replace(ensemble, steps=ensemble.steps + (learner,))
-        s, r = _batch_logits(learner, train_inst.x)
-        zs += s
-        zr += r
-        if dev_inst is not None:
-            s, r = _batch_logits(learner, dev_inst.x)
-            zs_dev += s
-            zr_dev += r
+        # Add the new step's logits in place, in the order _logit_sum sums them.
+        for inst, frozen in ((train_inst, frozen_train), (dev_inst, frozen_dev)):
+            if inst is not None:
+                zs, zr = frozen
+                out = wl.forward(learner, inst.x)
+                zs += out.structure
+                zr += out.relation
         total_params += step_report.param_count
         report.steps.append(step_report)
         report.cumulative_params.append(total_params)
@@ -597,22 +538,15 @@ def _learner_to_dict(learner: WeakLearner) -> dict:
     return out
 
 
-def _learner_from_dict(cfg: LearnerConfig, blob: dict) -> WeakLearner:
-    def arr(name: str) -> np.ndarray | None:
-        if name not in blob:
-            return None
+def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLearner:
+    params = {}
+    for name, shape in shapes.items():
         spec = blob[name]
-        return np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-
-    return WeakLearner(
-        cfg=cfg,
-        w_hidden=arr("w_hidden"),
-        b_hidden=arr("b_hidden"),
-        w_structure=arr("w_structure"),
-        b_structure=arr("b_structure"),
-        w_relation=arr("w_relation"),
-        b_relation=arr("b_relation"),
-    )
+        if tuple(spec["shape"]) != shape:
+            raise MalformedSyntax(
+                f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
+        params[name] = np.asarray(spec["data"], dtype=np.float64).reshape(shape)
+    return WeakLearner.from_params(cfg, params)
 
 
 def model_to_json(ensemble: BoostedEnsemble) -> str:
@@ -628,21 +562,31 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
 
 
 def model_from_json(text: str) -> BoostedEnsemble:
-    doc = json.loads(text)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise InvalidConfig(f"unsupported model format_version {doc.get('format_version')!r}")
-    enc_cfg = EncoderConfig(**doc["encoder_config"])
-    bc = dict(doc["boost_config"])
-    lc = LearnerConfig(**bc.pop("learner"))
-    boost_cfg = BoostConfig(learner=lc, **bc)
-    steps = tuple(_learner_from_dict(lc, blob) for blob in doc["steps"])
-    return BoostedEnsemble(
-        encoder_config=enc_cfg,
-        relation_inventory=tuple(doc["relation_inventory"]),
-        steps=steps,
-        boost_config=boost_cfg,
-        train_domain_tag=doc.get("train_domain_tag", ""),
-    )
+    """Parse a model; undecodable JSON, missing keys, bad types, and a learner
+    config or parameter shapes that do not match the encoder width and the
+    relation inventory raise MalformedSyntax."""
+    try:
+        doc = json.loads(text)
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise InvalidConfig(
+                f"unsupported model format_version {doc.get('format_version')!r}")
+        enc_cfg = EncoderConfig(**doc["encoder_config"])
+        bc = dict(doc["boost_config"])
+        lc = LearnerConfig(**bc.pop("learner"))
+        boost_cfg = BoostConfig(learner=lc, **bc)
+        inventory = tuple(doc["relation_inventory"])
+        _check_dims(boost_cfg, enc_cfg, inventory)
+        shapes = {name: arr.shape for name, arr in wl.zeros(lc).param_items()}
+        steps = tuple(_learner_from_dict(lc, shapes, blob) for blob in doc["steps"])
+        return BoostedEnsemble(
+            encoder_config=enc_cfg,
+            relation_inventory=inventory,
+            steps=steps,
+            boost_config=boost_cfg,
+            train_domain_tag=doc.get("train_domain_tag", ""),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, DimensionMismatch) as exc:
+        raise MalformedSyntax(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(ensemble: BoostedEnsemble, path: str | Path) -> None:

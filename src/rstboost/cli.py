@@ -337,16 +337,6 @@ def cmd_parse(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _eval_csv(scores: metrics.ParsevalScores, domain: str, docs: int, m: int = 0) -> str:
-    sp, sr, sf = scores.span_prf
-    np_, nr, nf = scores.nuc_prf
-    rp, rr, rf = scores.rel_prf
-    row = [str(m), domain, str(docs)] + [
-        f"{v:.4f}" for v in (sp, sr, sf, np_, nr, nf, rp, rr, rf)
-    ]
-    return metrics.CSV_HEADER + "\n" + ",".join(row) + "\n"
-
-
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     gold_path, pred_path = Path(args.gold), Path(args.pred)
@@ -358,14 +348,14 @@ def cmd_eval(args) -> int:
         )
     if len(gold) == 0:
         raise EmptyTreebank("nothing to evaluate: both files are empty")
-    total = metrics.ZERO_SCORES
-    for (gdoc, gtree), (pdoc, ptree) in zip(gold.entries, pred.entries):
+    pairs = list(zip(gold.entries, pred.entries))
+    for (gdoc, _), (pdoc, _) in pairs:
         if gdoc.n_edus != pdoc.n_edus:
             raise DocumentMismatch(
                 f"document {gdoc.doc_id}: gold has {gdoc.n_edus} EDUs, "
                 f"prediction {pdoc.doc_id} has {pdoc.n_edus}"
             )
-        total = total + metrics.score(gtree, ptree)
+    total = metrics.score_entries((gtree, ptree) for (_, gtree), (_, ptree) in pairs)
     t_end = time.perf_counter()
 
     sp, sr, sf = total.span_prf
@@ -378,8 +368,8 @@ def cmd_eval(args) -> int:
     if args.csv:
         csv_path = Path(args.csv)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text(_eval_csv(total, gold.domain_tag, len(gold)),
-                            encoding="utf-8")
+        row = metrics.CurveRow(0, gold.domain_tag, len(gold), total)
+        csv_path.write_text(metrics.CurveTable((row,), None).to_csv(), encoding="utf-8")
         _write_manifest(
             csv_path, "eval", args, {}, [gold_path, pred_path], [csv_path],
             {"total": t_end - t0},

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .treebank import DiscourseNode, Document, Internal
+from .treebank import DiscourseNode, Document, head_nucleus_edu
 from .transition import ParserState
 
 N_STRUCTURAL = 4
@@ -56,13 +56,6 @@ def truncate_center(tokens: list[str] | tuple[str, ...], max_len: int) -> list[s
     head = math.ceil(max_len / 2)
     tail = max_len - head
     return tokens[:head] + (tokens[len(tokens) - tail:] if tail else [])
-
-
-def head_nucleus_edu(node: DiscourseNode) -> int:
-    """Follow the nucleus child down to a leaf (NN ties break to the left)."""
-    while isinstance(node, Internal):
-        node = node.right if node.nuclearity == "SN" else node.left
-    return node.edu_id
 
 
 def represent_span(node: DiscourseNode, doc: Document, cfg: EncoderConfig) -> list[str]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .boosting import BoostedEnsemble, parse
-from .errors import DocumentMismatch, EmptyTreebank, InvalidPrefix, RelationInventoryMismatch
+from .boosting import BoostedEnsemble, _check_prefix, parse
+from .errors import DocumentMismatch, EmptyTreebank, RelationInventoryMismatch
 from .treebank import DiscourseNode, Treebank, iter_internal, iter_leaves
 
 CSV_HEADER = "m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1"
@@ -139,8 +139,7 @@ def score_entries(pairs) -> ParsevalScores:
 
 def evaluate_treebank(ensemble: BoostedEnsemble, m: int, tb: Treebank) -> ParsevalScores:
     """Parse every document with prefix m and micro-score against gold."""
-    if not 1 <= m <= len(ensemble.steps):
-        raise InvalidPrefix(f"prefix {m} outside 1..{len(ensemble.steps)}")
+    _check_prefix(ensemble, m)
     if len(tb.entries) == 0:
         raise EmptyTreebank(f"treebank {tb.name!r} has no entries to evaluate")
     unknown = set(tb.relation_inventory) - set(ensemble.relation_inventory)

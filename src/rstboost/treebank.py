@@ -96,6 +96,13 @@ def iter_leaves(node: DiscourseNode) -> Iterator[Leaf]:
         yield from iter_leaves(node.right)
 
 
+def head_nucleus_edu(node: DiscourseNode) -> int:
+    """Follow the nucleus child down to a leaf (NN ties break to the left)."""
+    while isinstance(node, Internal):
+        node = node.right if node.nuclearity == "SN" else node.left
+    return node.edu_id
+
+
 def iter_internal(node: DiscourseNode) -> Iterator[Internal]:
     if isinstance(node, Internal):
         yield node
@@ -448,12 +455,6 @@ def _gen_structure(rng: Random, lo: int, hi: int, cfg: SynthConfig) -> Discourse
     return Internal(nuc, relation, left, right)
 
 
-def _head_leaf(node: DiscourseNode) -> int:
-    """EDU id of the nucleus-path leaf (NN heads left, matching the encoder)."""
-    while isinstance(node, Internal):
-        node = node.right if node.nuclearity == "SN" else node.left
-    return node.edu_id
-
 # Surface cue tokens, two redundant tokens per cue so that a single hash
 # collision with a lexicon word cannot erase the signal.
 #
@@ -485,9 +486,9 @@ def _inject_cues(tree: DiscourseNode, cues: dict[int, dict]) -> None:
             if isinstance(child, Leaf):
                 cues[child.edu_id]["kind"] = kind
             else:
-                cues[_head_leaf(child)]["cont"] = cont
+                cues[head_nucleus_edu(child)]["cont"] = cont
         satellite = node.left if node.nuclearity == "SN" else node.right
-        cues[_head_leaf(satellite)]["marker"] = relation_markers(node.relation)
+        cues[head_nucleus_edu(satellite)]["marker"] = relation_markers(node.relation)
 
 
 def _fillers(rng: Random, cfg: SynthConfig) -> list[str]:

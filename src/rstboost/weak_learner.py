@@ -41,14 +41,14 @@ class LearnerConfig:
             raise InvalidConfig("hidden_dim must be >= 0")
         if self.init_scale <= 0 or not math.isfinite(self.init_scale):
             raise InvalidConfig("init_scale must be positive and finite")
-        if self.learning_rate < 0 or self.l2_penalty < 0:
-            raise InvalidConfig("learning_rate and l2_penalty must be >= 0")
+        if not (0 <= self.learning_rate < math.inf and 0 <= self.l2_penalty < math.inf):
+            raise InvalidConfig("learning_rate and l2_penalty must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
 class LogitPair:
-    structure: np.ndarray  # (4,)
-    relation: np.ndarray   # (n_relations,)
+    structure: np.ndarray  # (4,), or (N, 4) for a batch
+    relation: np.ndarray   # (n_relations,), or (N, n_relations)
 
     @staticmethod
     def zeros(n_relations: int) -> "LogitPair":
@@ -64,6 +64,13 @@ class WeakLearner:
     b_structure: np.ndarray       # (4,)
     w_relation: np.ndarray        # (R, H or input_dim)
     b_relation: np.ndarray        # (R,)
+
+    @classmethod
+    def from_params(cls, cfg: LearnerConfig, params: dict[str, np.ndarray]) -> "WeakLearner":
+        """Build from a name -> array mapping; the hidden layer is optional."""
+        return cls(cfg, params.get("w_hidden"), params.get("b_hidden"),
+                   params["w_structure"], params["b_structure"],
+                   params["w_relation"], params["b_relation"])
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         items = []
@@ -84,26 +91,17 @@ def init(cfg: LearnerConfig, seed: int) -> WeakLearner:
         a = cfg.init_scale / math.sqrt(fan_in)
         return rng.uniform(-a, a, size=(rows, fan_in))
 
+    params = {}
+    fan_in = cfg.input_dim
     if cfg.hidden_dim > 0:
-        h = cfg.hidden_dim
-        return WeakLearner(
-            cfg,
-            w_hidden=uniform(h, cfg.input_dim),
-            b_hidden=np.zeros(h),
-            w_structure=uniform(N_STRUCTURE, h),
-            b_structure=np.zeros(N_STRUCTURE),
-            w_relation=uniform(cfg.n_relations, h),
-            b_relation=np.zeros(cfg.n_relations),
-        )
-    return WeakLearner(
-        cfg,
-        w_hidden=None,
-        b_hidden=None,
-        w_structure=uniform(N_STRUCTURE, cfg.input_dim),
-        b_structure=np.zeros(N_STRUCTURE),
-        w_relation=uniform(cfg.n_relations, cfg.input_dim),
-        b_relation=np.zeros(cfg.n_relations),
-    )
+        params["w_hidden"] = uniform(cfg.hidden_dim, fan_in)
+        params["b_hidden"] = np.zeros(cfg.hidden_dim)
+        fan_in = cfg.hidden_dim
+    params["w_structure"] = uniform(N_STRUCTURE, fan_in)
+    params["b_structure"] = np.zeros(N_STRUCTURE)
+    params["w_relation"] = uniform(cfg.n_relations, fan_in)
+    params["b_relation"] = np.zeros(cfg.n_relations)
+    return WeakLearner.from_params(cfg, params)
 
 
 def zeros(cfg: LearnerConfig) -> WeakLearner:
@@ -114,28 +112,25 @@ def zeros(cfg: LearnerConfig) -> WeakLearner:
     return learner
 
 
-def _check_input(w: WeakLearner, x: np.ndarray) -> np.ndarray:
+def _check_input(w: WeakLearner, x: np.ndarray, batch: bool = True) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (w.cfg.input_dim,):
-        raise DimensionMismatch(
-            f"feature vector has shape {x.shape}, expected ({w.cfg.input_dim},)"
-        )
+    d = w.cfg.input_dim
+    if x.ndim not in ((1, 2) if batch else (1,)) or x.shape[-1] != d:
+        expected = f"({d},) or (N, {d})" if batch else f"({d},)"
+        raise DimensionMismatch(f"feature array has shape {x.shape}, expected {expected}")
     return x
 
 
-def _hidden(w: WeakLearner, x: np.ndarray) -> np.ndarray:
-    if w.w_hidden is None:
-        return x
-    return np.tanh(w.w_hidden @ x + w.b_hidden)
+def _forward(w: WeakLearner, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hidden activations and both heads' logits, for one state or a batch."""
+    h = x if w.w_hidden is None else np.tanh(x @ w.w_hidden.T + w.b_hidden)
+    return h, h @ w.w_structure.T + w.b_structure, h @ w.w_relation.T + w.b_relation
 
 
 def forward(w: WeakLearner, x: np.ndarray) -> LogitPair:
-    x = _check_input(w, x)
-    h = _hidden(w, x)
-    return LogitPair(
-        structure=w.w_structure @ h + w.b_structure,
-        relation=w.w_relation @ h + w.b_relation,
-    )
+    """Logits of both heads for one state ``(dim,)`` or a batch ``(N, dim)``."""
+    _, structure, relation = _forward(w, _check_input(w, x))
+    return LogitPair(structure, relation)
 
 
 def param_count(w: WeakLearner) -> int:
@@ -168,7 +163,7 @@ def boosted_loss_and_grad(
     l2 penalty over all of this learner's parameters is added when
     ``cfg.l2_penalty > 0``.  The frozen logits are treated as constants.
     """
-    x = _check_input(w, x)
+    x = _check_input(w, x, batch=False)
     mask = np.asarray(legal_mask, dtype=bool)
     if mask.shape != (N_STRUCTURE,):
         raise DimensionMismatch(f"legal_mask has shape {mask.shape}, expected (4,)")
@@ -184,8 +179,8 @@ def boosted_loss_and_grad(
     ):
         raise DimensionMismatch("frozen logits do not match the learner's heads")
 
-    h = _hidden(w, x)
-    z_s = frozen.structure + w.w_structure @ h + w.b_structure
+    h, logits_s, logits_r = _forward(w, x)
+    z_s = frozen.structure + logits_s
     p_s, logp_s = _masked_log_softmax(z_s, mask)
     loss = -logp_s[gold_structure]
     dz_s = p_s.copy()
@@ -195,7 +190,7 @@ def boosted_loss_and_grad(
     if is_reduce:
         if not 0 <= gold_relation < w.cfg.n_relations:
             raise DimensionMismatch(f"gold relation index {gold_relation} out of range")
-        z_r = frozen.relation + w.w_relation @ h + w.b_relation
+        z_r = frozen.relation + logits_r
         m = np.max(z_r)
         exp = np.exp(z_r - m)
         total = exp.sum()
@@ -231,12 +226,4 @@ def sgd_step(w: WeakLearner, grads: dict[str, np.ndarray], lr: float) -> WeakLea
         if g is None or np.shape(g) != arr.shape:
             raise DimensionMismatch(f"gradient for {name} missing or wrong shape")
         updated[name] = arr - lr * g
-    return WeakLearner(
-        cfg=w.cfg,
-        w_hidden=updated.get("w_hidden"),
-        b_hidden=updated.get("b_hidden"),
-        w_structure=updated["w_structure"],
-        b_structure=updated["b_structure"],
-        w_relation=updated["w_relation"],
-        b_relation=updated["b_relation"],
-    )
+    return WeakLearner.from_params(w.cfg, updated)

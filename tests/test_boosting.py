@@ -280,12 +280,13 @@ class TestFastPathEquivalence:
         for (_, a), (_, b) in zip(got.param_items(), ref.param_items()):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
-    def test_l2_epoch_matches_reference_updates(self):
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_l2_epoch_matches_reference_updates(self, hidden_dim):
         tb = small_treebank(n_docs=4)
         inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
         cfg = LearnerConfig(
             input_dim=ENC.width, n_relations=len(tb.relation_inventory),
-            hidden_dim=3, learning_rate=0.05, l2_penalty=0.01)
+            hidden_dim=hidden_dim, learning_rate=0.05, l2_penalty=0.01)
         frozen_s = np.zeros((len(inst), 4))
         frozen_r = np.zeros((len(inst), cfg.n_relations))
         order = np.arange(len(inst))

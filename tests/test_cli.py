@@ -101,6 +101,50 @@ class TestTrain:
         assert run("--quiet", "train", tmp_path / "nope.tb",
                    "--out", tmp_path / "m.json") == 2
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                            ("--l2", "nan")])
+    def test_non_finite_rate_is_usage_error(self, data_dir, tmp_path, capsys,
+                                            flag, value):
+        out = tmp_path / "m.json"
+        assert run("--quiet", "train", data_dir / "train_news.tb", "--out", out,
+                   "--steps", "1", *FAST_TRAIN, flag, value) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMalformedModel:
+    @pytest.fixture()
+    def model_doc(self, model_path):
+        return json.loads(model_path.read_text())
+
+    def parse_with(self, text, data_dir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        return run("--quiet", "parse", bad, data_dir / "test_news.tb",
+                   "--out", tmp_path / "pred.tb")
+
+    def test_truncated_file_is_data_error(self, model_path, data_dir, tmp_path, capsys):
+        text = model_path.read_text()[:2000]
+        assert self.parse_with(text, data_dir, tmp_path) == 2
+        assert "malformed model" in capsys.readouterr().err
+
+    def test_missing_step_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys):
+        del model_doc["steps"][1]["w_relation"]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "w_relation" in capsys.readouterr().err
+
+    def test_inventory_size_mismatch_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                   capsys):
+        model_doc["relation_inventory"] = model_doc["relation_inventory"][:2]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "inventory" in capsys.readouterr().err
+
+    def test_wrong_shape_is_data_error(self, model_doc, data_dir, tmp_path, capsys):
+        spec = model_doc["steps"][0]["w_structure"]
+        spec["shape"] = spec["shape"][::-1]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "w_structure" in capsys.readouterr().err
+
 
 class TestParse:
     def test_parse_treebank_input(self, model_path, data_dir, tmp_path):
@@ -166,6 +210,17 @@ class TestEval:
         assert run("--quiet", "eval", data_dir / "test_news.tb",
                    data_dir / "train_news.tb") == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_edu_count_mismatch_is_data_error(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.tb", tmp_path / "pred.tb"
+        gold.write_text('#doc d1 news\n(NS cause (leaf "a") (leaf "b"))\n\n'
+                        '#doc d2 news\n(NS cause (leaf "c") (leaf "d"))\n')
+        pred.write_text('#doc d1 news\n(NS cause (leaf "a") (leaf "b"))\n\n'
+                        '#doc d2 news\n(NS cause (leaf "c") '
+                        '(NS cause (leaf "d") (leaf "e")))\n')
+        assert run("--quiet", "eval", gold, pred, "--csv", tmp_path / "e.csv") == 2
+        assert "d2" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_eval_predictions(self, model_path, data_dir, tmp_path, capsys):
         pred = tmp_path / "pred.tb"
