@@ -54,6 +54,13 @@ def structure_mask(state: ParserState) -> np.ndarray:
     )
 
 
+def _decision(mask: np.ndarray, structure: np.ndarray,
+              relation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy rule as class indices, for one state or per row: masked
+    structure argmax (ties to the lowest index) and relation argmax."""
+    return np.where(mask, structure, -np.inf).argmax(axis=-1), relation.argmax(axis=-1)
+
+
 @dataclass(frozen=True)
 class BoostConfig:
     learner: LearnerConfig
@@ -218,10 +225,10 @@ def oracle_action_accuracy(ensemble: BoostedEnsemble, m: int, entries) -> float:
     """Fraction of oracle states where prefix m predicts the full gold action."""
     _check_prefix(ensemble, m)
     inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    zs, zr = _logit_sum(ensemble, m, inst.x)
-    ok = np.where(inst.mask, zs, -np.inf).argmax(axis=1) == inst.gold_structure
+    cls, rel = _decision(inst.mask, *_logit_sum(ensemble, m, inst.x))
+    ok = cls == inst.gold_structure
     is_reduce = inst.gold_relation >= 0
-    ok &= ~is_reduce | (zr.argmax(axis=1) == inst.gold_relation)
+    ok &= ~is_reduce | (rel == inst.gold_relation)
     return float(ok.mean())
 
 
@@ -490,6 +497,15 @@ def train(
 # Decoding
 # ---------------------------------------------------------------------------
 
+def _decide(ensemble: BoostedEnsemble, mask: np.ndarray,
+            structure: np.ndarray, relation: np.ndarray) -> Action:
+    """The action ``_decision`` picks in one state."""
+    cls, rel = _decision(mask, structure, relation)
+    if cls == wl.SHIFT_CLASS:
+        return SHIFT
+    return Reduce(NUCLEARITIES[cls - 1], ensemble.relation_inventory[rel])
+
+
 def predict_action(
     ensemble: BoostedEnsemble, m: int, state: ParserState, doc: Document
 ) -> Action:
@@ -498,12 +514,7 @@ def predict_action(
         raise TerminalState("no action to predict in a terminal state")
     x = encode_state(state, doc, ensemble.encoder_config)
     logits = aggregate_logits(ensemble, m, x)
-    z = np.where(structure_mask(state), logits.structure, -np.inf)
-    cls = int(np.argmax(z))
-    if cls == wl.SHIFT_CLASS:
-        return SHIFT
-    relation = ensemble.relation_inventory[int(np.argmax(logits.relation))]
-    return Reduce(NUCLEARITIES[cls - 1], relation)
+    return _decide(ensemble, structure_mask(state), logits.structure, logits.relation)
 
 
 def decode(
@@ -517,6 +528,48 @@ def decode(
         actions.append(action)
         state = apply(state, action)
     return state.stack[0], actions
+
+
+def decode_prefixes(
+    ensemble: BoostedEnsemble, doc: Document, prefixes
+) -> dict[int, tuple[DiscourseNode, list[Action]]]:
+    """``decode(ensemble, m, doc)`` for every m in ``prefixes``, in one pass.
+
+    Prefixes whose action histories agree share one state: it is encoded
+    once, each step's logits are computed once and added into a running
+    sum in ``_logit_sum``'s order, and prefix m decides from the sum after
+    step m.  Where the prefixes at a state choose different actions the
+    group splits, and each part continues from its own successor state.
+    """
+    prefixes = sorted(set(prefixes))
+    for m in prefixes:
+        _check_prefix(ensemble, m)
+    cfg = ensemble.encoder_config
+    n_rel = len(ensemble.relation_inventory)
+    bags: dict = {}
+    decoded: dict[int, tuple[DiscourseNode, list[Action]]] = {}
+    groups = [(initial_state(doc.n_edus), [], prefixes)] if prefixes else []
+    while groups:
+        state, actions, group = groups.pop()
+        while not state.is_terminal:
+            x = encode_state(state, doc, cfg, bags)
+            mask = structure_mask(state)
+            s, r = np.zeros(wl.N_STRUCTURE), np.zeros(n_rel)
+            chosen: dict[Action, list[int]] = {}
+            for k, step in enumerate(ensemble.steps[:group[-1]], 1):
+                out = wl.forward(step, x)
+                s += out.structure
+                r += out.relation
+                if k in group:
+                    chosen.setdefault(_decide(ensemble, mask, s, r), []).append(k)
+            (action, group), *rest = chosen.items()
+            for other, part in rest:
+                groups.append((apply(state, other), actions + [other], part))
+            actions.append(action)
+            state = apply(state, action)
+        for m in group:
+            decoded[m] = (state.stack[0], list(actions))
+    return decoded
 
 
 def parse(ensemble: BoostedEnsemble, m: int, doc: Document) -> DiscourseNode:
@@ -546,6 +599,8 @@ def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLear
             raise MalformedSyntax(
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
         params[name] = np.asarray(spec["data"], dtype=np.float64).reshape(shape)
+        if not np.isfinite(params[name]).all():
+            raise MalformedSyntax(f"parameter {name} has non-finite values")
     return WeakLearner.from_params(cfg, params)
 
 
@@ -562,9 +617,10 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
 
 
 def model_from_json(text: str) -> BoostedEnsemble:
-    """Parse a model; undecodable JSON, missing keys, bad types, and a learner
-    config or parameter shapes that do not match the encoder width and the
-    relation inventory raise MalformedSyntax."""
+    """Parse a model; undecodable JSON, missing keys, bad types, an invalid or
+    unsupported config, no steps, non-finite parameters, and a learner config or
+    parameter shapes that do not match the encoder width and the relation
+    inventory raise MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
@@ -578,6 +634,8 @@ def model_from_json(text: str) -> BoostedEnsemble:
         _check_dims(boost_cfg, enc_cfg, inventory)
         shapes = {name: arr.shape for name, arr in wl.zeros(lc).param_items()}
         steps = tuple(_learner_from_dict(lc, shapes, blob) for blob in doc["steps"])
+        if not steps:
+            raise MalformedSyntax("model has no steps")
         return BoostedEnsemble(
             encoder_config=enc_cfg,
             relation_inventory=inventory,
@@ -585,7 +643,8 @@ def model_from_json(text: str) -> BoostedEnsemble:
             boost_config=boost_cfg,
             train_domain_tag=doc.get("train_domain_tag", ""),
         )
-    except (ValueError, KeyError, TypeError, AttributeError, DimensionMismatch) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, DimensionMismatch,
+            InvalidConfig) as exc:
         raise MalformedSyntax(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 

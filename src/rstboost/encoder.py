@@ -78,25 +78,46 @@ def hash_token(token: str, hash_seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _fill_bag(vec: np.ndarray, offset: int, tokens: list[str] | tuple[str, ...],
-              cfg: EncoderConfig) -> None:
+def _bag(tokens: list[str] | tuple[str, ...],
+         cfg: EncoderConfig) -> list[tuple[int, float]]:
+    """Hashed bag as (bucket, weight) pairs, weight = count / max(1, len(tokens))."""
+    counts: dict[int, int] = {}
     for token in tokens:
-        vec[offset + hash_token(token, cfg.hash_seed) % cfg.hash_dim] += 1.0
-    vec[offset:offset + cfg.hash_dim] /= max(1, len(tokens))
+        bucket = hash_token(token, cfg.hash_seed) % cfg.hash_dim
+        counts[bucket] = counts.get(bucket, 0) + 1
+    n = max(1, len(tokens))
+    return [(bucket, c / n) for bucket, c in counts.items()]
 
 
-def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig) -> np.ndarray:
-    """Encode a parser state as a dense float64 vector of width 3*hash_dim + 4."""
+def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,
+                 bags: dict | None = None) -> np.ndarray:
+    """Encode a parser state as a dense float64 vector of width 3*hash_dim + 4.
+
+    ``bags`` optionally memoizes each token tuple's hashed bag; it must only
+    be shared between states of one document under one ``cfg``.
+    """
     vec = np.zeros(cfg.width, dtype=np.float64)
     d = cfg.hash_dim
+
+    def fill(offset: int, tokens: list[str] | tuple[str, ...]) -> None:
+        if bags is None:
+            bag = _bag(tokens, cfg)
+        else:
+            key = tuple(tokens)
+            bag = bags.get(key)
+            if bag is None:
+                bag = bags[key] = _bag(tokens, cfg)
+        for bucket, weight in bag:
+            vec[offset + bucket] = weight
+
     top = state.stack[-1] if len(state.stack) >= 1 else None
     second = state.stack[-2] if len(state.stack) >= 2 else None
     if top is not None:
-        _fill_bag(vec, 0, represent_span(top, doc, cfg), cfg)
+        fill(0, represent_span(top, doc, cfg))
     if second is not None:
-        _fill_bag(vec, d, represent_span(second, doc, cfg), cfg)
+        fill(d, represent_span(second, doc, cfg))
     if state.queue_cursor <= state.n_edus:
-        _fill_bag(vec, 2 * d, doc.edus[state.queue_cursor - 1].tokens, cfg)
+        fill(2 * d, doc.edus[state.queue_cursor - 1].tokens)
 
     def span_len(node: DiscourseNode | None) -> float:
         if node is None:

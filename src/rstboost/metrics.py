@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .boosting import BoostedEnsemble, _check_prefix, parse
+from .boosting import BoostedEnsemble, _check_prefix, decode_prefixes
 from .errors import DocumentMismatch, EmptyTreebank, RelationInventoryMismatch
 from .treebank import DiscourseNode, Treebank, iter_internal, iter_leaves
 
@@ -137,9 +137,11 @@ def score_entries(pairs) -> ParsevalScores:
     return total
 
 
-def evaluate_treebank(ensemble: BoostedEnsemble, m: int, tb: Treebank) -> ParsevalScores:
-    """Parse every document with prefix m and micro-score against gold."""
-    _check_prefix(ensemble, m)
+def _evaluate_prefixes(ensemble: BoostedEnsemble, prefixes,
+                       tb: Treebank) -> dict[int, ParsevalScores]:
+    """Decode every document once for all ``prefixes`` and micro-score each."""
+    for m in prefixes:
+        _check_prefix(ensemble, m)
     if len(tb.entries) == 0:
         raise EmptyTreebank(f"treebank {tb.name!r} has no entries to evaluate")
     unknown = set(tb.relation_inventory) - set(ensemble.relation_inventory)
@@ -148,7 +150,16 @@ def evaluate_treebank(ensemble: BoostedEnsemble, m: int, tb: Treebank) -> Parsev
             f"treebank {tb.name!r} uses relations unknown to the model: "
             f"{sorted(unknown)}"
         )
-    return score_entries((tree, parse(ensemble, m, doc)) for doc, tree in tb.entries)
+    decoded = [decode_prefixes(ensemble, doc, prefixes) for doc, _ in tb.entries]
+    return {
+        m: score_entries((tree, d[m][0]) for (_, tree), d in zip(tb.entries, decoded))
+        for m in prefixes
+    }
+
+
+def evaluate_treebank(ensemble: BoostedEnsemble, m: int, tb: Treebank) -> ParsevalScores:
+    """Parse every document with prefix m and micro-score against gold."""
+    return _evaluate_prefixes(ensemble, [m], tb)[m]
 
 
 @dataclass(frozen=True)
@@ -181,19 +192,20 @@ class CurveTable:
 
 
 def boost_curve(ensemble: BoostedEnsemble, treebanks: list[Treebank]) -> CurveTable:
-    """Evaluate every (prefix m, treebank) cell for m = 1..n_steps."""
+    """Evaluate every (prefix m, treebank) cell for m = 1..n_steps.
+
+    All prefixes of a document are decoded in one pass (``decode_prefixes``).
+    """
     if not treebanks:
         raise EmptyTreebank("boost_curve needs at least one treebank")
     n = len(ensemble.steps)
     rows = []
     span_f1: list[dict[int, float]] = []
     for tb in treebanks:
-        f1s = {}
-        for m in range(1, n + 1):
-            s = evaluate_treebank(ensemble, m, tb)
-            rows.append(CurveRow(m, tb.domain_tag, len(tb.entries), s))
-            f1s[m] = s.span_f1
-        span_f1.append(f1s)
+        scores = _evaluate_prefixes(ensemble, range(1, n + 1), tb)
+        rows.extend(CurveRow(m, tb.domain_tag, len(tb.entries), s)
+                    for m, s in scores.items())
+        span_f1.append({m: s.span_f1 for m, s in scores.items()})
 
     gaps = None
     in_idx = [i for i, tb in enumerate(treebanks)

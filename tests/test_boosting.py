@@ -12,6 +12,7 @@ from rstboost.boosting import (
     action_to_class,
     aggregate_logits,
     decode,
+    decode_prefixes,
     load_model,
     mean_oracle_ce,
     model_from_json,
@@ -25,7 +26,7 @@ from rstboost.boosting import (
     train,
     train_step,
 )
-from rstboost.encoder import EncoderConfig
+from rstboost.encoder import CENTER, NUCLEUS, EncoderConfig, encode_state
 from rstboost.errors import (
     DimensionMismatch,
     EmptyTreebank,
@@ -33,7 +34,7 @@ from rstboost.errors import (
     TerminalState,
 )
 from rstboost.metrics import score
-from rstboost.transition import SHIFT, Reduce, apply, initial_state
+from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
     Document,
     EDU,
@@ -392,6 +393,85 @@ class TestDecoding:
         assert acc > 0.9
         total = sum(score(t, parse(ens, 2, d)).span_f1 for d, t in tb.entries)
         assert total / len(tb.entries) > 0.8
+
+
+class TestDecodePrefixes:
+    """The one-pass engine against sequential ``decode`` for every prefix."""
+
+    def assert_matches_decode(self, ens, docs):
+        n = ens.n_steps
+        for doc in docs:
+            got = decode_prefixes(ens, doc, range(1, n + 1))
+            assert sorted(got) == list(range(1, n + 1))
+            for m in range(1, n + 1):
+                assert got[m] == decode(ens, m, doc)
+
+    def test_trained_ensemble_matches_decode(self):
+        tb = small_treebank(n_docs=15)
+        ens, _ = train(tb, boost_cfg(tb, n_steps=3), ENC)
+        other = small_treebank(n_docs=10, seed=23, edu_range=(1, 12))
+        self.assert_matches_decode(ens, [doc for doc, _ in tb.entries + other.entries])
+
+    def test_random_steps_split_and_match_decode(self):
+        tb = small_treebank(n_docs=12, seed=17, edu_range=(1, 10))
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+                            hidden_dim=4)
+        ens = manual_ensemble([wl.init(cfg, seed) for seed in range(4)],
+                              len(tb.relation_inventory), inventory=tb.relation_inventory)
+        docs = [doc for doc, _ in tb.entries]
+        self.assert_matches_decode(ens, docs)
+        histories = [{tuple(a) for _, a in decode_prefixes(ens, doc, range(1, 5)).values()}
+                     for doc in docs]
+        assert any(len(h) > 1 for h in histories)
+
+    def test_hand_built_groups_split(self):
+        cfg = TestDecoding().linear_cfg()
+        ens = manual_ensemble([
+            bias_only_learner(cfg, np.array([10.0, 0, 0, 0]), np.array([1.0, 0, 0])),
+            bias_only_learner(cfg, np.array([-20.0, 5, 0, 0])),
+            bias_only_learner(cfg, np.zeros(4), np.array([-5.0, 3, 0])),
+        ], 3)
+        doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in range(1, 6)))
+        got = decode_prefixes(ens, doc, [3, 1, 2, 2])
+        # prefix 1 shifts while it can; 2 and 3 reduce as soon as they can
+        # and split on the relation of that first reduce
+        assert got[1][1][:5] == [SHIFT] * 5
+        assert got[2][1][:3] == [SHIFT, SHIFT, Reduce("NN", "rel0")]
+        assert got[3][1][:3] == [SHIFT, SHIFT, Reduce("NN", "rel1")]
+        self.assert_matches_decode(ens, [doc])
+
+    def test_zero_step_ties_to_lowest_index(self):
+        cfg = TestDecoding().linear_cfg()
+        ens = manual_ensemble([wl.zeros(cfg), wl.zeros(cfg),
+                               bias_only_learner(cfg, np.array([0.0, 0, 2, 0]))],
+                              3, inventory=("alpha", "beta", "gamma"))
+        doc = Document("d", tuple(EDU(i, ("t",)) for i in (1, 2, 3)))
+        got = decode_prefixes(ens, doc, range(1, 4))
+        tie = [SHIFT, SHIFT, SHIFT, Reduce("NN", "alpha"), Reduce("NN", "alpha")]
+        assert got[1][1] == got[2][1] == tie
+        assert got[3][1] == [SHIFT, SHIFT, Reduce("NS", "alpha"), SHIFT,
+                             Reduce("NS", "alpha")]
+        self.assert_matches_decode(ens, [doc])
+
+    def test_invalid_prefix(self):
+        ens = manual_ensemble([wl.zeros(TestDecoding().linear_cfg())], 3)
+        doc = Document("d", (EDU(1, ("a",)),))
+        with pytest.raises(InvalidPrefix):
+            decode_prefixes(ens, doc, [1, 2])
+
+    @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
+    def test_bag_memo_is_bit_exact(self, strategy):
+        cfg = EncoderConfig(hash_dim=64, max_span_tokens=4, truncation_strategy=strategy)
+        tb = small_treebank(n_docs=8, seed=5, edu_range=(2, 9))
+        for doc, tree in tb.entries:
+            bags: dict = {}
+            state = initial_state(doc.n_edus)
+            for action in oracle(tree):
+                memo = encode_state(state, doc, cfg, bags)
+                assert np.array_equal(memo, encode_state(state, doc, cfg))
+                assert np.array_equal(encode_state(state, doc, cfg, bags), memo)
+                state = apply(state, action)
+            assert bags
 
 
 class TestModelSerialization:

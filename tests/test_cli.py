@@ -145,6 +145,34 @@ class TestMalformedModel:
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "w_structure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                capsys, value):
+        model_doc["steps"][0]["b_structure"]["data"][0] = value
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "b_structure" in capsys.readouterr().err
+
+    def test_invalid_encoder_config_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                  capsys):
+        model_doc["encoder_config"]["hash_dim"] = 4
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "hash_dim" in capsys.readouterr().err
+
+    def test_unsupported_format_version_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                      capsys):
+        model_doc["format_version"] = 99
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "format_version" in capsys.readouterr().err
+
+    def test_model_without_steps_is_data_error(self, model_doc, data_dir, tmp_path,
+                                               capsys):
+        model_doc["steps"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model_doc))
+        assert run("--quiet", "curve", bad, data_dir / "test_news.tb",
+                   data_dir / "test_chat.tb", "--out", tmp_path / "curve.csv") == 2
+        assert "no steps" in capsys.readouterr().err
+
 
 class TestParse:
     def test_parse_treebank_input(self, model_path, data_dir, tmp_path):

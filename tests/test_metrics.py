@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rstboost.boosting import BoostConfig, train
+from rstboost.boosting import BoostConfig, parse, train
 from rstboost.encoder import EncoderConfig
 from rstboost.errors import (
     DocumentMismatch,
@@ -233,6 +233,20 @@ class TestBoostCurve:
         ens = quick_ensemble(tb, n_steps=1)
         with pytest.raises(EmptyTreebank):
             boost_curve(ens, [])
+
+    def test_rows_equal_per_prefix_sequential_parse(self):
+        tb_a = mk_tb(n_docs=8, tag="news", name="a")
+        tb_b = mk_tb(n_docs=8, seed=9, tag="chat", name="b")
+        ens = quick_ensemble(tb_a, n_steps=3)
+        table = boost_curve(ens, [tb_a, tb_b])
+        expected = [
+            (m, tb.domain_tag,
+             score_entries((tree, parse(ens, m, doc)) for doc, tree in tb.entries))
+            for tb in (tb_a, tb_b) for m in (1, 2, 3)
+        ]
+        assert [(r.m, r.domain, r.scores) for r in table.rows] == expected
+        for m, _, scores in expected[:3]:
+            assert evaluate_treebank(ens, m, tb_a) == scores
 
 
 class TestParsevalScores:
