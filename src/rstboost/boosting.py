@@ -124,26 +124,24 @@ def _check_prefix(ensemble: BoostedEnsemble, m: int) -> None:
 
 
 def _logit_sum(
-    ensemble: BoostedEnsemble, m: int, x: np.ndarray
+    ensemble: BoostedEnsemble, m: int, rows
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Summed (structure, relation) logits of the first m steps (m = 0 gives zeros).
-
-    ``x`` is one state ``(dim,)`` or a batch ``(N, dim)``.
-    """
-    lead = np.shape(x)[:-1]
+    """Summed (structure, relation) logits of the first m steps (m = 0 gives zeros)
+    on one sparse row or a CSR batch, as ``wl.forward`` takes them."""
+    lead = (len(rows[0]) - 1,) if len(rows) == 3 else ()
     s = np.zeros(lead + (wl.N_STRUCTURE,))
     r = np.zeros(lead + (len(ensemble.relation_inventory),))
     for step in ensemble.steps[:m]:
-        out = wl.forward(step, x)
+        out = wl.forward(step, rows)
         s += out.structure
         r += out.relation
     return s, r
 
 
-def aggregate_logits(ensemble: BoostedEnsemble, m: int, x: np.ndarray) -> LogitPair:
+def aggregate_logits(ensemble: BoostedEnsemble, m: int, rows) -> LogitPair:
     """Elementwise sum of the first m steps' logits for both heads."""
     _check_prefix(ensemble, m)
-    return LogitPair(*_logit_sum(ensemble, m, x))
+    return LogitPair(*_logit_sum(ensemble, m, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +150,26 @@ def aggregate_logits(ensemble: BoostedEnsemble, m: int, x: np.ndarray) -> LogitP
 
 @dataclass
 class _Instances:
-    x: np.ndarray          # (N, dim) float64
-    nonzero: list[np.ndarray]
+    # CSR (indptr, indices, data): state i's row is indices/data[indptr[i]:indptr[i + 1]]
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     gold_structure: np.ndarray  # (N,) int64
     gold_relation: np.ndarray   # (N,) int64; -1 for shift
     mask: np.ndarray            # (N, 4) bool
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.rows[0]) - 1
 
 
 def _build_instances(
     entries, enc_cfg: EncoderConfig, inventory: tuple[str, ...]
 ) -> _Instances:
     rel_index = {rel: i for i, rel in enumerate(inventory)}
-    xs, gs, gr, masks = [], [], [], []
+    rows, gs, gr, masks = [], [], [], []
     for doc, tree in entries:
         state = initial_state(doc.n_edus)
+        bags: dict = {}
         for action in oracle(tree):
-            xs.append(encode_state(state, doc, enc_cfg))
+            rows.append(encode_state(state, doc, enc_cfg, bags))
             gs.append(action_to_class(action))
             if isinstance(action, Reduce):
                 if action.relation not in rel_index:
@@ -182,10 +181,10 @@ def _build_instances(
                 gr.append(-1)
             masks.append(structure_mask(state))
             state = apply(state, action)
-    x = np.asarray(xs)
     return _Instances(
-        x=x,
-        nonzero=[np.nonzero(row)[0] for row in x],
+        rows=(np.cumsum([0] + [len(idx) for idx, _ in rows], dtype=np.int64),
+              np.concatenate([np.zeros(0, np.int64)] + [idx for idx, _ in rows]),
+              np.concatenate([np.zeros(0)] + [values for _, values in rows])),
         gold_structure=np.asarray(gs, dtype=np.int64),
         gold_relation=np.asarray(gr, dtype=np.int64),
         mask=np.asarray(masks, dtype=bool),
@@ -198,19 +197,16 @@ def _mean_combined_ce(
     inst: _Instances,
 ) -> float:
     """Mean per-instance cross-entropy: masked structure CE + gated relation CE."""
-    n = len(inst)
-    z = np.where(inst.mask, z_structure, -np.inf)
-    mx = z.max(axis=1)
-    lse = mx + np.log(np.exp(z - mx[:, None]).sum(axis=1))
-    ce = lse - z_structure[np.arange(n), inst.gold_structure]
+    def nll(z: np.ndarray, logits: np.ndarray, gold: np.ndarray) -> np.ndarray:
+        mx = z.max(axis=1)
+        lse = mx + np.log(np.exp(z - mx[:, None]).sum(axis=1))
+        return lse - logits[np.arange(len(gold)), gold]
 
+    ce = nll(np.where(inst.mask, z_structure, -np.inf), z_structure, inst.gold_structure)
     is_reduce = inst.gold_relation >= 0
     if is_reduce.any():
         zr = z_relation[is_reduce]
-        mx = zr.max(axis=1)
-        lse = mx + np.log(np.exp(zr - mx[:, None]).sum(axis=1))
-        ce_r = lse - zr[np.arange(zr.shape[0]), inst.gold_relation[is_reduce]]
-        ce[is_reduce] += ce_r
+        ce[is_reduce] += nll(zr, zr, inst.gold_relation[is_reduce])
     return float(ce.mean())
 
 
@@ -218,14 +214,14 @@ def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
     """Mean combined cross-entropy of prefix m over the gold oracle states."""
     _check_prefix(ensemble, m)
     inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    return _mean_combined_ce(*_logit_sum(ensemble, m, inst.x), inst)
+    return _mean_combined_ce(*_logit_sum(ensemble, m, inst.rows), inst)
 
 
 def oracle_action_accuracy(ensemble: BoostedEnsemble, m: int, entries) -> float:
     """Fraction of oracle states where prefix m predicts the full gold action."""
     _check_prefix(ensemble, m)
     inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    cls, rel = _decision(inst.mask, *_logit_sum(ensemble, m, inst.x))
+    cls, rel = _decision(inst.mask, *_logit_sum(ensemble, m, inst.rows))
     ok = cls == inst.gold_structure
     is_reduce = inst.gold_relation >= 0
     ok &= ~is_reduce | (rel == inst.gold_relation)
@@ -262,9 +258,9 @@ class _Trainer:
         b1 = p.get("b_hidden")
         ws, bs = p["w_structure"], p["b_structure"]
         wr, br = p["w_relation"], p["b_relation"]
+        indptr, indices, data = inst.rows
         for i in order:
-            idx = inst.nonzero[i]
-            xv = inst.x[i, idx]
+            idx, xv = indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
             # The heads read the hidden layer, or the row's nonzero inputs.
             if hidden:
                 h, cols = np.tanh(w1[:, idx] @ xv + b1), slice(None)
@@ -303,7 +299,7 @@ class _Trainer:
                 b1 -= lr * dpre
 
     def combined_ce(self, inst: _Instances, frozen_s, frozen_r) -> float:
-        out = wl.forward(WeakLearner.from_params(self.cfg, self.params), inst.x)
+        out = wl.forward(WeakLearner.from_params(self.cfg, self.params), inst.rows)
         return _mean_combined_ce(frozen_s + out.structure, frozen_r + out.relation, inst)
 
 
@@ -330,25 +326,14 @@ def split_dev(
     return train, dev
 
 
-def _train_one_step(
-    cfg: BoostConfig,
-    learner_cfg: LearnerConfig,
-    step_no: int,
-    seed: int,
-    train_inst: _Instances,
-    dev_inst: _Instances | None,
-    frozen_train: tuple[np.ndarray, np.ndarray],
-    frozen_dev: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[WeakLearner, StepReport]:
+def _train_one_step(cfg: BoostConfig, learner_cfg: LearnerConfig, step_no: int, seed: int,
+                    split: tuple) -> tuple[WeakLearner, StepReport]:
+    """Train step ``step_no`` on ``_split_instances``'s ``split``."""
+    train_inst, frozen_train, dev_inst, frozen_dev = split
     t0 = time.perf_counter()
     trainer = _Trainer(wl.init(learner_cfg, np.random.default_rng(
         _child_seed(seed, step_no, 0)).integers(0, 2**31)))
     shuffle_rng = np.random.default_rng(_child_seed(seed, step_no, 1))
-
-    def dev_ce() -> float:
-        if dev_inst is None or len(dev_inst) == 0:
-            return trainer.combined_ce(train_inst, *frozen_train)
-        return trainer.combined_ce(dev_inst, *frozen_dev)
 
     baseline_train = _mean_combined_ce(*frozen_train, train_inst)
 
@@ -358,15 +343,13 @@ def _train_one_step(
     best_train_params = None
     dev_curve: list[float] = []
     bad = 0
-    epochs_run = 0
     n = len(train_inst)
     for _ in range(cfg.epochs_max):
         order = shuffle_rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
         trainer.run_epoch(train_inst, frozen_train[0], frozen_train[1], order)
-        epochs_run += 1
-        d = dev_ce()
-        dev_curve.append(d)
         t = trainer.combined_ce(train_inst, *frozen_train)
+        d = trainer.combined_ce(dev_inst, *frozen_dev) if dev_inst else t  # None or empty
+        dev_curve.append(d)
         if t < best_train:
             best_train, best_train_params = t, trainer.snapshot()
         if d < best_dev:
@@ -392,7 +375,7 @@ def _train_one_step(
         step=step_no,
         final_train_loss=final_ce,
         dev_losses=dev_curve,
-        epochs_run=epochs_run,
+        epochs_run=len(dev_curve),
         seconds=time.perf_counter() - t0,
         param_count=wl.param_count(chosen),
         selection=selection,
@@ -414,6 +397,17 @@ def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig,
     return lc
 
 
+def _split_instances(ensemble: BoostedEnsemble, train_entries, dev_entries) -> tuple:
+    """The oracle instances of the train entries and the ensemble's summed logits
+    on them (the next step's frozen logits), then the same for the dev entries,
+    or (None, None) when there are none."""
+    def build(entries):
+        inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
+        return inst, _logit_sum(ensemble, len(ensemble.steps), inst.rows)
+
+    return (*build(train_entries), *(build(dev_entries) if dev_entries else (None, None)))
+
+
 def train_step(
     ensemble: BoostedEnsemble,
     treebank: Treebank,
@@ -433,20 +427,8 @@ def train_step(
         train_entries, dev_entries = split_dev(treebank, cfg.dev_fraction, seed)
     else:
         train_entries = treebank.entries
-    train_inst = _build_instances(train_entries, ensemble.encoder_config,
-                                  ensemble.relation_inventory)
-    dev_inst = (
-        _build_instances(dev_entries, ensemble.encoder_config,
-                         ensemble.relation_inventory)
-        if dev_entries else None
-    )
-    m = len(ensemble.steps)
-    frozen_train = _logit_sum(ensemble, m, train_inst.x)
-    frozen_dev = _logit_sum(ensemble, m, dev_inst.x) if dev_inst is not None else None
-    learner, report = _train_one_step(
-        cfg, lc, m + 1, seed,
-        train_inst, dev_inst, frozen_train, frozen_dev,
-    )
+    learner, report = _train_one_step(cfg, lc, len(ensemble.steps) + 1, seed,
+                                      _split_instances(ensemble, train_entries, dev_entries))
     return replace(ensemble, steps=ensemble.steps + (learner,)), report
 
 
@@ -467,24 +449,19 @@ def train(
         boost_config=cfg,
         train_domain_tag=treebank.domain_tag,
     )
-    train_entries, dev_entries = split_dev(treebank, cfg.dev_fraction, cfg.seed)
-    train_inst = _build_instances(train_entries, enc_cfg, inventory)
-    dev_inst = _build_instances(dev_entries, enc_cfg, inventory) if dev_entries else None
-
-    frozen_train = _logit_sum(ensemble, 0, train_inst.x)
-    frozen_dev = _logit_sum(ensemble, 0, dev_inst.x) if dev_inst is not None else None
+    split = _split_instances(ensemble, *split_dev(treebank, cfg.dev_fraction, cfg.seed))
+    train_inst, frozen_train, dev_inst, frozen_dev = split
 
     report = TrainReport()
     total_params = 0
     for k in range(1, cfg.n_steps + 1):
-        learner, step_report = _train_one_step(
-            cfg, lc, k, cfg.seed, train_inst, dev_inst, frozen_train, frozen_dev)
+        learner, step_report = _train_one_step(cfg, lc, k, cfg.seed, split)
         ensemble = replace(ensemble, steps=ensemble.steps + (learner,))
         # Add the new step's logits in place, in the order _logit_sum sums them.
         for inst, frozen in ((train_inst, frozen_train), (dev_inst, frozen_dev)):
             if inst is not None:
                 zs, zr = frozen
-                out = wl.forward(learner, inst.x)
+                out = wl.forward(learner, inst.rows)
                 zs += out.structure
                 zr += out.relation
         total_params += step_report.param_count
@@ -507,13 +484,15 @@ def _decide(ensemble: BoostedEnsemble, mask: np.ndarray,
 
 
 def predict_action(
-    ensemble: BoostedEnsemble, m: int, state: ParserState, doc: Document
+    ensemble: BoostedEnsemble, m: int, state: ParserState, doc: Document,
+    bags: dict | None = None,
 ) -> Action:
-    """Greedy masked argmax over the prefix-m logit sum (ties to lowest index)."""
+    """Greedy masked argmax over the prefix-m logit sum (ties to lowest index);
+    ``bags`` is ``encode_state``'s optional per-document memo of hashed bags."""
     if state.is_terminal:
         raise TerminalState("no action to predict in a terminal state")
-    x = encode_state(state, doc, ensemble.encoder_config)
-    logits = aggregate_logits(ensemble, m, x)
+    row = encode_state(state, doc, ensemble.encoder_config, bags)
+    logits = aggregate_logits(ensemble, m, row)
     return _decide(ensemble, structure_mask(state), logits.structure, logits.relation)
 
 
@@ -523,8 +502,9 @@ def decode(
     """Greedy parse; always terminates with a full tree in 2n-1 actions."""
     state = initial_state(doc.n_edus)
     actions: list[Action] = []
+    bags: dict = {}
     while not state.is_terminal:
-        action = predict_action(ensemble, m, state, doc)
+        action = predict_action(ensemble, m, state, doc, bags)
         actions.append(action)
         state = apply(state, action)
     return state.stack[0], actions
@@ -544,20 +524,18 @@ def decode_prefixes(
     prefixes = sorted(set(prefixes))
     for m in prefixes:
         _check_prefix(ensemble, m)
-    cfg = ensemble.encoder_config
-    n_rel = len(ensemble.relation_inventory)
     bags: dict = {}
     decoded: dict[int, tuple[DiscourseNode, list[Action]]] = {}
     groups = [(initial_state(doc.n_edus), [], prefixes)] if prefixes else []
     while groups:
         state, actions, group = groups.pop()
         while not state.is_terminal:
-            x = encode_state(state, doc, cfg, bags)
+            row = encode_state(state, doc, ensemble.encoder_config, bags)
             mask = structure_mask(state)
-            s, r = np.zeros(wl.N_STRUCTURE), np.zeros(n_rel)
+            s, r = np.zeros(wl.N_STRUCTURE), np.zeros(len(ensemble.relation_inventory))
             chosen: dict[Action, list[int]] = {}
             for k, step in enumerate(ensemble.steps[:group[-1]], 1):
-                out = wl.forward(step, x)
+                out = wl.forward(step, row)
                 s += out.structure
                 r += out.relation
                 if k in group:
@@ -570,11 +548,6 @@ def decode_prefixes(
         for m in group:
             decoded[m] = (state.stack[0], list(actions))
     return decoded
-
-
-def parse(ensemble: BoostedEnsemble, m: int, doc: Document) -> DiscourseNode:
-    tree, _ = decode(ensemble, m, doc)
-    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,19 @@ def _encoder_config(args) -> EncoderConfig:
     )
 
 
+def _boost_config(args, enc_cfg: EncoderConfig, n_relations: int, hidden_dim: int,
+                  n_steps: int) -> boosting.BoostConfig:
+    """The training flags as a boosting config."""
+    learner = LearnerConfig(
+        input_dim=enc_cfg.width, n_relations=n_relations, hidden_dim=hidden_dim,
+        init_scale=args.init_scale, learning_rate=args.lr, l2_penalty=args.l2,
+    )
+    return boosting.BoostConfig(
+        learner=learner, n_steps=n_steps, epochs_max=args.epochs_max,
+        patience=args.patience, dev_fraction=args.dev_fraction, seed=args.seed,
+    )
+
+
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     tb_path = Path(args.treebank)
@@ -205,22 +218,8 @@ def cmd_train(args) -> int:
         raise EmptyTreebank(f"treebank {tb_path} has no documents")
     t_load = time.perf_counter()
     enc_cfg = _encoder_config(args)
-    learner_cfg = LearnerConfig(
-        input_dim=enc_cfg.width,
-        n_relations=len(tb.relation_inventory),
-        hidden_dim=args.hidden_dim,
-        init_scale=args.init_scale,
-        learning_rate=args.lr,
-        l2_penalty=args.l2,
-    )
-    boost_cfg = boosting.BoostConfig(
-        learner=learner_cfg,
-        n_steps=args.steps,
-        epochs_max=args.epochs_max,
-        patience=args.patience,
-        dev_fraction=args.dev_fraction,
-        seed=args.seed,
-    )
+    boost_cfg = _boost_config(args, enc_cfg, len(tb.relation_inventory), args.hidden_dim,
+                              args.steps)
     ensemble, report = boosting.train(tb, boost_cfg, enc_cfg)
     t_train = time.perf_counter()
 
@@ -437,14 +436,7 @@ def cmd_compare(args) -> int:
     eval_tbs = [eval_tb] + [treebank.load_treebank(Path(p)) for p in args.eval or []]
 
     def contender(name: str, hidden_dim: int, n_steps: int) -> dict:
-        lc = LearnerConfig(
-            input_dim=enc_cfg.width, n_relations=n_rel, hidden_dim=hidden_dim,
-            init_scale=args.init_scale, learning_rate=args.lr, l2_penalty=args.l2,
-        )
-        bc = boosting.BoostConfig(
-            learner=lc, n_steps=n_steps, epochs_max=args.epochs_max,
-            patience=args.patience, dev_fraction=args.dev_fraction, seed=args.seed,
-        )
+        bc = _boost_config(args, enc_cfg, n_rel, hidden_dim, n_steps)
         t_start = time.perf_counter()
         ensemble, report = boosting.train(train_tb, bc, enc_cfg)
         seconds = time.perf_counter() - t_start
@@ -591,16 +583,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (OSError, *_DATA_ERRORS) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RstBoostError as exc:

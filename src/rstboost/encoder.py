@@ -1,9 +1,9 @@
-"""Fixed-width feature vectors for parser states.
+"""Sparse fixed-width feature rows for parser states.
 
 Layout: three hashed bag-of-words blocks of ``hash_dim`` buckets each
 (stack top span, stack second span, front-of-queue EDU), followed by four
 structural scalars.  Token hashing uses BLAKE2b truncated to 64 bits and
-keyed with ``hash_seed``, so vectors are identical across runs, processes,
+keyed with ``hash_seed``, so rows are identical across runs, processes,
 and platforms.
 """
 
@@ -79,25 +79,29 @@ def hash_token(token: str, hash_seed: int) -> int:
 
 
 def _bag(tokens: list[str] | tuple[str, ...],
-         cfg: EncoderConfig) -> list[tuple[int, float]]:
-    """Hashed bag as (bucket, weight) pairs, weight = count / max(1, len(tokens))."""
+         cfg: EncoderConfig) -> tuple[list[int], list[float]]:
+    """Hashed bag as (ascending buckets, weights), weight = count / max(1, len(tokens))."""
     counts: dict[int, int] = {}
     for token in tokens:
         bucket = hash_token(token, cfg.hash_seed) % cfg.hash_dim
         counts[bucket] = counts.get(bucket, 0) + 1
     n = max(1, len(tokens))
-    return [(bucket, c / n) for bucket, c in counts.items()]
+    buckets = sorted(counts)
+    return buckets, [counts[bucket] / n for bucket in buckets]
 
 
 def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,
-                 bags: dict | None = None) -> np.ndarray:
-    """Encode a parser state as a dense float64 vector of width 3*hash_dim + 4.
+                 bags: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode a parser state as one sparse row ``(indices, values)`` of width
+    3*hash_dim + 4: int64 indices in ascending order and their nonzero
+    float64 values.
 
     ``bags`` optionally memoizes each token tuple's hashed bag; it must only
     be shared between states of one document under one ``cfg``.
     """
-    vec = np.zeros(cfg.width, dtype=np.float64)
     d = cfg.hash_dim
+    indices: list[int] = []
+    values: list[float] = []
 
     def fill(offset: int, tokens: list[str] | tuple[str, ...]) -> None:
         if bags is None:
@@ -107,8 +111,8 @@ def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,
             bag = bags.get(key)
             if bag is None:
                 bag = bags[key] = _bag(tokens, cfg)
-        for bucket, weight in bag:
-            vec[offset + bucket] = weight
+        indices.extend([offset + bucket for bucket in bag[0]])
+        values.extend(bag[1])
 
     top = state.stack[-1] if len(state.stack) >= 1 else None
     second = state.stack[-2] if len(state.stack) >= 2 else None
@@ -125,8 +129,10 @@ def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,
         lo, hi = node.span
         return min(hi - lo + 1, SPAN_CLIP) / SPAN_CLIP
 
-    vec[3 * d + 0] = min(len(state.stack), SPAN_CLIP) / SPAN_CLIP
-    vec[3 * d + 1] = (state.n_edus - state.queue_cursor + 1) / state.n_edus
-    vec[3 * d + 2] = span_len(top)
-    vec[3 * d + 3] = span_len(second)
-    return vec
+    for k, value in enumerate((min(len(state.stack), SPAN_CLIP) / SPAN_CLIP,
+                               (state.n_edus - state.queue_cursor + 1) / state.n_edus,
+                               span_len(top), span_len(second))):
+        if value:
+            indices.append(3 * d + k)
+            values.append(value)
+    return np.array(indices, dtype=np.int64), np.array(values, dtype=np.float64)

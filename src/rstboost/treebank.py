@@ -114,10 +114,6 @@ def iter_internal(node: DiscourseNode) -> Iterator[Internal]:
 # Bracketed format
 # ---------------------------------------------------------------------------
 
-_TOK_OPEN = "("
-_TOK_CLOSE = ")"
-
-
 def _lex(text: str) -> list[tuple[str, str]]:
     """Tokenize into (kind, value) pairs; kind in {open, close, symbol, string}."""
     out = []

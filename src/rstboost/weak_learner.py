@@ -112,25 +112,61 @@ def zeros(cfg: LearnerConfig) -> WeakLearner:
     return learner
 
 
-def _check_input(w: WeakLearner, x: np.ndarray, batch: bool = True) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    d = w.cfg.input_dim
-    if x.ndim not in ((1, 2) if batch else (1,)) or x.shape[-1] != d:
-        expected = f"({d},) or (N, {d})" if batch else f"({d},)"
-        raise DimensionMismatch(f"feature array has shape {x.shape}, expected {expected}")
-    return x
+def _csr(w: WeakLearner, rows, batch: bool = True):
+    """Checked ``(indptr, indices, data)`` of one sparse row ``(indices, values)``
+    (``indptr`` None) or, if ``batch``, of a CSR batch ``(indptr, indices, data)``."""
+    if len(rows) != 2 and not (batch and len(rows) == 3):
+        raise DimensionMismatch("expected (indices, values) or (indptr, indices, data)")
+    *ptr, indices, data = rows
+    indices, data, d = np.asarray(indices), np.asarray(data, dtype=np.float64), w.cfg.input_dim
+    indptr = np.asarray(ptr[0]) if ptr else None
+    # Viewed as unsigned, a negative index is out of range too.
+    if (indices.ndim != 1 or data.shape != indices.shape or indices.size and (
+            indices.dtype.kind not in "iu"
+            or indices.astype(np.int64, copy=False).view(np.uint64).max() >= d)
+            or ptr and (indptr.ndim != 1 or indptr[:1].tolist() != [0]
+                        or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any())):
+        raise DimensionMismatch(f"feature rows must be CSR arrays with indices in [0, {d})")
+    return indptr, indices.astype(np.int64, copy=False), data
 
 
-def _forward(w: WeakLearner, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden activations and both heads' logits, for one state or a batch."""
-    h = x if w.w_hidden is None else np.tanh(x @ w.w_hidden.T + w.b_hidden)
-    return h, h @ w.w_structure.T + w.b_structure, h @ w.w_relation.T + w.b_relation
+def _dot_rows(weights: np.ndarray, indptr: np.ndarray | None, indices: np.ndarray,
+              data: np.ndarray) -> np.ndarray:
+    """Each row's dot product with every row of ``weights``: (N, len(weights)), or
+    (len(weights),) for one row.  ``np.add.reduceat`` sums a row's products in
+    the row's own order, so that a row's result depends neither on the other
+    rows nor on the BLAS thread count.  It would give an empty row the next
+    row's first term, so empty rows are left out of it and give 0."""
+    if indptr is None:
+        return (np.add.reduceat(weights[:, indices] * data, [0], axis=1)[:, 0]
+                if indices.size else np.zeros(len(weights)))
+    full = indptr[1:] > indptr[:-1]
+    out = np.zeros((full.size, len(weights)))
+    out[full] = np.add.reduceat(weights[:, indices] * data, indptr[:-1][full], axis=1).T
+    return out
 
 
-def forward(w: WeakLearner, x: np.ndarray) -> LogitPair:
-    """Logits of both heads for one state ``(dim,)`` or a batch ``(N, dim)``."""
-    _, structure, relation = _forward(w, _check_input(w, x))
-    return LogitPair(structure, relation)
+def _forward(w: WeakLearner, indptr: np.ndarray | None, indices: np.ndarray,
+             data: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Hidden activations (None without a hidden layer) and both heads' logits."""
+    if w.w_hidden is None:
+        return (None, _dot_rows(w.w_structure, indptr, indices, data) + w.b_structure,
+                _dot_rows(w.w_relation, indptr, indices, data) + w.b_relation)
+    h = np.tanh(_dot_rows(w.w_hidden, indptr, indices, data) + w.b_hidden)
+    if indptr is None:
+        return h, h @ w.w_structure.T + w.b_structure, h @ w.w_relation.T + w.b_relation
+    # numpy multiplies a stack of rows one row at a time, exactly as it
+    # multiplies one row, so a row's logits do not depend on its batch.
+    stack = h[:, None, :]
+    return (h, (stack @ w.w_structure.T)[:, 0] + w.b_structure,
+            (stack @ w.w_relation.T)[:, 0] + w.b_relation)
+
+
+def forward(w: WeakLearner, rows) -> LogitPair:
+    """Logits of both heads for one sparse row ``(indices, values)``, shaped
+    (4,) and (R,), or for a CSR batch ``(indptr, indices, data)``, shaped
+    (N, 4) and (N, R).  A row's logits do not depend on its batch."""
+    return LogitPair(*_forward(w, *_csr(w, rows))[1:])
 
 
 def param_count(w: WeakLearner) -> int:
@@ -150,7 +186,7 @@ def _masked_log_softmax(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np
 
 def boosted_loss_and_grad(
     w: WeakLearner,
-    x: np.ndarray,
+    row,
     frozen: LogitPair,
     gold_structure: int,
     gold_relation: int | None,
@@ -158,12 +194,13 @@ def boosted_loss_and_grad(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss of (frozen + this learner) and exact gradients w.r.t. this learner.
 
-    The structure head uses a legality-masked softmax cross-entropy; the
-    relation head contributes only when the gold action is a reduce.  An
-    l2 penalty over all of this learner's parameters is added when
-    ``cfg.l2_penalty > 0``.  The frozen logits are treated as constants.
+    ``row`` is one sparse feature row ``(indices, values)``.  The structure
+    head uses a legality-masked softmax cross-entropy; the relation head
+    contributes only when the gold action is a reduce.  An l2 penalty over
+    all of this learner's parameters is added when ``cfg.l2_penalty > 0``.
+    The frozen logits are treated as constants.
     """
-    x = _check_input(w, x, batch=False)
+    _, idx, xv = _csr(w, row, batch=False)
     mask = np.asarray(legal_mask, dtype=bool)
     if mask.shape != (N_STRUCTURE,):
         raise DimensionMismatch(f"legal_mask has shape {mask.shape}, expected (4,)")
@@ -179,9 +216,8 @@ def boosted_loss_and_grad(
     ):
         raise DimensionMismatch("frozen logits do not match the learner's heads")
 
-    h, logits_s, logits_r = _forward(w, x)
-    z_s = frozen.structure + logits_s
-    p_s, logp_s = _masked_log_softmax(z_s, mask)
+    h, logits_s, logits_r = _forward(w, None, idx, xv)
+    p_s, logp_s = _masked_log_softmax(frozen.structure + logits_s, mask)
     loss = -logp_s[gold_structure]
     dz_s = p_s.copy()
     dz_s[gold_structure] -= 1.0
@@ -190,24 +226,27 @@ def boosted_loss_and_grad(
     if is_reduce:
         if not 0 <= gold_relation < w.cfg.n_relations:
             raise DimensionMismatch(f"gold relation index {gold_relation} out of range")
-        z_r = frozen.relation + logits_r
-        m = np.max(z_r)
-        exp = np.exp(z_r - m)
-        total = exp.sum()
-        loss += -(z_r[gold_relation] - m - np.log(total))
-        dz_r = exp / total
+        dz_r, logp_r = _masked_log_softmax(frozen.relation + logits_r, True)
+        loss -= logp_r[gold_relation]
         dz_r[gold_relation] -= 1.0
 
+    def outer(dz: np.ndarray, like: np.ndarray, cols, v: np.ndarray) -> np.ndarray:
+        grad = np.zeros_like(like)  # outer(dz, input) on the input's columns
+        np.add.at(grad, (slice(None), cols), np.outer(dz, v))
+        return grad
+
+    # The heads read the hidden layer, or the row's nonzero inputs.
+    cols, hv = (idx, xv) if h is None else (slice(None), h)
     grads: dict[str, np.ndarray] = {
-        "w_structure": np.outer(dz_s, h),
+        "w_structure": outer(dz_s, w.w_structure, cols, hv),
         "b_structure": dz_s,
-        "w_relation": np.outer(dz_r, h),
+        "w_relation": outer(dz_r, w.w_relation, cols, hv),
         "b_relation": dz_r,
     }
-    if w.w_hidden is not None:
+    if h is not None:
         dh = w.w_structure.T @ dz_s + w.w_relation.T @ dz_r
-        dpre = dh * (1.0 - h * h)
-        grads["w_hidden"] = np.outer(dpre, x)
+        dpre = dh * (1.0 - hv * hv)
+        grads["w_hidden"] = outer(dpre, w.w_hidden, idx, xv)
         grads["b_hidden"] = dpre
 
     l2 = w.cfg.l2_penalty

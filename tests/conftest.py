@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from rstboost.boosting import BoostConfig, train
@@ -68,6 +69,20 @@ def ensembles(setups):
         return cache[seed]
 
     return get
+
+
+def sparse(x):
+    """A dense test vector as the sparse row ``(indices, values)`` of its nonzeros."""
+    x = np.asarray(x, dtype=np.float64)
+    indices = np.flatnonzero(x)
+    return indices, x[indices]
+
+
+def dense(row, width):
+    """A sparse row ``(indices, values)`` as a dense vector of ``width``."""
+    x = np.zeros(width)
+    x[row[0]] = row[1]
+    return x
 
 
 def make_doc(n_edus, doc_id="doc", tokens_per_edu=2):

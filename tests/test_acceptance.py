@@ -38,6 +38,7 @@ from conftest import (
     enumerate_shapes,
     label_shape,
     random_tree,
+    sparse,
 )
 
 
@@ -77,7 +78,7 @@ def test_criterion_02_gradient_oracle():
                                     hidden_dim=hidden_dim,
                                     l2_penalty=float(rng.uniform(0, 0.01)))
                 learner = wl.init(cfg, int(rng.integers(0, 10_000)))
-                x = rng.normal(size=10)
+                x = sparse(rng.normal(size=10))
                 frozen = LogitPair(rng.normal(size=4) * frozen_scale,
                                    rng.normal(size=6) * frozen_scale)
                 if rng.random() < 0.5:

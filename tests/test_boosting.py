@@ -18,7 +18,6 @@ from rstboost.boosting import (
     model_from_json,
     model_to_json,
     oracle_action_accuracy,
-    parse,
     predict_action,
     save_model,
     split_dev,
@@ -46,9 +45,17 @@ from rstboost.treebank import (
 )
 from rstboost.weak_learner import LearnerConfig, LogitPair
 
+from conftest import sparse
+
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
 ENC = EncoderConfig(hash_dim=64)
+
+
+def row_of(inst, i):
+    """Instance i's sparse row ``(indices, values)``."""
+    indptr, indices, data = inst.rows
+    return indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
 
 
 def small_treebank(n_docs=30, seed=1, edu_range=(2, 6)):
@@ -123,7 +130,7 @@ class TestAggregate:
     def test_prefix_one_equals_forward(self):
         learner = bias_only_learner(self.cfg(), np.array([1.0, 0, 0, 0]))
         ens = manual_ensemble([learner], 3)
-        x = np.zeros(ENC.width)
+        x = sparse(np.zeros(ENC.width))
         out = aggregate_logits(ens, 1, x)
         fw = wl.forward(learner, x)
         assert np.array_equal(out.structure, fw.structure)
@@ -133,13 +140,13 @@ class TestAggregate:
         a = bias_only_learner(self.cfg(), np.array([1.0, 0, 0, 0]))
         b = bias_only_learner(self.cfg(), np.array([0.5, 2.0, 0, 0]))
         ens = manual_ensemble([a, b], 3)
-        out = aggregate_logits(ens, 2, np.zeros(ENC.width))
+        out = aggregate_logits(ens, 2, sparse(np.zeros(ENC.width)))
         assert np.allclose(out.structure, [1.5, 2.0, 0, 0])
 
     def test_zero_step_is_identity(self):
         a = bias_only_learner(self.cfg(), np.array([1.0, -1.0, 0, 0]))
         z = wl.zeros(self.cfg())
-        x = np.zeros(ENC.width)
+        x = sparse(np.zeros(ENC.width))
         with_zero = aggregate_logits(manual_ensemble([a, z], 3), 2, x)
         without = aggregate_logits(manual_ensemble([a], 3), 1, x)
         assert np.array_equal(with_zero.structure, without.structure)
@@ -150,7 +157,7 @@ class TestAggregate:
         cfg = LearnerConfig(input_dim=ENC.width, n_relations=3, hidden_dim=4)
         steps = [wl.init(cfg, int(s)) for s in rng.integers(0, 100, size=3)]
         ens = manual_ensemble(steps, 3)
-        x = rng.normal(size=ENC.width)
+        x = sparse(rng.normal(size=ENC.width))
         for m in (2, 3):
             total = aggregate_logits(ens, m, x)
             prev = aggregate_logits(ens, m - 1, x)
@@ -162,7 +169,7 @@ class TestAggregate:
         ens = manual_ensemble([wl.zeros(self.cfg())], 3)
         for m in (0, 2):
             with pytest.raises(InvalidPrefix):
-                aggregate_logits(ens, m, np.zeros(ENC.width))
+                aggregate_logits(ens, m, sparse(np.zeros(ENC.width)))
 
 
 class TestTraining:
@@ -273,7 +280,7 @@ class TestFastPathEquivalence:
         for i in order:
             gr = int(inst.gold_relation[i])
             _, grads = wl.boosted_loss_and_grad(
-                ref, inst.x[i], LogitPair(frozen_s[i], frozen_r[i]),
+                ref, row_of(inst, i), LogitPair(frozen_s[i], frozen_r[i]),
                 int(inst.gold_structure[i]), gr if gr >= 0 else None, inst.mask[i])
             ref = wl.sgd_step(ref, grads, cfg.learning_rate)
 
@@ -297,7 +304,7 @@ class TestFastPathEquivalence:
         for i in order:
             gr = int(inst.gold_relation[i])
             _, grads = wl.boosted_loss_and_grad(
-                ref, inst.x[i], LogitPair(frozen_s[i], frozen_r[i]),
+                ref, row_of(inst, i), LogitPair(frozen_s[i], frozen_r[i]),
                 int(inst.gold_structure[i]), gr if gr >= 0 else None, inst.mask[i])
             ref = wl.sgd_step(ref, grads, cfg.learning_rate)
         got = fast.snapshot()
@@ -366,7 +373,7 @@ class TestDecoding:
         ens = manual_ensemble([learner], 3)
         n = 6
         doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in range(1, n + 1)))
-        tree = parse(ens, 1, doc)
+        tree = decode(ens, 1, doc)[0]
         spans = set()
 
         def walk(node):
@@ -383,7 +390,7 @@ class TestDecoding:
         ens, _ = train(tb, boost_cfg(tb, n_steps=3), ENC)
         truncated = dataclasses.replace(ens, steps=ens.steps[:2])
         for doc, _ in tb.entries[:8]:
-            assert parse(ens, 2, doc) == parse(truncated, 2, doc)
+            assert decode(ens, 2, doc)[0] == decode(truncated, 2, doc)[0]
 
     def test_trained_model_fits_train_set(self):
         tb = small_treebank(n_docs=40)
@@ -391,7 +398,7 @@ class TestDecoding:
         ens, _ = train(tb, cfg, ENC)
         acc = oracle_action_accuracy(ens, 2, tb.entries)
         assert acc > 0.9
-        total = sum(score(t, parse(ens, 2, d)).span_f1 for d, t in tb.entries)
+        total = sum(score(t, decode(ens, 2, d)[0]).span_f1 for d, t in tb.entries)
         assert total / len(tb.entries) > 0.8
 
 
@@ -459,6 +466,19 @@ class TestDecodePrefixes:
         with pytest.raises(InvalidPrefix):
             decode_prefixes(ens, doc, [1, 2])
 
+    def test_instances_hold_each_states_row(self):
+        tb = small_treebank(n_docs=5, seed=3, edu_range=(2, 7))
+        inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
+        i = 0
+        for doc, tree in tb.entries:
+            state = initial_state(doc.n_edus)
+            for action in oracle(tree):
+                want = encode_state(state, doc, ENC)
+                assert all(np.array_equal(a, b) for a, b in zip(row_of(inst, i), want))
+                state = apply(state, action)
+                i += 1
+        assert i == len(inst) == len(inst.rows[0]) - 1
+
     @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
     def test_bag_memo_is_bit_exact(self, strategy):
         cfg = EncoderConfig(hash_dim=64, max_span_tokens=4, truncation_strategy=strategy)
@@ -468,8 +488,8 @@ class TestDecodePrefixes:
             state = initial_state(doc.n_edus)
             for action in oracle(tree):
                 memo = encode_state(state, doc, cfg, bags)
-                assert np.array_equal(memo, encode_state(state, doc, cfg))
-                assert np.array_equal(encode_state(state, doc, cfg, bags), memo)
+                for again in (encode_state(state, doc, cfg), encode_state(state, doc, cfg, bags)):
+                    assert all(np.array_equal(a, b) for a, b in zip(again, memo))
                 state = apply(state, action)
             assert bags
 

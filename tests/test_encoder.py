@@ -13,7 +13,7 @@ from rstboost.errors import InvalidConfig
 from rstboost.transition import SHIFT, Reduce, apply, initial_state
 from rstboost.treebank import EDU, Document, Internal, Leaf
 
-from conftest import make_doc
+from conftest import dense, make_doc
 
 
 class TestTruncateCenter:
@@ -119,7 +119,7 @@ class TestEncodeState:
     def test_initial_state_blocks(self):
         doc = make_doc(3)
         cfg = EncoderConfig(hash_dim=64)
-        x = encode_state(initial_state(3), doc, cfg)
+        x = dense(encode_state(initial_state(3), doc, cfg), cfg.width)
         assert x.shape == (3 * 64 + 4,)
         assert not x[:128].any()          # stack blocks empty
         assert x[128:192].any()           # queue block populated
@@ -132,14 +132,15 @@ class TestEncodeState:
         s = apply(initial_state(4), SHIFT)
         a = encode_state(s, doc, cfg)
         b = encode_state(s, doc, cfg)
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_bag_of_words_ignores_order(self):
         cfg = EncoderConfig(hash_dim=128)
         d1 = Document("d", (EDU(1, ("x", "y", "z")),))
         d2 = Document("d", (EDU(1, ("z", "x", "y")),))
         s = initial_state(1)
-        assert np.array_equal(encode_state(s, d1, cfg), encode_state(s, d2, cfg))
+        assert all(np.array_equal(u, v)
+                   for u, v in zip(encode_state(s, d1, cfg), encode_state(s, d2, cfg)))
 
     def test_width_invariant_across_states(self):
         doc = make_doc(5)
@@ -147,7 +148,9 @@ class TestEncodeState:
         state = initial_state(5)
         widths = set()
         for action in [SHIFT, SHIFT, Reduce("NS", "r"), SHIFT]:
-            widths.add(encode_state(state, doc, cfg).shape)
+            indices, values = encode_state(state, doc, cfg)
+            assert 0 <= indices.min() and indices.max() < 3 * 64 + 4
+            widths.add(dense((indices, values), cfg.width).shape)
             state = apply(state, action)
         assert widths == {(3 * 64 + 4,)}
 
@@ -155,7 +158,7 @@ class TestEncodeState:
         doc = make_doc(4, tokens_per_edu=3)
         cfg = EncoderConfig(hash_dim=64)
         s = apply(apply(initial_state(4), SHIFT), SHIFT)
-        x = encode_state(s, doc, cfg)
+        x = dense(encode_state(s, doc, cfg), cfg.width)
         bags = x[: 3 * 64]
         assert (bags >= 0).all()
         # each non-empty block sums to 1 under count normalization
@@ -167,9 +170,21 @@ class TestEncodeState:
         s = apply(apply(initial_state(4), SHIFT), SHIFT)
         s = apply(s, Reduce("NN", "joint"))
         cfg = EncoderConfig(hash_dim=64)
-        x = encode_state(s, doc, cfg)
+        x = dense(encode_state(s, doc, cfg), cfg.width)
         depth, remaining, top_len, second_len = x[-4:]
         assert depth == 1 / 8
         assert remaining == 2 / 4
         assert top_len == 2 / 8
         assert second_len == 0.0
+
+    def test_sparse_row_is_sorted_and_nonzero(self):
+        doc = make_doc(6, tokens_per_edu=5)
+        cfg = EncoderConfig(hash_dim=16, max_span_tokens=4)
+        state = initial_state(6)
+        for action in [SHIFT, SHIFT, Reduce("NS", "r"), SHIFT, SHIFT, Reduce("NN", "r")]:
+            indices, values = encode_state(state, doc, cfg)
+            assert indices.dtype == np.int64 and values.dtype == np.float64
+            assert indices.shape == values.shape
+            assert (np.diff(indices) > 0).all()
+            assert (values != 0).all()
+            state = apply(state, action)

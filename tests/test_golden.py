@@ -2,18 +2,24 @@
 
 A small synthetic config is trained with the default train flags, and the
 digests of the primary artifacts plus the exact curve CSV are compared to
-pinned values.  Any change that moves them changes default behaviour.
+pinned values.  Any change that moves them changes default behaviour.  The
+same pipeline run with one and with two BLAS threads must give the same
+outputs.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from rstboost.cli import main
 
 SYNTH = {"n_train": 30, "n_test": 10, "edu_range": [2, 6]}
 
 GOLDEN_SHA256 = {
-    "model.json": "8fd5a8f7e88683bb696f6f85ffa7eb8bb056a878f6848427523475fa483affa3",
+    "model.json": "95cd06ab0e54e7d3f0e1c38fd5739e87b775f1db7346a909003a2a4ba9fc9dee",
     "pred.tb": "9cd93768a96dd3e2b340ebb628c52edbb4cd67ed3a3e676bd012785eedb33f01",
     "pred.tb.trace": "9d64f002097d3e78f2073c3140515f1d160e83158b693cf54731257c33ac65c1",
 }
@@ -33,21 +39,26 @@ m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
 """
 
 REGENERATE = (
-    "{name} differs from the golden pin. BLAS, numpy or CPU changes can move "
-    "these digests, because training and early stopping run through matrix "
-    "products. If the change in default behaviour is intended, regenerate the "
-    "pin on purpose and record the old and new values in CHANGES.md."
+    "{name} differs from the golden pin. A numpy, Python or CPU change can move "
+    "these digests, because training sums floating-point products. If the change "
+    "in default behaviour is intended, regenerate the pin on purpose and record "
+    "the old and new values in CHANGES.md."
 )
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_seed1_pipeline_matches_golden_pin(tmp_path):
-    cfg = tmp_path / "synth.json"
+def run_pipeline(workdir) -> dict:
+    """Run the pinned pipeline in ``workdir``; return the artifact digests and
+    the curve CSV text."""
+    workdir = Path(workdir)
+    cfg = workdir / "synth.json"
     cfg.write_text(json.dumps(SYNTH))
-    data, runs = tmp_path / "data", tmp_path / "runs"
+    data, runs = workdir / "data", workdir / "runs"
     model, pred, curve = runs / "model.json", runs / "pred.tb", runs / "curve.csv"
     assert main(["--seed", "1", "--quiet", "synth", "--config", str(cfg),
                  "--out", str(data)]) == 0
@@ -57,8 +68,32 @@ def test_seed1_pipeline_matches_golden_pin(tmp_path):
                  "--out", str(pred), "--trace"]) == 0
     assert main(["--quiet", "curve", str(model), str(data / "test_news.tb"),
                  str(data / "test_chat.tb"), "--out", str(curve)]) == 0
+    out = {name: _sha256(runs / name) for name in GOLDEN_SHA256}
+    out["curve.csv"] = curve.read_text(encoding="utf-8")
+    return out
 
+
+def test_seed1_pipeline_matches_golden_pin(tmp_path):
+    got = run_pipeline(tmp_path)
     for name, want in GOLDEN_SHA256.items():
-        assert _sha256(runs / name) == want, REGENERATE.format(name=name)
-    assert curve.read_text(encoding="utf-8") == GOLDEN_CURVE, \
-        REGENERATE.format(name="curve.csv")
+        assert got[name] == want, REGENERATE.format(name=name)
+    assert got["curve.csv"] == GOLDEN_CURVE, REGENERATE.format(name="curve.csv")
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """The pinned pipeline in fresh processes with 1 and with 2 BLAS threads."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src")])
+    script = ("import json, sys; from test_golden import run_pipeline; "
+              "print(json.dumps(run_pipeline(sys.argv[1])))")
+    results = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               **{var: threads for var in BLAS_THREAD_VARS}}
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, str(workdir)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        results[threads] = json.loads(proc.stdout.splitlines()[-1])
+    assert results["1"] == results["2"]

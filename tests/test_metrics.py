@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rstboost.boosting import BoostConfig, parse, train
+from rstboost.boosting import BoostConfig, decode, train
 from rstboost.encoder import EncoderConfig
 from rstboost.errors import (
     DocumentMismatch,
@@ -241,7 +241,7 @@ class TestBoostCurve:
         table = boost_curve(ens, [tb_a, tb_b])
         expected = [
             (m, tb.domain_tag,
-             score_entries((tree, parse(ens, m, doc)) for doc, tree in tb.entries))
+             score_entries((tree, decode(ens, m, doc)[0]) for doc, tree in tb.entries))
             for tb in (tb_a, tb_b) for m in (1, 2, 3)
         ]
         assert [(r.m, r.domain, r.scores) for r in table.rows] == expected

@@ -19,6 +19,8 @@ from rstboost.weak_learner import (
     zeros,
 )
 
+from conftest import sparse
+
 ALL_LEGAL = (True, True, True, True)
 
 
@@ -69,7 +71,7 @@ def numeric_grad(learner, x, frozen, gold_s, gold_r, mask, eps=1e-5):
 
 
 def random_instance(rng, cfg, gold_shift=False, frozen_scale=0.0):
-    x = rng.normal(size=cfg.input_dim)
+    x = sparse(rng.normal(size=cfg.input_dim))
     frozen = LogitPair(
         rng.normal(size=4) * frozen_scale,
         rng.normal(size=cfg.n_relations) * frozen_scale,
@@ -118,25 +120,98 @@ class TestInit:
 class TestForward:
     def test_zero_learner_gives_zero_logits(self):
         learner = zeros(small_cfg())
-        out = forward(learner, np.ones(7))
+        out = forward(learner, sparse(np.ones(7)))
         assert not out.structure.any() and not out.relation.any()
 
     def test_linear_identity_rows(self):
         learner = zeros(small_cfg(hidden_dim=0))
         learner.w_structure[...] = np.eye(4, 7)
         x = np.arange(7.0)
-        out = forward(learner, x)
+        out = forward(learner, sparse(x))
         assert np.array_equal(out.structure, x[:4])
 
     def test_output_shapes(self):
         learner = init(small_cfg(hidden_dim=5, n_relations=9), 0)
-        out = forward(learner, np.zeros(7))
+        out = forward(learner, sparse(np.zeros(7)))
         assert out.structure.shape == (4,) and out.relation.shape == (9,)
 
     def test_dimension_mismatch(self):
         learner = init(small_cfg(), 0)
         with pytest.raises(DimensionMismatch):
-            forward(learner, np.zeros(8))
+            forward(learner, (np.array([7]), np.array([1.0])))
+
+
+class TestSparseRows:
+    """One sparse row, a CSR batch, and the checks on outside input."""
+
+    def random_batch(self, rng, n_rows=40, dim=7):
+        rows = [sparse(rng.normal(size=dim) * (rng.random(dim) < 0.5)) for _ in range(n_rows)]
+        rows[3] = rows[-1] = (np.zeros(0, np.int64), np.zeros(0))  # empty rows
+        indptr = np.cumsum([0] + [len(i) for i, _ in rows])
+        return rows, (indptr, np.concatenate([i for i, _ in rows]),
+                      np.concatenate([v for _, v in rows]))
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3, 16])
+    def test_batch_rows_match_single_rows_bitwise(self, hidden_dim):
+        rng = np.random.default_rng(hidden_dim)
+        learner = init(small_cfg(hidden_dim=hidden_dim), 4)
+        learner.b_structure[...] = rng.normal(size=4)
+        rows, batch = self.random_batch(rng)
+        out = forward(learner, batch)
+        assert out.structure.shape == (len(rows), 4) and out.relation.shape == (len(rows), 5)
+        for i, row in enumerate(rows):
+            one = forward(learner, row)
+            assert np.array_equal(one.structure, out.structure[i])
+            assert np.array_equal(one.relation, out.relation[i])
+        # the same rows in a smaller batch, with different neighbours
+        part = forward(learner, (np.concatenate([[0], np.cumsum([len(i) for i, _ in rows[5:15]])]),
+                                 np.concatenate([i for i, _ in rows[5:15]]),
+                                 np.concatenate([v for _, v in rows[5:15]])))
+        assert np.array_equal(part.structure, out.structure[5:15])
+        assert np.array_equal(part.relation, out.relation[5:15])
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_matches_dense_math(self, hidden_dim):
+        rng = np.random.default_rng(5)
+        learner = init(small_cfg(hidden_dim=hidden_dim), 2)
+        for _ in range(10):
+            x = rng.normal(size=7) * (rng.random(7) < 0.6)
+            h = x if hidden_dim == 0 else np.tanh(learner.w_hidden @ x + learner.b_hidden)
+            out = forward(learner, sparse(x))
+            assert np.allclose(out.structure, learner.w_structure @ h + learner.b_structure)
+            assert np.allclose(out.relation, learner.w_relation @ h + learner.b_relation)
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_empty_row_gives_the_bias_response(self, hidden_dim):
+        learner = init(small_cfg(hidden_dim=hidden_dim), 1)
+        for _, arr in learner.param_items():
+            if arr.ndim == 1:
+                arr[...] = np.arange(arr.size) + 0.5
+        h = np.tanh(learner.b_hidden) if hidden_dim else np.zeros(7)
+        for empty in (([], []), (np.array([0, 0]), np.zeros(0, np.int64), np.zeros(0))):
+            out = forward(learner, empty)
+            assert np.allclose(out.structure, learner.w_structure @ h + learner.b_structure)
+            assert np.allclose(out.relation, learner.w_relation @ h + learner.b_relation)
+
+    @pytest.mark.parametrize("rows", [
+        (np.array([7]), np.array([1.0])),            # index == input_dim
+        (np.array([-1]), np.array([1.0])),           # negative index
+        (np.array([1.0]), np.array([1.0])),          # non-integer index
+        (np.array([1, 2]), np.array([1.0])),         # lengths differ
+        (np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0])),   # indptr too short
+        (np.array([0, 2, 1, 2]), np.array([1, 2]), np.array([1.0, 1.0])),  # decreasing
+        (np.array([1]),),
+    ])
+    def test_outside_input_is_checked(self, rows):
+        learner = init(small_cfg(), 0)
+        with pytest.raises(DimensionMismatch):
+            forward(learner, rows)
+
+    def test_loss_takes_one_row_only(self):
+        learner = init(small_cfg(), 0)
+        batch = (np.array([0, 1]), np.array([2]), np.array([1.0]))
+        with pytest.raises(DimensionMismatch):
+            boosted_loss_and_grad(learner, batch, LogitPair.zeros(5), 0, None, ALL_LEGAL)
 
 
 class TestParamCount:
@@ -161,7 +236,7 @@ class TestBoostedLoss:
         rng = np.random.default_rng(0)
         cfg = small_cfg()
         learner = init(cfg, 5)
-        x = rng.normal(size=7)
+        x = sparse(rng.normal(size=7))
         frozen = LogitPair.zeros(5)
         loss, _ = boosted_loss_and_grad(learner, x, frozen, 2, 1, ALL_LEGAL)
         out = forward(learner, x)
@@ -177,7 +252,7 @@ class TestBoostedLoss:
         learner = init(cfg, 5)
         frozen = LogitPair(np.array([1000.0, 0, 0, 0]), np.zeros(5))
         loss, grads = boosted_loss_and_grad(
-            learner, rng.normal(size=7), frozen, 0, None, ALL_LEGAL)
+            learner, sparse(rng.normal(size=7)), frozen, 0, None, ALL_LEGAL)
         assert loss <= 1e-6
         assert max(np.abs(g).max() for g in grads.values()) <= 1e-6
 
@@ -214,7 +289,7 @@ class TestBoostedLoss:
         rng = np.random.default_rng(2)
         cfg = small_cfg()
         learner = init(cfg, 4)
-        x = rng.normal(size=7)
+        x = sparse(rng.normal(size=7))
         mask = (True, True, True, False)
         frozen_a = LogitPair(np.array([0.1, 0.2, 0.3, 0.4]), np.zeros(5))
         frozen_b = LogitPair(np.array([0.1, 0.2, 0.3, 99.0]), np.zeros(5))
@@ -228,16 +303,16 @@ class TestBoostedLoss:
         learner = init(small_cfg(), 0)
         with pytest.raises(IllegalGold):
             boosted_loss_and_grad(
-                learner, np.zeros(7), LogitPair.zeros(5), 1, 2,
+                learner, sparse(np.zeros(7)), LogitPair.zeros(5), 1, 2,
                 (True, False, True, True))
 
     def test_gold_relation_presence_rules(self):
         learner = init(small_cfg(), 0)
         frozen = LogitPair.zeros(5)
         with pytest.raises(InvalidInput):
-            boosted_loss_and_grad(learner, np.zeros(7), frozen, 1, None, ALL_LEGAL)
+            boosted_loss_and_grad(learner, sparse(np.zeros(7)), frozen, 1, None, ALL_LEGAL)
         with pytest.raises(InvalidInput):
-            boosted_loss_and_grad(learner, np.zeros(7), frozen, 0, 1, ALL_LEGAL)
+            boosted_loss_and_grad(learner, sparse(np.zeros(7)), frozen, 0, 1, ALL_LEGAL)
 
     def test_loss_nonnegative_without_l2(self):
         rng = np.random.default_rng(11)
@@ -253,7 +328,7 @@ class TestSgdStep:
     def test_zero_lr_is_identity(self):
         learner = init(small_cfg(), 1)
         _, grads = boosted_loss_and_grad(
-            learner, np.ones(7), LogitPair.zeros(5), 0, None, ALL_LEGAL)
+            learner, sparse(np.ones(7)), LogitPair.zeros(5), 0, None, ALL_LEGAL)
         stepped = sgd_step(learner, grads, 0.0)
         for (_, a), (_, b) in zip(learner.param_items(), stepped.param_items()):
             assert np.array_equal(a, b)
