@@ -36,7 +36,7 @@ from .transition import (
     legal_actions,
     oracle,
 )
-from .treebank import NUCLEARITIES, DiscourseNode, Document, Treebank
+from .treebank import NUCLEARITIES, DiscourseNode, Document, Treebank, _atomic_write
 from .weak_learner import LearnerConfig, LogitPair, WeakLearner
 
 
@@ -622,7 +622,7 @@ def model_from_json(text: str) -> BoostedEnsemble:
 
 
 def save_model(ensemble: BoostedEnsemble, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(ensemble), encoding="utf-8")
+    _atomic_write(path, model_to_json(ensemble))
 
 
 def load_model(path: str | Path) -> BoostedEnsemble:

@@ -34,7 +34,7 @@ from .errors import (
     RelationInventoryMismatch,
     RstBoostError,
 )
-from .treebank import Document, SynthConfig, Treebank, tokenize_text
+from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
 from .weak_learner import LearnerConfig, N_STRUCTURE, param_count
 
 EXIT_OK = 0
@@ -101,8 +101,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    path = Path(str(primary) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    _atomic_write(str(primary) + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +124,39 @@ def _default_synth_config() -> dict:
     }
 
 
+def _read_synth_config(path: Path, defaults: dict) -> dict:
+    """The JSON object in ``path``; each value must have its default's JSON type."""
+    try:
+        user = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"synth config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(user, dict):
+        raise InvalidConfig(f"synth config {path} must hold a JSON object")
+    unknown = set(user) - set(defaults)
+    if unknown:
+        raise InvalidConfig(f"unknown synth config keys: {sorted(unknown)}")
+
+    def typed(value, default) -> bool:  # a float setting also takes an int
+        return type(value) is type(default) or (type(default), type(value)) == (float, int)
+
+    for key, value in user.items():
+        default = defaults[key]
+        ok = typed(value, default)
+        if ok and isinstance(default, list):
+            ok = all(typed(item, default[0]) for item in value)
+        if not ok:
+            raise InvalidConfig(
+                f"synth config {key!r} must be like {default!r}, got {value!r}")
+    return user
+
+
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     cfg = _default_synth_config()
     inputs = []
     if args.config:
         cfg_path = Path(args.config)
-        user = json.loads(cfg_path.read_text(encoding="utf-8"))
-        unknown = set(user) - set(cfg)
-        if unknown:
-            raise InvalidConfig(f"unknown synth config keys: {sorted(unknown)}")
-        cfg.update(user)
+        cfg.update(_read_synth_config(cfg_path, cfg))
         inputs.append(cfg_path)
 
     out_dir = Path(args.out)
@@ -227,8 +248,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     boosting.save_model(ensemble, out)
     report_path = Path(str(out) + ".report.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n",
-                           encoding="utf-8")
+    _atomic_write(report_path, json.dumps(report.to_dict(), indent=1) + "\n")
     t_end = time.perf_counter()
     for s in report.steps:
         _log(args, f"step {s.step}: epochs={s.epochs_run} "
@@ -316,10 +336,9 @@ def cmd_parse(args) -> int:
     outputs = [out]
     if args.trace:
         trace_path = Path(str(out) + ".trace")
-        blocks = []
-        for doc_id, actions in traces:
-            blocks.append("\n".join([f"#doc {doc_id}"] + [str(a) for a in actions]))
-        trace_path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        blocks = ["\n".join([f"#doc {doc_id}"] + [str(a) for a in actions])
+                  for doc_id, actions in traces]
+        _atomic_write(trace_path, "\n\n".join(blocks) + "\n")
         outputs.append(trace_path)
     t_end = time.perf_counter()
     _log(args, f"parsed {len(docs)} document(s) with prefix {m} -> {out}")
@@ -357,18 +376,14 @@ def cmd_eval(args) -> int:
     total = metrics.score_entries((gtree, ptree) for (_, gtree), (_, ptree) in pairs)
     t_end = time.perf_counter()
 
-    sp, sr, sf = total.span_prf
-    np_, nr, nf = total.nuc_prf
-    rp, rr, rf = total.rel_prf
     print(f"documents:  {len(gold)}")
-    print(f"span        P={sp:.4f} R={sr:.4f} F1={sf:.4f}")
-    print(f"nuclearity  P={np_:.4f} R={nr:.4f} F1={nf:.4f}")
-    print(f"relation    P={rp:.4f} R={rr:.4f} F1={rf:.4f}")
+    for name, (p, r, f1) in total.levels().items():
+        print(f"{name:<11} P={p:.4f} R={r:.4f} F1={f1:.4f}")
     if args.csv:
         csv_path = Path(args.csv)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         row = metrics.CurveRow(0, gold.domain_tag, len(gold), total)
-        csv_path.write_text(metrics.CurveTable((row,), None).to_csv(), encoding="utf-8")
+        _atomic_write(csv_path, metrics.CurveTable((row,), None).to_csv())
         _write_manifest(
             csv_path, "eval", args, {}, [gold_path, pred_path], [csv_path],
             {"total": t_end - t0},
@@ -391,7 +406,7 @@ def cmd_curve(args) -> int:
     t_eval = time.perf_counter()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(table.to_csv(), encoding="utf-8")
+    _atomic_write(out, table.to_csv())
     t_end = time.perf_counter()
     _log(args, f"wrote {len(table.rows)}-row curve table -> {out}")
     extra = {}
@@ -480,7 +495,7 @@ def cmd_compare(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    _atomic_write(out, json.dumps(report, indent=1) + "\n")
     t_end = time.perf_counter()
     _log(args, f"params weak={weak['total_params']} strong={strong['total_params']} "
                f"({weak['training_seconds']:.1f}s vs {strong['training_seconds']:.1f}s)")
@@ -586,7 +601,7 @@ def main(argv=None) -> int:
     except (UsageError, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, *_DATA_ERRORS) as exc:
+    except (OSError, UnicodeDecodeError, *_DATA_ERRORS) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RstBoostError as exc:

@@ -90,16 +90,15 @@ class ParsevalScores:
             self.rel_matches + other.rel_matches,
         )
 
+    def levels(self) -> dict[str, tuple[float, float, float]]:
+        """(precision, recall, F1) per matching level, in report order."""
+        return {"span": self.span_prf, "nuclearity": self.nuc_prf, "relation": self.rel_prf}
+
     def to_dict(self) -> dict:
-        sp, sr, sf = self.span_prf
-        np_, nr, nf = self.nuc_prf
-        rp, rr, rf = self.rel_prf
-        return {
-            "support": {"gold": self.gold_count, "pred": self.pred_count},
-            "span": {"p": sp, "r": sr, "f1": sf},
-            "nuclearity": {"p": np_, "r": nr, "f1": nf},
-            "relation": {"p": rp, "r": rr, "f1": rf},
-        }
+        out: dict = {"support": {"gold": self.gold_count, "pred": self.pred_count}}
+        for name, prf in self.levels().items():
+            out[name] = dict(zip(("p", "r", "f1"), prf))
+        return out
 
 
 ZERO_SCORES = ParsevalScores(0, 0, 0, 0, 0)
@@ -181,12 +180,8 @@ class CurveTable:
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for row in self.rows:
-            sp, sr, sf = row.scores.span_prf
-            np_, nr, nf = row.scores.nuc_prf
-            rp, rr, rf = row.scores.rel_prf
             cells = [str(row.m), row.domain, str(row.docs)] + [
-                f"{v:.4f}" for v in (sp, sr, sf, np_, nr, nf, rp, rr, rf)
-            ]
+                f"{v:.4f}" for prf in row.scores.levels().values() for v in prf]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from .errors import IllegalAction, IncompleteParse, InvalidInput
-from .treebank import DiscourseNode, Internal, Leaf
+from .treebank import DiscourseNode, Internal, Leaf, postorder
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,8 @@ def apply(state: ParserState, action: Action) -> ParserState:
 
 def oracle(tree: DiscourseNode) -> list[Action]:
     """Gold action sequence: post-order, Shift at leaves, Reduce at internals."""
-    actions: list[Action] = []
-
-    def walk(node: DiscourseNode) -> None:
-        if isinstance(node, Leaf):
-            actions.append(SHIFT)
-            return
-        walk(node.left)
-        walk(node.right)
-        actions.append(Reduce(node.nuclearity, node.relation))
-
-    walk(tree)
-    return actions
+    return [SHIFT if isinstance(node, Leaf) else Reduce(node.nuclearity, node.relation)
+            for node in postorder(tree)]
 
 
 def execute(n_edus: int, actions: ActionSequence) -> DiscourseNode:

@@ -18,9 +18,9 @@ used labels.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Iterator, Union
@@ -58,10 +58,10 @@ class Internal:
     relation: str
     left: "DiscourseNode"
     right: "DiscourseNode"
+    span: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def span(self) -> tuple[int, int]:
-        return (self.left.span[0], self.right.span[1])
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "span", (self.left.span[0], self.right.span[1]))
 
 
 DiscourseNode = Union[Leaf, Internal]
@@ -88,12 +88,25 @@ class Treebank:
         return len(self.entries)
 
 
+def postorder(tree: DiscourseNode) -> list[DiscourseNode]:
+    """Every node, children before parents and left before right.
+
+    Walks with an explicit stack, so a tree of any depth works.
+    """
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Internal):
+            stack.append(node.left)
+            stack.append(node.right)
+    out.reverse()  # pre-order with the right child first, reversed, is post-order
+    return out
+
+
 def iter_leaves(node: DiscourseNode) -> Iterator[Leaf]:
-    if isinstance(node, Leaf):
-        yield node
-    else:
-        yield from iter_leaves(node.left)
-        yield from iter_leaves(node.right)
+    return (n for n in postorder(node) if isinstance(n, Leaf))
 
 
 def head_nucleus_edu(node: DiscourseNode) -> int:
@@ -104,10 +117,7 @@ def head_nucleus_edu(node: DiscourseNode) -> int:
 
 
 def iter_internal(node: DiscourseNode) -> Iterator[Internal]:
-    if isinstance(node, Internal):
-        yield node
-        yield from iter_internal(node.left)
-        yield from iter_internal(node.right)
+    return (n for n in postorder(node) if isinstance(n, Internal))
 
 
 # ---------------------------------------------------------------------------
@@ -159,72 +169,56 @@ def _lex(text: str) -> list[tuple[str, str]]:
     return out
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def next(self) -> tuple[str, str]:
-        if self.pos >= len(self.tokens):
-            raise MalformedSyntax("unexpected end of input (unbalanced parentheses?)")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-
-def _parse_node(stream: _TokenStream, leaf_texts: list[str]) -> DiscourseNode:
-    kind, value = stream.next()
-    if kind != "open":
-        raise MalformedSyntax(f"expected '(' but found {value!r}")
-    kind, head = stream.next()
-    if kind != "symbol":
-        raise MalformedSyntax(f"expected a node keyword after '(' but found {head!r}")
-
-    if head == "leaf":
-        kind, text = stream.next()
-        if kind != "string":
-            raise MalformedSyntax('leaf node must contain exactly one quoted string')
-        kind, value = stream.next()
-        if kind != "close":
-            raise MalformedSyntax("leaf node must contain exactly one quoted string")
-        if not tokenize_text(text):
-            raise InvalidTree("leaf with empty text (EDUs must have at least one token)")
-        leaf_texts.append(text)
-        return Leaf(edu_id=len(leaf_texts))
-
-    if head not in NUCLEARITIES:
-        raise InvalidTree(f"unknown nuclearity tag {head!r} (expected NN, NS, or SN)")
-    kind, relation = stream.next()
-    if kind != "symbol" or not _RELATION_RE.match(relation):
-        raise MalformedSyntax(f"bad relation label {relation!r} (expected [a-z_-]+)")
-
-    children = []
-    while True:
-        if stream.done():
-            raise MalformedSyntax("unexpected end of input (unbalanced parentheses?)")
-        if stream.tokens[stream.pos][0] == "close":
-            stream.next()
-            break
-        children.append(_parse_node(stream, leaf_texts))
-    if len(children) != 2:
-        raise InvalidTree(
-            f"internal node has {len(children)} children; trees must be strictly binary"
-        )
-    return Internal(head, relation, children[0], children[1])
+def _take(tokens: Iterator[tuple[str, str]]) -> tuple[str, str]:
+    tok = next(tokens, None)
+    if tok is None:
+        raise MalformedSyntax("unexpected end of input (unbalanced parentheses?)")
+    return tok
 
 
 def parse_bracketed(text: str, doc_id: str = "doc") -> tuple[Document, DiscourseNode]:
     """Parse one bracketed tree; leaf texts become EDUs numbered 1..n."""
-    stream = _TokenStream(_lex(text))
+    tokens = iter(_lex(text))
     leaf_texts: list[str] = []
-    tree = _parse_node(stream, leaf_texts)
-    if not stream.done():
+    frames: list[tuple[str, str, list[DiscourseNode]]] = []  # open internal nodes
+    while True:
+        kind, value = _take(tokens)
+        if kind == "close" and frames:
+            nuclearity, relation, children = frames.pop()
+            if len(children) != 2:
+                raise InvalidTree(f"internal node has {len(children)} children; "
+                                  "trees must be strictly binary")
+            node: DiscourseNode = Internal(nuclearity, relation, *children)
+        elif kind != "open":
+            raise MalformedSyntax(f"expected '(' but found {value!r}")
+        else:
+            kind, head = _take(tokens)
+            if kind != "symbol":
+                raise MalformedSyntax(f"expected a node keyword after '(' but found {head!r}")
+            if head != "leaf":
+                if head not in NUCLEARITIES:
+                    raise InvalidTree(
+                        f"unknown nuclearity tag {head!r} (expected NN, NS, or SN)")
+                kind, relation = _take(tokens)
+                if kind != "symbol" or not _RELATION_RE.match(relation):
+                    raise MalformedSyntax(
+                        f"bad relation label {relation!r} (expected [a-z_-]+)")
+                frames.append((head, relation, []))
+                continue
+            kind, leaf_text = _take(tokens)
+            if kind != "string" or _take(tokens)[0] != "close":
+                raise MalformedSyntax("leaf node must contain exactly one quoted string")
+            if not tokenize_text(leaf_text):
+                raise InvalidTree("leaf with empty text (EDUs must have at least one token)")
+            leaf_texts.append(leaf_text)
+            node = Leaf(edu_id=len(leaf_texts))
+        if not frames:
+            break
+        frames[-1][2].append(node)
+    if next(tokens, None) is not None:
         raise MalformedSyntax("trailing input after the closing parenthesis")
     edus = tuple(EDU(i + 1, tokenize_text(t)) for i, t in enumerate(leaf_texts))
-    return Document(doc_id, edus), tree
+    return Document(doc_id, edus), node
 
 
 def _escape(text: str) -> str:
@@ -233,12 +227,15 @@ def _escape(text: str) -> str:
 
 def serialize_bracketed(doc: Document, tree: DiscourseNode) -> str:
     """Canonical single-line rendering; inverse of :func:`parse_bracketed`."""
-    if isinstance(tree, Leaf):
-        text = " ".join(doc.edus[tree.edu_id - 1].tokens)
-        return f'(leaf "{_escape(text)}")'
-    left = serialize_bracketed(doc, tree.left)
-    right = serialize_bracketed(doc, tree.right)
-    return f"({tree.nuclearity} {tree.relation} {left} {right})"
+    done: list[str] = []  # rendered subtrees not yet claimed by a parent
+    for node in postorder(tree):
+        if isinstance(node, Leaf):
+            text = " ".join(doc.edus[node.edu_id - 1].tokens)
+            done.append(f'(leaf "{_escape(text)}")')
+        else:
+            right = done.pop()
+            done[-1] = f"({node.nuclearity} {node.relation} {done[-1]} {right})"
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +261,37 @@ def validate(
         if not edu.tokens:
             violations.append(f"doc.edus[{i}]: empty token list")
 
-    leaf_ids: list[tuple[str, int]] = []
+    # A path is rendered only for a violation, from (parent link, step) pairs.
+    def render(link: tuple | None) -> str:
+        steps = []
+        while link is not None:
+            link, step = link
+            steps.append(step)
+        return "root" + "".join(reversed(steps))
 
-    def walk(node: DiscourseNode, path: str) -> None:
+    leaf_ids: list[tuple[tuple | None, int]] = []
+    stack: list[tuple[DiscourseNode, tuple | None]] = [(tree, None)]
+    while stack:
+        node, link = stack.pop()
         if isinstance(node, Leaf):
-            leaf_ids.append((path, node.edu_id))
-            return
+            leaf_ids.append((link, node.edu_id))
+            continue
         if node.nuclearity not in NUCLEARITIES:
-            violations.append(f"{path}: unknown nuclearity {node.nuclearity!r}")
+            violations.append(f"{render(link)}: unknown nuclearity {node.nuclearity!r}")
         if not _RELATION_RE.match(node.relation):
-            violations.append(f"{path}: malformed relation label {node.relation!r}")
+            violations.append(
+                f"{render(link)}: malformed relation label {node.relation!r}")
         elif relation_inventory is not None and node.relation not in relation_inventory:
             violations.append(
-                f"{path}: relation {node.relation!r} not in the declared inventory"
+                f"{render(link)}: relation {node.relation!r} not in the declared inventory"
             )
-        walk(node.left, path + ".left")
-        walk(node.right, path + ".right")
-
-    walk(tree, "root")
+        stack.append((node.right, (link, ".right")))
+        stack.append((node.left, (link, ".left")))
 
     in_range = True
-    for path, edu_id in leaf_ids:
+    for link, edu_id in leaf_ids:
         if not 1 <= edu_id <= n:
-            violations.append(f"{path}: leaf edu_id {edu_id} outside 1..{n}")
+            violations.append(f"{render(link)}: leaf edu_id {edu_id} outside 1..{n}")
             in_range = False
     ids = [i for _, i in leaf_ids]
     if in_range:
@@ -299,11 +304,8 @@ def validate(
 
 def validate_treebank(tb: Treebank) -> list[str]:
     """Validate every entry; messages are prefixed with the doc_id."""
-    out = []
-    for doc, tree in tb.entries:
-        for v in validate(doc, tree, tb.relation_inventory):
-            out.append(f"{doc.doc_id}: {v}")
-    return out
+    return [f"{doc.doc_id}: {v}" for doc, tree in tb.entries
+            for v in validate(doc, tree, tb.relation_inventory)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +350,24 @@ def load_treebank(path: str | Path) -> Treebank:
 
     used = {node.relation for _, tree in entries for node in iter_internal(tree)}
     inventory = tuple(sorted(used.union(declared)))
-    unique_tags = sorted(set(domain_tags))
-    if len(unique_tags) == 1:
-        tag = unique_tags[0]
-    elif unique_tags:
-        tag = "mixed"
-    else:
-        tag = ""
+    tags = set(domain_tags)
+    tag = tags.pop() if len(tags) == 1 else "mixed" if tags else ""
     return Treebank(path.stem, tag, inventory, tuple(entries))
 
 
-def save_treebank(tb: Treebank, path: str | Path) -> None:
+def _atomic_write(path: str | Path, text: str) -> None:
+    """Write UTF-8 text beside ``path``, then rename it over ``path``; a failed
+    write leaves any old file at ``path`` as it was."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_treebank(tb: Treebank, path: str | Path) -> None:
     parts = []
     if tb.relation_inventory:
         parts.append("#relations " + " ".join(tb.relation_inventory))
@@ -367,7 +375,7 @@ def save_treebank(tb: Treebank, path: str | Path) -> None:
         parts.append(
             f"#doc {doc.doc_id} {tb.domain_tag}\n{serialize_bracketed(doc, tree)}"
         )
-    path.write_text("\n\n".join(parts) + "\n", encoding="utf-8")
+    _atomic_write(path, "\n\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +416,10 @@ def nuclearity_for_relation(relation: str) -> str:
 def _check_synth_config(cfg: SynthConfig) -> None:
     if cfg.n_docs < 0:
         raise InvalidConfig("n_docs must be >= 0")
-    lo, hi = cfg.edu_range
-    if lo < 1 or hi < lo:
+    if len(cfg.edu_range) != 2 or not 1 <= cfg.edu_range[0] <= cfg.edu_range[1]:
         raise InvalidConfig(f"bad EDU range {cfg.edu_range}; need 1 <= min <= max")
+    if not re.fullmatch(r"[\w.-]+", cfg.domain_tag):
+        raise InvalidConfig(f"domain tag {cfg.domain_tag!r} must match [\\w.-]+")
     if not cfg.shared_relations:
         raise InvalidConfig("shared relation set must be non-empty")
     if not 0.0 <= cfg.p_domain <= 1.0:
@@ -427,28 +436,29 @@ def _check_synth_config(cfg: SynthConfig) -> None:
 
 
 def _gen_structure(rng: Random, lo: int, hi: int, cfg: SynthConfig) -> DiscourseNode:
-    """Recursive end-splitting of [lo, hi]; the relation draw fixes the split side.
+    """End-splitting of [lo, hi]; each node's relation draw fixes its split side.
 
     Relations whose nuclearity is NS or NN peel the leftmost EDU as the
     nucleus leaf; SN relations peel the rightmost.  This keeps every node's
     head nucleus a direct leaf child, which is what makes the surface cues
-    injected by :func:`_inject_cues` visible to a stack encoder.
+    injected by :func:`_inject_cues` visible to a stack encoder.  Relations
+    are drawn from the root down, then the tree is built from the bottom up.
     """
-    if lo == hi:
-        return Leaf(lo)
-    if rng.random() < cfg.p_domain:
-        active = cfg.domain_relations
-    else:
-        active = cfg.shared_relations
-    relation = active[rng.randrange(len(active))]
-    nuc = nuclearity_for_relation(relation)
-    if nuc == "SN":
-        right = Leaf(hi)
-        left = _gen_structure(rng, lo, hi - 1, cfg)
-    else:
-        left = Leaf(lo)
-        right = _gen_structure(rng, lo + 1, hi, cfg)
-    return Internal(nuc, relation, left, right)
+    peeled: list[tuple[str, str, int]] = []
+    while lo < hi:
+        active = cfg.domain_relations if rng.random() < cfg.p_domain else cfg.shared_relations
+        relation = active[rng.randrange(len(active))]
+        nuc = nuclearity_for_relation(relation)
+        peeled.append((nuc, relation, hi if nuc == "SN" else lo))
+        if nuc == "SN":
+            hi -= 1
+        else:
+            lo += 1
+    tree: DiscourseNode = Leaf(lo)
+    for nuc, relation, edu_id in reversed(peeled):
+        pair = (tree, Leaf(edu_id)) if nuc == "SN" else (Leaf(edu_id), tree)
+        tree = Internal(nuc, relation, *pair)
+    return tree
 
 
 # Surface cue tokens, two redundant tokens per cue so that a single hash
@@ -500,23 +510,14 @@ def _fillers(rng: Random, cfg: SynthConfig) -> list[str]:
 def _gen_document(rng: Random, doc_id: str, cfg: SynthConfig) -> tuple[Document, DiscourseNode]:
     n = rng.randint(*cfg.edu_range)
     tree = _gen_structure(rng, 1, n, cfg)
-    cues: dict[int, dict] = {
-        i: {"kind": None, "cont": None, "marker": None} for i in range(1, n + 1)
-    }
-    if isinstance(tree, Internal):
-        _inject_cues(tree, cues)
+    cues: dict[int, dict] = {i: {} for i in range(1, n + 1)}
+    _inject_cues(tree, cues)
     edus = []
-    for i in range(1, n + 1):
+    for i, cue in cues.items():
         # Cues at the edges, fillers in the middle: the cues survive center
         # truncation as well.
-        tokens = _fillers(rng, cfg)
-        if cues[i]["cont"] is not None:
-            tokens = list(cues[i]["cont"]) + tokens
-        if cues[i]["kind"] is not None:
-            tokens = list(cues[i]["kind"]) + tokens
-        if cues[i]["marker"] is not None:
-            tokens = tokens + list(cues[i]["marker"])
-        edus.append(EDU(i, tuple(tokens)))
+        edus.append(EDU(i, (*cue.get("kind", ()), *cue.get("cont", ()),
+                            *_fillers(rng, cfg), *cue.get("marker", ()))))
     return Document(doc_id, tuple(edus)), tree
 
 
@@ -529,10 +530,7 @@ def synthesize_treebank(cfg: SynthConfig, seed: int) -> Treebank:
     bag-of-words features over parser states.
     """
     _check_synth_config(cfg)
-    entries = []
-    for d in range(cfg.n_docs):
-        rng = Random(seed * 1_000_003 + d)
-        doc_id = f"{cfg.name}-{d:04d}"
-        entries.append(_gen_document(rng, doc_id, cfg))  # one stream per doc
+    entries = [_gen_document(Random(seed * 1_000_003 + d), f"{cfg.name}-{d:04d}", cfg)
+               for d in range(cfg.n_docs)]  # one random stream per document
     inventory = tuple(sorted(set(cfg.shared_relations) | set(cfg.domain_relations)))
     return Treebank(cfg.name, cfg.domain_tag, inventory, tuple(entries))

@@ -1,13 +1,15 @@
 import json
+import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rstboost.cli import main
-from rstboost.boosting import load_model
+from rstboost.boosting import load_model, save_model
 from rstboost.metrics import CSV_HEADER
-from rstboost.treebank import load_treebank
+from rstboost.treebank import _atomic_write, load_treebank
 
 FAST_TRAIN = ["--hash-dim", "256", "--epochs-max", "5", "--patience", "2"]
 
@@ -63,6 +65,91 @@ class TestSynth:
         cfg.write_text(json.dumps({"n_trian": 10}))
         assert run("synth", "--config", cfg, "--out", tmp_path) == 1
         assert "n_trian" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"n_train": 4, "edu_r', "not valid JSON"),
+        ('[1, 2]', "JSON object"),
+        ('{"edu_range": 5}', "edu_range"),
+        ('{"edu_range": [2]}', "EDU range"),
+        ('{"edu_range": [2, 4.5]}', "edu_range"),
+        ('{"n_train": "40"}', "n_train"),
+        ('{"n_test": true}', "n_test"),
+        ('{"shared_relations": ["cause", 3]}', "shared_relations"),
+        ('{"domain_a": "two words"}', "domain tag"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run("--quiet", "synth", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert needle in capsys.readouterr().err
+
+    def test_float_setting_takes_an_int(self, tmp_path):
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps({"n_train": 3, "n_test": 2, "p_domain": 1}))
+        assert run("--quiet", "synth", "--config", cfg, "--out", tmp_path) == 0
+
+
+class TestUndecodableInput:
+    """Invalid UTF-8 in any input file is a data error."""
+
+    BAD = b'#doc d1 news\n(NS cause (leaf "\xff") (leaf "b"))\n'
+
+    def test_eval_treebank(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.tb"
+        bad.write_bytes(self.BAD)
+        assert run("--quiet", "eval", data_dir / "test_news.tb", bad) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_parse_input(self, model_path, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"an edu\n\xfe\xff another\n")
+        assert run("--quiet", "parse", model_path, bad, "--out", tmp_path / "p.tb") == 2
+
+    def test_parse_and_curve_model(self, model_path, data_dir, tmp_path):
+        bad = tmp_path / "bad.json"
+        text = model_path.read_bytes()
+        bad.write_bytes(text[:100] + b"\xc3\x28" + text[100:])
+        assert run("--quiet", "parse", bad, data_dir / "test_news.tb",
+                   "--out", tmp_path / "p.tb") == 2
+        assert run("--quiet", "curve", bad, data_dir / "test_news.tb",
+                   "--out", tmp_path / "c.csv") == 2
+
+    def test_synth_config(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"n_train": 4\x80}')
+        assert run("--quiet", "synth", "--config", bad, "--out", tmp_path) == 2
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old contents\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(target, "new contents \ud800 cannot be encoded\n")
+        assert target.read_text() == "old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_replaces_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        _atomic_write(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failed_save_model_keeps_old_model(self, model_path, tmp_path, monkeypatch):
+        target = tmp_path / "model.json"
+        target.write_bytes(model_path.read_bytes())
+        ensemble = load_model(model_path)
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError):
+            save_model(replace(ensemble, train_domain_tag="other"), target)
+        assert target.read_bytes() == model_path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 class TestTrain:

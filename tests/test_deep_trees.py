@@ -1,0 +1,143 @@
+"""Tree functions and the CLI on documents far deeper than Python's recursion limit.
+
+Deep trees are compared by serialized text or by ``postorder`` lists: the
+dataclass-generated ``==`` on ``Internal`` is itself recursive.
+"""
+
+import json
+import tracemalloc
+
+import pytest
+
+from rstboost.cli import main
+from rstboost.metrics import constituents
+from rstboost.transition import SHIFT, execute, oracle
+from rstboost.treebank import (
+    EDU,
+    Document,
+    Internal,
+    Leaf,
+    SynthConfig,
+    iter_internal,
+    iter_leaves,
+    parse_bracketed,
+    postorder,
+    serialize_bracketed,
+    synthesize_treebank,
+    validate,
+)
+
+DEPTH = 5000
+
+
+def chain(n, side):
+    """A chain of n leaves whose internal nodes all branch to one side."""
+    if side == "left":
+        tree = Leaf(1)
+        for i in range(2, n + 1):
+            tree = Internal("NS", "elaboration", tree, Leaf(i))
+    else:
+        tree = Leaf(n)
+        for i in range(n - 1, 0, -1):
+            tree = Internal("SN", "cause", Leaf(i), tree)
+    return tree
+
+
+@pytest.fixture(scope="module", params=["left", "right"])
+def deep(request):
+    doc = Document("deep", tuple(EDU(i, (f"w{i}", 'q"\\')) for i in range(1, DEPTH + 1)))
+    return doc, chain(DEPTH, request.param)
+
+
+def test_postorder_puts_children_first_left_to_right():
+    tree = Internal("NN", "joint", Internal("NS", "cause", Leaf(1), Leaf(2)), Leaf(3))
+    assert [n.span for n in postorder(tree)] == [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3)]
+    assert postorder(Leaf(4)) == [Leaf(4)]
+
+
+def test_oracle(deep):
+    doc, tree = deep
+    actions = oracle(tree)
+    assert len(actions) == 2 * DEPTH - 1
+    assert actions.count(SHIFT) == DEPTH
+    assert serialize_bracketed(doc, execute(DEPTH, actions)) == serialize_bracketed(doc, tree)
+
+
+def test_serialize_parse_round_trip(deep):
+    doc, tree = deep
+    text = serialize_bracketed(doc, tree)
+    doc2, tree2 = parse_bracketed(text, doc_id="deep")
+    assert doc2 == doc
+    assert serialize_bracketed(doc2, tree2) == text
+    assert [n.span for n in postorder(tree2)] == [n.span for n in postorder(tree)]
+
+
+def test_validate(deep):
+    doc, tree = deep
+    assert validate(doc, tree) == []
+    # Without the last EDU the last leaf is out of range; its path is rendered.
+    path = "root" + ".right" * (1 if isinstance(tree.left, Internal) else DEPTH - 1)
+    assert validate(Document("deep", doc.edus[:-1]), tree) == [
+        f"{path}: leaf edu_id {DEPTH} outside 1..{DEPTH - 1}"]
+
+
+def test_validate_does_not_hold_every_leaf_path(deep):
+    doc, tree = deep
+    tracemalloc.start()
+    try:
+        assert validate(doc, tree) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every leaf's path string at once would hold O(depth^2) characters
+    # (about 100 MB here); the links hold O(depth).
+    assert peak < 10_000_000
+
+
+def test_iter_leaves_and_iter_internal(deep):
+    _, tree = deep
+    assert [leaf.edu_id for leaf in iter_leaves(tree)] == list(range(1, DEPTH + 1))
+    internal = list(iter_internal(tree))
+    assert len(internal) == DEPTH - 1
+    assert internal[-1] is tree
+
+
+def test_span(deep):
+    _, tree = deep
+    assert tree.span == (1, DEPTH)
+    for node in iter_internal(tree):
+        assert node.span == (node.left.span[0], node.right.span[1])
+
+
+def test_constituents(deep):
+    _, tree = deep
+    spans = {c.span for c in constituents(tree)}
+    if isinstance(tree.left, Internal):
+        assert spans == {(1, hi) for hi in range(2, DEPTH + 1)}
+    else:
+        assert spans == {(lo, DEPTH) for lo in range(1, DEPTH)}
+
+
+def test_synthesize_deep_document():
+    cfg = SynthConfig(n_docs=1, edu_range=(DEPTH, DEPTH), shared_relations=("cause", "joint"),
+                      domain_relations=("evidence",), p_domain=0.3)
+    (doc, tree), = synthesize_treebank(cfg, seed=4).entries
+    assert doc.n_edus == DEPTH
+    assert validate(doc, tree) == []
+
+
+def test_cli_pipeline_on_1100_edu_documents(tmp_path):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"n_train": 2, "n_test": 1, "edu_range": [1100, 1100]}))
+    data, model = tmp_path / "data", tmp_path / "model.json"
+
+    def run(*argv):
+        return main(["--quiet", *map(str, argv)])
+
+    assert run("--seed", 3, "synth", "--config", cfg, "--out", data) == 0
+    assert run("--seed", 3, "train", data / "train_news.tb", "--out", model, "--steps", 2,
+               "--hash-dim", 64, "--epochs-max", 2, "--patience", 1) == 0
+    assert run("parse", model, data / "test_news.tb", "--out", tmp_path / "pred.tb") == 0
+    assert run("eval", data / "test_news.tb", tmp_path / "pred.tb") == 0
+    assert run("curve", model, data / "test_news.tb", data / "test_chat.tb",
+               "--out", tmp_path / "curve.csv") == 0
