@@ -37,7 +37,7 @@ from .transition import (
     oracle,
 )
 from .treebank import NUCLEARITIES, DiscourseNode, Document, Treebank, _atomic_write
-from .weak_learner import LearnerConfig, LogitPair, WeakLearner
+from .weak_learner import LearnerConfig, WeakLearner
 
 
 def action_to_class(action: Action) -> int:
@@ -136,12 +136,6 @@ def _logit_sum(
         s += out.structure
         r += out.relation
     return s, r
-
-
-def aggregate_logits(ensemble: BoostedEnsemble, m: int, rows) -> LogitPair:
-    """Elementwise sum of the first m steps' logits for both heads."""
-    _check_prefix(ensemble, m)
-    return LogitPair(*_logit_sum(ensemble, m, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -474,52 +468,43 @@ def train(
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _decide(ensemble: BoostedEnsemble, mask: np.ndarray,
-            structure: np.ndarray, relation: np.ndarray) -> Action:
-    """The action ``_decision`` picks in one state."""
-    cls, rel = _decision(mask, structure, relation)
-    if cls == wl.SHIFT_CLASS:
-        return SHIFT
-    return Reduce(NUCLEARITIES[cls - 1], ensemble.relation_inventory[rel])
-
-
-def predict_action(
-    ensemble: BoostedEnsemble, m: int, state: ParserState, doc: Document,
-    bags: dict | None = None,
-) -> Action:
-    """Greedy masked argmax over the prefix-m logit sum (ties to lowest index);
-    ``bags`` is ``encode_state``'s optional per-document memo of hashed bags."""
+def predict_action(ensemble: BoostedEnsemble, prefixes, state: ParserState, doc: Document,
+                   bags: dict | None = None) -> dict[Action, list[int]]:
+    """Each prefix's greedy action at ``state``, the masked argmax of its logit sum
+    (ties to the lowest index), as {action: [prefixes choosing it]} in order of first
+    choice.  The state is encoded once (``bags`` is ``encode_state``'s memo) and each
+    step runs once into one running sum, in ``_logit_sum``'s order.  Prefixes must
+    lie in 1..n_steps; ``decode_prefixes`` checks them."""
     if state.is_terminal:
         raise TerminalState("no action to predict in a terminal state")
     row = encode_state(state, doc, ensemble.encoder_config, bags)
-    logits = aggregate_logits(ensemble, m, row)
-    return _decide(ensemble, structure_mask(state), logits.structure, logits.relation)
+    mask = structure_mask(state)
+    s, r = np.zeros(wl.N_STRUCTURE), np.zeros(len(ensemble.relation_inventory))
+    chosen: dict[Action, list[int]] = {}
+    for k, step in enumerate(ensemble.steps[:max(prefixes)], 1):
+        out = wl.forward(step, row)
+        s += out.structure
+        r += out.relation
+        if k in prefixes:
+            cls, rel = _decision(mask, s, r)
+            action = SHIFT if cls == wl.SHIFT_CLASS else Reduce(
+                NUCLEARITIES[cls - 1], ensemble.relation_inventory[rel])
+            chosen.setdefault(action, []).append(k)
+    return chosen
 
 
-def decode(
-    ensemble: BoostedEnsemble, m: int, doc: Document
-) -> tuple[DiscourseNode, list[Action]]:
-    """Greedy parse; always terminates with a full tree in 2n-1 actions."""
-    state = initial_state(doc.n_edus)
-    actions: list[Action] = []
-    bags: dict = {}
-    while not state.is_terminal:
-        action = predict_action(ensemble, m, state, doc, bags)
-        actions.append(action)
-        state = apply(state, action)
-    return state.stack[0], actions
+def decode(ensemble: BoostedEnsemble, m: int,
+           doc: Document) -> tuple[DiscourseNode, list[Action]]:
+    """Greedy parse with prefix m; always terminates with a full tree in 2n-1 actions."""
+    return decode_prefixes(ensemble, doc, [m])[m]
 
 
-def decode_prefixes(
-    ensemble: BoostedEnsemble, doc: Document, prefixes
-) -> dict[int, tuple[DiscourseNode, list[Action]]]:
-    """``decode(ensemble, m, doc)`` for every m in ``prefixes``, in one pass.
+def decode_prefixes(ensemble: BoostedEnsemble, doc: Document,
+                    prefixes) -> dict[int, tuple[DiscourseNode, list[Action]]]:
+    """The greedy parse ``(tree, actions)`` of every m in ``prefixes``, in one pass.
 
-    Prefixes whose action histories agree share one state: it is encoded
-    once, each step's logits are computed once and added into a running
-    sum in ``_logit_sum``'s order, and prefix m decides from the sum after
-    step m.  Where the prefixes at a state choose different actions the
-    group splits, and each part continues from its own successor state.
+    Prefixes whose action histories agree share a state and one ``predict_action``
+    call on it; where their actions differ the group splits.
     """
     prefixes = sorted(set(prefixes))
     for m in prefixes:
@@ -530,17 +515,7 @@ def decode_prefixes(
     while groups:
         state, actions, group = groups.pop()
         while not state.is_terminal:
-            row = encode_state(state, doc, ensemble.encoder_config, bags)
-            mask = structure_mask(state)
-            s, r = np.zeros(wl.N_STRUCTURE), np.zeros(len(ensemble.relation_inventory))
-            chosen: dict[Action, list[int]] = {}
-            for k, step in enumerate(ensemble.steps[:group[-1]], 1):
-                out = wl.forward(step, row)
-                s += out.structure
-                r += out.relation
-                if k in group:
-                    chosen.setdefault(_decide(ensemble, mask, s, r), []).append(k)
-            (action, group), *rest = chosen.items()
+            (action, group), *rest = predict_action(ensemble, group, state, doc, bags).items()
             for other, part in rest:
                 groups.append((apply(state, other), actions + [other], part))
             actions.append(action)

@@ -516,16 +516,6 @@ def cmd_compare(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hash-dim", type=int, default=1024,
-                   help="hashed bag-of-words buckets per block")
-    p.add_argument("--span-tokens", type=int, default=8,
-                   help="maximum tokens kept per span representation")
-    p.add_argument("--strategy", choices=[CENTER, NUCLEUS], default=NUCLEUS,
-                   help="span truncation strategy")
-    p.add_argument("--hash-seed", type=int, default=0)
-
-
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-dim", type=int, default=16)
     p.add_argument("--lr", type=float, default=0.1)
@@ -534,7 +524,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs-max", type=int, default=30)
     p.add_argument("--patience", type=int, default=3)
     p.add_argument("--dev-fraction", type=float, default=0.1)
-    _add_encoder_flags(p)
+    p.add_argument("--hash-dim", type=int, default=1024,
+                   help="hashed bag-of-words buckets per block")
+    p.add_argument("--span-tokens", type=int, default=8,
+                   help="maximum tokens kept per span representation")
+    p.add_argument("--strategy", choices=[CENTER, NUCLEUS], default=NUCLEUS,
+                   help="span truncation strategy")
+    p.add_argument("--hash-seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:

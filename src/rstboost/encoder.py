@@ -59,15 +59,22 @@ def truncate_center(tokens: list[str] | tuple[str, ...], max_len: int) -> list[s
 
 
 def represent_span(node: DiscourseNode, doc: Document, cfg: EncoderConfig) -> list[str]:
-    """Token window for a stack item under the configured truncation strategy."""
-    if cfg.truncation_strategy == CENTER:
-        lo, hi = node.span
-        tokens: list[str] = []
-        for edu_id in range(lo, hi + 1):
-            tokens.extend(doc.edus[edu_id - 1].tokens)
-        return truncate_center(tokens, cfg.max_span_tokens)
-    head = head_nucleus_edu(node)
-    return truncate_center(doc.edus[head - 1].tokens, cfg.max_span_tokens)
+    """Token window for a stack item under the configured truncation strategy.  ``center``
+    gives ``truncate_center`` of the span's tokens, reading only EDUs at its two ends."""
+    limit = cfg.max_span_tokens
+    if cfg.truncation_strategy == NUCLEUS:
+        return truncate_center(doc.edus[head_nucleus_edu(node) - 1].tokens, limit)
+    lo, hi = node.span
+    head: list[str] = []
+    for edu_id in range(lo, hi + 1):
+        head += doc.edus[edu_id - 1].tokens
+        if len(head) > limit:  # the span does not fit: read the window's tail from the back
+            tail: list[str] = []
+            while len(tail) < limit // 2:
+                tail[:0] = doc.edus[hi - 1].tokens
+                hi -= 1
+            return head[:limit - limit // 2] + tail[len(tail) - limit // 2:]
+    return head  # the whole span fits
 
 
 def hash_token(token: str, hash_seed: int) -> int:
@@ -100,17 +107,15 @@ def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,
     be shared between states of one document under one ``cfg``.
     """
     d = cfg.hash_dim
+    bags = {} if bags is None else bags
     indices: list[int] = []
     values: list[float] = []
 
     def fill(offset: int, tokens: list[str] | tuple[str, ...]) -> None:
-        if bags is None:
-            bag = _bag(tokens, cfg)
-        else:
-            key = tuple(tokens)
-            bag = bags.get(key)
-            if bag is None:
-                bag = bags[key] = _bag(tokens, cfg)
+        key = tuple(tokens)
+        bag = bags.get(key)
+        if bag is None:
+            bag = bags[key] = _bag(tokens, cfg)
         indices.extend([offset + bucket for bucket in bag[0]])
         values.extend(bag[1])
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .boosting import BoostedEnsemble, _check_prefix, decode_prefixes
+from .boosting import BoostedEnsemble, decode_prefixes
 from .errors import DocumentMismatch, EmptyTreebank, RelationInventoryMismatch
 from .treebank import DiscourseNode, Treebank, iter_internal, iter_leaves
 
@@ -139,8 +139,6 @@ def score_entries(pairs) -> ParsevalScores:
 def _evaluate_prefixes(ensemble: BoostedEnsemble, prefixes,
                        tb: Treebank) -> dict[int, ParsevalScores]:
     """Decode every document once for all ``prefixes`` and micro-score each."""
-    for m in prefixes:
-        _check_prefix(ensemble, m)
     if len(tb.entries) == 0:
         raise EmptyTreebank(f"treebank {tb.name!r} has no entries to evaluate")
     unknown = set(tb.relation_inventory) - set(ensemble.relation_inventory)

@@ -52,16 +52,41 @@ class Leaf:
         return (self.edu_id, self.edu_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Internal:
+    """A binary node; ``==``, ``hash`` and ``repr`` walk it iteratively and ignore ``span``."""
+
     nuclearity: str
     relation: str
     left: "DiscourseNode"
     right: "DiscourseNode"
-    span: tuple[int, int] = field(init=False, repr=False, compare=False)
+    span: tuple[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "span", (self.left.span[0], self.right.span[1]))
+
+    def _key(self) -> tuple:
+        # Post-order labels, leaves as bare EDU ids: with binary nodes this fixes the tree.
+        return tuple((n.nuclearity, n.relation) if isinstance(n, Internal) else n.edu_id
+                     for n in postorder(self))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        parts, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Internal):
+                todo += [")", item.right, ", right=", item.left]
+                item = (f"Internal(nuclearity={item.nuclearity!r}, "
+                        f"relation={item.relation!r}, left=")
+            parts.append(item if isinstance(item, str) else repr(item))
+        return "".join(parts)
 
 
 DiscourseNode = Union[Leaf, Internal]

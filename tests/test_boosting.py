@@ -8,9 +8,10 @@ from rstboost.boosting import (
     BoostConfig,
     BoostedEnsemble,
     _build_instances,
+    _decision,
+    _logit_sum,
     _Trainer,
     action_to_class,
-    aggregate_logits,
     decode,
     decode_prefixes,
     load_model,
@@ -35,6 +36,7 @@ from rstboost.errors import (
 from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
+    NUCLEARITIES,
     Document,
     EDU,
     Internal,
@@ -131,26 +133,26 @@ class TestAggregate:
         learner = bias_only_learner(self.cfg(), np.array([1.0, 0, 0, 0]))
         ens = manual_ensemble([learner], 3)
         x = sparse(np.zeros(ENC.width))
-        out = aggregate_logits(ens, 1, x)
+        structure, relation = _logit_sum(ens, 1, x)
         fw = wl.forward(learner, x)
-        assert np.array_equal(out.structure, fw.structure)
-        assert np.array_equal(out.relation, fw.relation)
+        assert np.array_equal(structure, fw.structure)
+        assert np.array_equal(relation, fw.relation)
 
     def test_elementwise_sum(self):
         a = bias_only_learner(self.cfg(), np.array([1.0, 0, 0, 0]))
         b = bias_only_learner(self.cfg(), np.array([0.5, 2.0, 0, 0]))
         ens = manual_ensemble([a, b], 3)
-        out = aggregate_logits(ens, 2, sparse(np.zeros(ENC.width)))
-        assert np.allclose(out.structure, [1.5, 2.0, 0, 0])
+        structure, _ = _logit_sum(ens, 2, sparse(np.zeros(ENC.width)))
+        assert np.allclose(structure, [1.5, 2.0, 0, 0])
 
     def test_zero_step_is_identity(self):
         a = bias_only_learner(self.cfg(), np.array([1.0, -1.0, 0, 0]))
         z = wl.zeros(self.cfg())
         x = sparse(np.zeros(ENC.width))
-        with_zero = aggregate_logits(manual_ensemble([a, z], 3), 2, x)
-        without = aggregate_logits(manual_ensemble([a], 3), 1, x)
-        assert np.array_equal(with_zero.structure, without.structure)
-        assert np.array_equal(with_zero.relation, without.relation)
+        with_zero = _logit_sum(manual_ensemble([a, z], 3), 2, x)
+        without = _logit_sum(manual_ensemble([a], 3), 1, x)
+        assert np.array_equal(with_zero[0], without[0])
+        assert np.array_equal(with_zero[1], without[1])
 
     def test_additivity(self):
         rng = np.random.default_rng(0)
@@ -159,17 +161,20 @@ class TestAggregate:
         ens = manual_ensemble(steps, 3)
         x = sparse(rng.normal(size=ENC.width))
         for m in (2, 3):
-            total = aggregate_logits(ens, m, x)
-            prev = aggregate_logits(ens, m - 1, x)
+            total = _logit_sum(ens, m, x)
+            prev = _logit_sum(ens, m - 1, x)
             step = wl.forward(steps[m - 1], x)
-            assert np.allclose(total.structure, prev.structure + step.structure)
-            assert np.allclose(total.relation, prev.relation + step.relation)
+            assert np.allclose(total[0], prev[0] + step.structure)
+            assert np.allclose(total[1], prev[1] + step.relation)
 
     def test_invalid_prefix(self):
         ens = manual_ensemble([wl.zeros(self.cfg())], 3)
+        tb = small_treebank(n_docs=2)
         for m in (0, 2):
             with pytest.raises(InvalidPrefix):
-                aggregate_logits(ens, m, sparse(np.zeros(ENC.width)))
+                decode(ens, m, tb.entries[0][0])
+            with pytest.raises(InvalidPrefix):
+                mean_oracle_ce(ens, m, tb.entries)
 
 
 class TestTraining:
@@ -320,15 +325,15 @@ class TestDecoding:
         learner = bias_only_learner(self.linear_cfg(), np.array([-5.0, 9, 9, 9]))
         ens = manual_ensemble([learner], 3)
         doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
-        assert predict_action(ens, 1, initial_state(2), doc) == SHIFT
+        assert predict_action(ens, [1], initial_state(2), doc) == {SHIFT: [1]}
 
     def test_exhausted_queue_forces_reduce(self):
         learner = bias_only_learner(self.linear_cfg(), np.array([9.0, -5, -5, -5]))
         ens = manual_ensemble([learner], 3)
         doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
         state = apply(apply(initial_state(2), SHIFT), SHIFT)
-        action = predict_action(ens, 1, state, doc)
-        assert isinstance(action, Reduce)
+        (action, prefixes), = predict_action(ens, [1], state, doc).items()
+        assert isinstance(action, Reduce) and prefixes == [1]
 
     def test_zero_ensemble_tie_breaks_to_lowest_index(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3,
@@ -336,18 +341,17 @@ class TestDecoding:
         doc = Document("d", tuple(EDU(i, ("t",)) for i in (1, 2, 3)))
         state = apply(apply(initial_state(3), SHIFT), SHIFT)
         # shift and reduce both legal, all logits zero -> class 0 (shift)
-        assert predict_action(ens, 1, state, doc) == SHIFT
+        assert predict_action(ens, [1], state, doc) == {SHIFT: [1]}
         # queue exhausted -> lowest reduce class (NN) and lowest relation index
         state = apply(state, SHIFT)
-        action = predict_action(ens, 1, state, doc)
-        assert action == Reduce("NN", "alpha")
+        assert predict_action(ens, [1], state, doc) == {Reduce("NN", "alpha"): [1]}
 
     def test_terminal_state_rejected(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
         doc = Document("d", (EDU(1, ("a",)),))
         state = apply(initial_state(1), SHIFT)
         with pytest.raises(TerminalState):
-            predict_action(ens, 1, state, doc)
+            predict_action(ens, [1], state, doc)
 
     def test_single_edu_parse(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
@@ -402,8 +406,23 @@ class TestDecoding:
         assert total / len(tb.entries) > 0.8
 
 
+def reference_decode(ens, m, doc):
+    """Sequential greedy parse with prefix m, one state at a time: ``encode_state``,
+    then the prefix-m ``_logit_sum``, then ``_decision``."""
+    state = initial_state(doc.n_edus)
+    actions = []
+    while not state.is_terminal:
+        row = encode_state(state, doc, ens.encoder_config)
+        cls, rel = _decision(structure_mask(state), *_logit_sum(ens, m, row))
+        action = SHIFT if cls == 0 else Reduce(NUCLEARITIES[cls - 1],
+                                               ens.relation_inventory[rel])
+        actions.append(action)
+        state = apply(state, action)
+    return state.stack[0], actions
+
+
 class TestDecodePrefixes:
-    """The one-pass engine against sequential ``decode`` for every prefix."""
+    """The one-pass decoder against a sequential reference for every prefix."""
 
     def assert_matches_decode(self, ens, docs):
         n = ens.n_steps
@@ -411,7 +430,9 @@ class TestDecodePrefixes:
             got = decode_prefixes(ens, doc, range(1, n + 1))
             assert sorted(got) == list(range(1, n + 1))
             for m in range(1, n + 1):
-                assert got[m] == decode(ens, m, doc)
+                want = reference_decode(ens, m, doc)
+                assert got[m] == want
+                assert decode(ens, m, doc) == want
 
     def test_trained_ensemble_matches_decode(self):
         tb = small_treebank(n_docs=15)
@@ -439,6 +460,9 @@ class TestDecodePrefixes:
             bias_only_learner(cfg, np.zeros(4), np.array([-5.0, 3, 0])),
         ], 3)
         doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in range(1, 6)))
+        state = apply(apply(initial_state(5), SHIFT), SHIFT)
+        assert list(predict_action(ens, [1, 2, 3], state, doc).items()) == [
+            (SHIFT, [1]), (Reduce("NN", "rel0"), [2]), (Reduce("NN", "rel1"), [3])]
         got = decode_prefixes(ens, doc, [3, 1, 2, 2])
         # prefix 1 shifts while it can; 2 and 3 reduce as soon as they can
         # and split on the relation of that first reduce

@@ -1,8 +1,4 @@
-"""Tree functions and the CLI on documents far deeper than Python's recursion limit.
-
-Deep trees are compared by serialized text or by ``postorder`` lists: the
-dataclass-generated ``==`` on ``Internal`` is itself recursive.
-"""
+"""Tree functions and the CLI on documents far deeper than Python's recursion limit."""
 
 import json
 import tracemalloc
@@ -30,16 +26,19 @@ from rstboost.treebank import (
 DEPTH = 5000
 
 
-def chain(n, side):
-    """A chain of n leaves whose internal nodes all branch to one side."""
+def chain(n, side, deepest=None):
+    """A chain of n leaves whose internal nodes all branch to one side;
+    ``deepest`` relabels the relation of the deepest internal node."""
     if side == "left":
         tree = Leaf(1)
         for i in range(2, n + 1):
-            tree = Internal("NS", "elaboration", tree, Leaf(i))
+            relation = deepest if deepest and i == 2 else "elaboration"
+            tree = Internal("NS", relation, tree, Leaf(i))
     else:
         tree = Leaf(n)
         for i in range(n - 1, 0, -1):
-            tree = Internal("SN", "cause", Leaf(i), tree)
+            relation = deepest if deepest and i == n - 1 else "cause"
+            tree = Internal("SN", relation, Leaf(i), tree)
     return tree
 
 
@@ -53,6 +52,22 @@ def test_postorder_puts_children_first_left_to_right():
     tree = Internal("NN", "joint", Internal("NS", "cause", Leaf(1), Leaf(2)), Leaf(3))
     assert [n.span for n in postorder(tree)] == [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3)]
     assert postorder(Leaf(4)) == [Leaf(4)]
+
+
+def test_eq_hash_repr(deep):
+    _, tree = deep
+    side = "left" if isinstance(tree.left, Internal) else "right"
+    twin = chain(DEPTH, side)
+    assert twin is not tree
+    assert twin == tree and not twin != tree
+    assert hash(twin) == hash(tree)
+    assert {twin, tree} == {tree}
+    other = chain(DEPTH, side, deepest="joint")
+    assert other != tree and not other == tree
+    assert tree != Leaf(1) and Leaf(1) != tree
+    text = repr(tree)
+    assert repr(twin) == text != repr(other)
+    assert text.count("Internal(") == DEPTH - 1 and text.count("Leaf(") == DEPTH
 
 
 def test_oracle(deep):

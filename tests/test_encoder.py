@@ -79,11 +79,22 @@ class TestRepresentSpan:
         node = Internal("NS", "r", Leaf(1), Leaf(2))
         assert represent_span(node, self.doc(), cfg) == ["a1", "a2", "a3"]
 
-    def test_center_strategy_concatenates_then_truncates(self):
+    def test_center_strategy_concatenates_then_truncates(self, rng):
         # 3+3 tokens, budget 4: first two of EDU 1 + last two of EDU 2
         cfg = EncoderConfig(truncation_strategy="center", max_span_tokens=4)
         node = Internal("NS", "r", Leaf(1), Leaf(2))
         assert represent_span(node, self.doc(), cfg) == ["a1", "a2", "b2", "b3"]
+        # random spans and budgets over EDUs of 0-5 tokens
+        doc = Document("r", tuple(
+            EDU(i, tuple(f"e{i}t{j}" for j in range(rng.randint(0, 5)))) for i in range(1, 31)))
+        for _ in range(500):
+            lo = rng.randint(1, 30)
+            hi = rng.randint(lo, 30)
+            limit = rng.randint(1, 12)
+            cfg = EncoderConfig(truncation_strategy="center", max_span_tokens=limit)
+            node = Leaf(lo) if lo == hi else Internal("NS", "r", Leaf(lo), Leaf(hi))
+            joined = [t for edu in doc.edus[lo - 1:hi] for t in edu.tokens]
+            assert represent_span(node, doc, cfg) == truncate_center(joined, limit)
 
     def test_nucleus_strategy_truncates_long_edu(self):
         doc = Document("d", (EDU(1, tuple(f"t{i}" for i in range(10))),))
