@@ -247,28 +247,27 @@ class _Trainer:
         lr = self.cfg.learning_rate
         decay = 1.0 - 2.0 * lr * self.cfg.l2_penalty
         p = self.params
-        hidden = "w_hidden" in p
-        w1 = p.get("w_hidden")
-        b1 = p.get("b_hidden")
+        w1, b1 = p.get("w_hidden"), p.get("b_hidden")
+        hidden = w1 is not None
         ws, bs = p["w_structure"], p["b_structure"]
         wr, br = p["w_relation"], p["b_relation"]
         indptr, indices, data = inst.rows
-        for i in order:
-            idx, xv = indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
+        bounds = indptr.tolist()
+        gold_s, gold_r = inst.gold_structure.tolist(), inst.gold_relation.tolist()
+        # Illegal structure classes start at -inf, so their softmax weight is 0.
+        base_s = np.where(inst.mask, frozen_s, -np.inf)
+        for i in order.tolist():
+            idx, xv = indices[bounds[i]:bounds[i + 1]], data[bounds[i]:bounds[i + 1]]
             # The heads read the hidden layer, or the row's nonzero inputs.
-            if hidden:
-                h, cols = np.tanh(w1[:, idx] @ xv + b1), slice(None)
-            else:
-                h, cols = xv, idx
-            zs = frozen_s[i] + ws[:, cols] @ h + bs
-            zs = np.where(inst.mask[i], zs, -np.inf)
+            h = np.tanh(w1[:, idx] @ xv + b1) if hidden else xv
+            zs = base_s[i] + (ws @ h if hidden else ws[:, idx] @ h) + bs
             e = np.exp(zs - zs.max())
             dz_s = e / e.sum()
-            dz_s[inst.gold_structure[i]] -= 1.0
+            dz_s[gold_s[i]] -= 1.0
 
-            g_rel = inst.gold_relation[i]
+            g_rel = gold_r[i]
             if g_rel >= 0:
-                zr = frozen_r[i] + wr[:, cols] @ h + br
+                zr = frozen_r[i] + (wr @ h if hidden else wr[:, idx] @ h) + br
                 e = np.exp(zr - zr.max())
                 dz_r = e / e.sum()
                 dz_r[g_rel] -= 1.0
@@ -283,14 +282,19 @@ class _Trainer:
             if decay != 1.0:
                 for arr in p.values():
                     arr *= decay
-            ws[:, cols] -= lr * np.outer(dz_s, h)
             bs -= lr * dz_s
             if dz_r is not None:
-                wr[:, cols] -= lr * np.outer(dz_r, h)
                 br -= lr * dz_r
             if hidden:
-                w1[:, idx] -= lr * np.outer(dpre, xv)
+                ws -= lr * (dz_s[:, None] * h)
+                if dz_r is not None:
+                    wr -= lr * (dz_r[:, None] * h)
+                w1[:, idx] -= lr * (dpre[:, None] * xv)
                 b1 -= lr * dpre
+            else:
+                ws[:, idx] -= lr * (dz_s[:, None] * h)
+                if dz_r is not None:
+                    wr[:, idx] -= lr * (dz_r[:, None] * h)
 
     def combined_ce(self, inst: _Instances, frozen_s, frozen_r) -> float:
         out = wl.forward(WeakLearner.from_params(self.cfg, self.params), inst.rows)
@@ -532,13 +536,6 @@ def decode_prefixes(ensemble: BoostedEnsemble, doc: Document,
 FORMAT_VERSION = 1
 
 
-def _learner_to_dict(learner: WeakLearner) -> dict:
-    out: dict = {"hidden_dim": learner.cfg.hidden_dim}
-    for name, arr in learner.param_items():
-        out[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-    return out
-
-
 def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLearner:
     params = {}
     for name, shape in shapes.items():
@@ -553,15 +550,31 @@ def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLear
 
 
 def model_to_json(ensemble: BoostedEnsemble) -> str:
+    """The text of ``json.dumps(doc, indent=1)``.  That call runs the pure-Python
+    encoder, so it writes only the skeleton; each parameter's data list, nearly all
+    of the text, goes through the C encoder (same float text, ``NaN`` and
+    ``Infinity`` included) and is laid out one item per line as ``indent=1`` does."""
+    arrays = [arr for step in ensemble.steps for _, arr in step.param_items()]
     doc = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(ensemble.encoder_config),
         "relation_inventory": list(ensemble.relation_inventory),
         "train_domain_tag": ensemble.train_domain_tag,
         "boost_config": asdict(ensemble.boost_config),
-        "steps": [_learner_to_dict(s) for s in ensemble.steps],
+        "steps": [{"hidden_dim": step.cfg.hidden_dim,
+                   **{name: {"shape": list(arr.shape), "data": None}
+                      for name, arr in step.param_items()}}
+                  for step in ensemble.steps],
     }
-    return json.dumps(doc, indent=1)
+    # The skeleton's keys are field and parameter names and its strings are
+    # escaped, so only the data keys match this marker.
+    head, *tails = json.dumps(doc, indent=1).split('"data": null')
+    pad = "\n" + " " * 5  # a data item's depth: steps, step, parameter, data
+    parts = [head]
+    for arr, tail in zip(arrays, tails, strict=True):
+        items = json.dumps(arr.ravel().tolist(), separators=("," + pad, ": "))
+        parts += ['"data": [', pad, items[1:-1], "\n    ]", tail]
+    return "".join(parts)
 
 
 def model_from_json(text: str) -> BoostedEnsemble:

@@ -259,7 +259,8 @@ def cmd_train(args) -> int:
         {"boost_config": dataclasses.asdict(boost_cfg),
          "encoder_config": dataclasses.asdict(enc_cfg)},
         [tb_path], [out, report_path],
-        {"total": t_end - t0, "load": t_load - t0, "train": t_train - t_load},
+        {"total": t_end - t0, "load": t_load - t0, "train": t_train - t_load,
+         "save": t_end - t_train},
     )
     return EXIT_OK
 

@@ -1,12 +1,22 @@
+import json
 import random
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from rstboost.boosting import BoostConfig, train
+from rstboost.boosting import (
+    FORMAT_VERSION,
+    BoostConfig,
+    _decision,
+    _logit_sum,
+    structure_mask,
+    train,
+)
 from rstboost.cli import main as cli_main
-from rstboost.encoder import EncoderConfig
+from rstboost.encoder import EncoderConfig, encode_state
+from rstboost.transition import SHIFT, Reduce, apply, initial_state
 from rstboost.treebank import (
     EDU,
     Document,
@@ -83,6 +93,42 @@ def dense(row, width):
     x = np.zeros(width)
     x[row[0]] = row[1]
     return x
+
+
+def reference_decode(ens, m, doc):
+    """Sequential greedy parse with prefix m, one state at a time: ``encode_state``,
+    then the prefix-m ``_logit_sum``, then ``_decision``."""
+    state = initial_state(doc.n_edus)
+    actions = []
+    while not state.is_terminal:
+        row = encode_state(state, doc, ens.encoder_config)
+        cls, rel = _decision(structure_mask(state), *_logit_sum(ens, m, row))
+        action = SHIFT if cls == 0 else Reduce(NUCLEARITIES[cls - 1],
+                                               ens.relation_inventory[rel])
+        actions.append(action)
+        state = apply(state, action)
+    return state.stack[0], actions
+
+
+def reference_learner_dict(learner):
+    """One step as the reference model writer lays it out, parameters as lists."""
+    out = {"hidden_dim": learner.cfg.hidden_dim}
+    for name, arr in learner.param_items():
+        out[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    return out
+
+
+def reference_model_json(ensemble):
+    """The model file text as one ``json.dumps(doc, indent=1)`` call writes it."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "encoder_config": asdict(ensemble.encoder_config),
+        "relation_inventory": list(ensemble.relation_inventory),
+        "train_domain_tag": ensemble.train_domain_tag,
+        "boost_config": asdict(ensemble.boost_config),
+        "steps": [reference_learner_dict(s) for s in ensemble.steps],
+    }
+    return json.dumps(doc, indent=1)
 
 
 def make_doc(n_edus, doc_id="doc", tokens_per_edu=2):

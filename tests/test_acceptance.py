@@ -17,7 +17,6 @@ import pytest
 import rstboost.weak_learner as wl
 from rstboost.boosting import (
     BoostedEnsemble,
-    _learner_to_dict,
     decode,
     load_model,
     mean_oracle_ce,
@@ -38,6 +37,7 @@ from conftest import (
     enumerate_shapes,
     label_shape,
     random_tree,
+    reference_learner_dict,
     sparse,
 )
 
@@ -178,7 +178,7 @@ def test_criterion_05_frozen_immutability(setups):
     for k in range(1, 6):
         ensemble, _ = train_step(ensemble, train_tb, cfg.seed,
                                  dev_entries=dev_entries)
-        current = [json.dumps(_learner_to_dict(s)) for s in ensemble.steps]
+        current = [json.dumps(reference_learner_dict(s)) for s in ensemble.steps]
         if snapshots and current[: len(snapshots)] != snapshots:
             ok = False
             breaches.append(k)

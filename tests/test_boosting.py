@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from rstboost.boosting import (
     BoostConfig,
     BoostedEnsemble,
     _build_instances,
-    _decision,
     _logit_sum,
     _Trainer,
     action_to_class,
@@ -36,7 +36,6 @@ from rstboost.errors import (
 from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
-    NUCLEARITIES,
     Document,
     EDU,
     Internal,
@@ -47,7 +46,7 @@ from rstboost.treebank import (
 )
 from rstboost.weak_learner import LearnerConfig, LogitPair
 
-from conftest import sparse
+from conftest import reference_decode, reference_model_json, sparse
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -267,7 +266,80 @@ class TestTraining:
                 assert cur >= prev - 0.005, accs
 
 
+def reference_run_epoch(params, cfg, inst, frozen_s, frozen_r, order):
+    """The SGD epoch loop as first written (``np.outer``, ``np.where`` masking and
+    ``[:, slice(None)]`` head columns), updating ``params`` in place."""
+    lr = cfg.learning_rate
+    decay = 1.0 - 2.0 * lr * cfg.l2_penalty
+    p = params
+    hidden = "w_hidden" in p
+    w1 = p.get("w_hidden")
+    b1 = p.get("b_hidden")
+    ws, bs = p["w_structure"], p["b_structure"]
+    wr, br = p["w_relation"], p["b_relation"]
+    indptr, indices, data = inst.rows
+    for i in order:
+        idx, xv = indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
+        if hidden:
+            h, cols = np.tanh(w1[:, idx] @ xv + b1), slice(None)
+        else:
+            h, cols = xv, idx
+        zs = frozen_s[i] + ws[:, cols] @ h + bs
+        zs = np.where(inst.mask[i], zs, -np.inf)
+        e = np.exp(zs - zs.max())
+        dz_s = e / e.sum()
+        dz_s[inst.gold_structure[i]] -= 1.0
+
+        g_rel = inst.gold_relation[i]
+        if g_rel >= 0:
+            zr = frozen_r[i] + wr[:, cols] @ h + br
+            e = np.exp(zr - zr.max())
+            dz_r = e / e.sum()
+            dz_r[g_rel] -= 1.0
+        else:
+            dz_r = None
+
+        if hidden:
+            dh = ws.T @ dz_s
+            if dz_r is not None:
+                dh += wr.T @ dz_r
+            dpre = dh * (1.0 - h * h)
+        if decay != 1.0:
+            for arr in p.values():
+                arr *= decay
+        ws[:, cols] -= lr * np.outer(dz_s, h)
+        bs -= lr * dz_s
+        if dz_r is not None:
+            wr[:, cols] -= lr * np.outer(dz_r, h)
+            br -= lr * dz_r
+        if hidden:
+            w1[:, idx] -= lr * np.outer(dpre, xv)
+            b1 -= lr * dpre
+
+
 class TestFastPathEquivalence:
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    @pytest.mark.parametrize("l2_penalty", [0.0, 0.01])
+    def test_epoch_bitwise_equals_reference_loop(self, hidden_dim, l2_penalty):
+        tb = small_treebank(n_docs=6)
+        inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
+        cfg = LearnerConfig(
+            input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+            hidden_dim=hidden_dim, learning_rate=0.05, l2_penalty=l2_penalty)
+        rng = np.random.default_rng(hidden_dim)
+        frozen_s = rng.normal(size=(len(inst), 4))
+        frozen_r = rng.normal(size=(len(inst), cfg.n_relations))
+        order = rng.permutation(len(inst))
+
+        fast = _Trainer(wl.init(cfg, 7))
+        fast.run_epoch(inst, frozen_s, frozen_r, order)
+        ref = {name: arr.copy() for name, arr in wl.init(cfg, 7).param_items()}
+        reference_run_epoch(ref, cfg, inst, frozen_s, frozen_r, order)
+        assert list(fast.params) == list(ref)
+        for name, arr in ref.items():
+            assert np.array_equal(fast.params[name], arr), name
+            assert not np.array_equal(arr, getattr(wl.init(cfg, 7), name)), name
+
     def test_sparse_epoch_matches_reference_updates(self):
         tb = small_treebank(n_docs=6)
         inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
@@ -406,21 +478,6 @@ class TestDecoding:
         assert total / len(tb.entries) > 0.8
 
 
-def reference_decode(ens, m, doc):
-    """Sequential greedy parse with prefix m, one state at a time: ``encode_state``,
-    then the prefix-m ``_logit_sum``, then ``_decision``."""
-    state = initial_state(doc.n_edus)
-    actions = []
-    while not state.is_terminal:
-        row = encode_state(state, doc, ens.encoder_config)
-        cls, rel = _decision(structure_mask(state), *_logit_sum(ens, m, row))
-        action = SHIFT if cls == 0 else Reduce(NUCLEARITIES[cls - 1],
-                                               ens.relation_inventory[rel])
-        actions.append(action)
-        state = apply(state, action)
-    return state.stack[0], actions
-
-
 class TestDecodePrefixes:
     """The one-pass decoder against a sequential reference for every prefix."""
 
@@ -539,6 +596,41 @@ class TestModelSerialization:
         save_model(ens, path)
         clone = load_model(path)
         assert model_to_json(clone) == model_to_json(ens)
+
+    @pytest.mark.parametrize("hidden_dim,l2_penalty", [(0, 0.0), (8, 0.0), (8, 1e-4)])
+    def test_writer_matches_reference(self, hidden_dim, l2_penalty):
+        tb = small_treebank(n_docs=8)
+        ens, _ = train(tb, boost_cfg(tb, hidden_dim=hidden_dim, l2_penalty=l2_penalty),
+                       ENC)
+        assert model_to_json(ens) == reference_model_json(ens)
+
+    def test_writer_matches_reference_on_edge_values(self):
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=1, hidden_dim=1)
+        step = wl.init(cfg, 3)
+        step.b_hidden[0] = np.nan
+        step.w_structure[0, 0], step.w_structure[1, 0] = np.inf, -np.inf
+        step.w_relation[0, 0] = -0.0
+        ens = dataclasses.replace(
+            manual_ensemble([step, wl.init(cfg, 4)], 1, inventory=("élaboration",)),
+            train_domain_tag="nouvelles-€")
+        assert step.b_relation.shape == (1,)
+        text = model_to_json(ens)
+        assert text == reference_model_json(ens)
+        assert "NaN" in text and "-Infinity" in text and "\\u00e9laboration" in text
+
+    def test_writer_memory_is_linear_in_text(self):
+        enc = EncoderConfig(hash_dim=4096)
+        cfg = LearnerConfig(input_dim=enc.width, n_relations=8, hidden_dim=16)
+        ens = dataclasses.replace(
+            manual_ensemble([wl.init(cfg, seed) for seed in range(5)], 8),
+            encoder_config=enc)
+        tracemalloc.start()
+        try:
+            text = model_to_json(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), peak / len(text)
 
     def test_linear_model_round_trip(self):
         tb = small_treebank(n_docs=8)

@@ -165,6 +165,11 @@ class TestTrain:
         manifest = json.loads(Path(str(model_path) + ".manifest.json").read_text())
         assert manifest["command"] == "train"
         assert list(manifest["inputs"].values())[0].startswith("sha256:")
+        timings = manifest["timings_seconds"]
+        assert set(timings) == {"total", "load", "train", "save"}
+        assert timings["save"] > 0
+        assert timings["load"] + timings["train"] + timings["save"] == pytest.approx(
+            timings["total"], abs=1e-5)
 
     def test_single_step_model(self, data_dir, tmp_path):
         out = tmp_path / "m1.json"
@@ -238,6 +243,19 @@ class TestMalformedModel:
         model_doc["steps"][0]["b_structure"]["data"][0] = value
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "b_structure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,literal", [(float("nan"), "NaN"),
+                                               (float("-inf"), "-Infinity")])
+    def test_saved_non_finite_parameter_is_data_error(self, model_path, data_dir, tmp_path,
+                                                      capsys, value, literal):
+        ens = load_model(model_path)
+        ens.steps[1].w_relation[0, 0] = value
+        bad = tmp_path / "bad.json"
+        save_model(ens, bad)
+        assert f"\n     {literal},\n" in bad.read_text()
+        assert run("--quiet", "parse", bad, data_dir / "test_news.tb",
+                   "--out", tmp_path / "pred.tb") == 2
+        assert "w_relation" in capsys.readouterr().err
 
     def test_invalid_encoder_config_is_data_error(self, model_doc, data_dir, tmp_path,
                                                   capsys):

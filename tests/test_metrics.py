@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rstboost.boosting import BoostConfig, decode, train
+from rstboost.boosting import BoostConfig, train
 from rstboost.encoder import EncoderConfig
 from rstboost.errors import (
     DocumentMismatch,
@@ -26,7 +26,7 @@ from rstboost.transition import execute, oracle
 from rstboost.treebank import Internal, Leaf, SynthConfig, synthesize_treebank
 from rstboost.weak_learner import LearnerConfig
 
-from conftest import random_tree
+from conftest import random_tree, reference_decode
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -241,7 +241,8 @@ class TestBoostCurve:
         table = boost_curve(ens, [tb_a, tb_b])
         expected = [
             (m, tb.domain_tag,
-             score_entries((tree, decode(ens, m, doc)[0]) for doc, tree in tb.entries))
+             score_entries((tree, reference_decode(ens, m, doc)[0])
+                           for doc, tree in tb.entries))
             for tb in (tb_a, tb_b) for m in (1, 2, 3)
         ]
         assert [(r.m, r.domain, r.scores) for r in table.rows] == expected
