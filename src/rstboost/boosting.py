@@ -310,9 +310,11 @@ def split_dev(
 ) -> tuple[tuple, tuple]:
     """Seeded document-level split into (train_entries, dev_entries).
 
-    Single-document treebanks train without a dev split; otherwise at
-    least one document goes to each side.
+    ``dev_fraction`` must lie in (0, 1).  Single-document treebanks train
+    without a dev split; otherwise at least one document goes to each side.
     """
+    if not 0.0 < dev_fraction < 1.0:  # NaN fails too
+        raise InvalidConfig(f"held-out fraction must lie in (0, 1), got {dev_fraction}")
     n = len(treebank.entries)
     if n < 2:
         return treebank.entries, ()
@@ -593,7 +595,7 @@ def model_from_json(text: str) -> BoostedEnsemble:
         boost_cfg = BoostConfig(learner=lc, **bc)
         inventory = tuple(doc["relation_inventory"])
         _check_dims(boost_cfg, enc_cfg, inventory)
-        shapes = {name: arr.shape for name, arr in wl.zeros(lc).param_items()}
+        shapes = wl.param_shapes(lc)
         steps = tuple(_learner_from_dict(lc, shapes, blob) for blob in doc["steps"])
         if not steps:
             raise MalformedSyntax("model has no steps")

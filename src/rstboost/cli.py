@@ -6,8 +6,8 @@ per-phase wall-clock timings.  With a fixed seed and fixed inputs the
 primary artifacts are byte-identical across runs (manifests are not, as
 they contain timings).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 internal invariant violation.
+Exit codes: 0 success, 1 usage or configuration error (``errors.UsageError``),
+2 data error (``errors.DataError``, or an unreadable file), 3 any other error.
 """
 
 from __future__ import annotations
@@ -23,17 +23,8 @@ from pathlib import Path
 from . import __version__
 from . import boosting, metrics, treebank
 from .encoder import CENTER, NUCLEUS, EncoderConfig
-from .errors import (
-    DocumentMismatch,
-    EmptyTreebank,
-    InvalidConfig,
-    InvalidInput,
-    InvalidPrefix,
-    InvalidTree,
-    MalformedSyntax,
-    RelationInventoryMismatch,
-    RstBoostError,
-)
+from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
+                     InvalidPrefix, MalformedSyntax, UsageError)
 from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
 from .weak_learner import LearnerConfig, N_STRUCTURE, param_count
 
@@ -41,15 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-_USAGE_ERRORS = (InvalidConfig, InvalidInput, InvalidPrefix)
-_DATA_ERRORS = (
-    MalformedSyntax,
-    InvalidTree,
-    EmptyTreebank,
-    DocumentMismatch,
-    RelationInventoryMismatch,
-)
 
 DEFAULT_SHARED_RELATIONS = (
     "attribution", "background", "cause", "contrast", "elaboration", "joint",
@@ -60,10 +42,6 @@ DEFAULT_DOMAIN_RELATIONS = {
     DEFAULT_DOMAIN_A: ("condition", "evidence"),
     DEFAULT_DOMAIN_B: ("restatement", "temporal"),
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,6 +136,8 @@ def cmd_synth(args) -> int:
         cfg_path = Path(args.config)
         cfg.update(_read_synth_config(cfg_path, cfg))
         inputs.append(cfg_path)
+    if cfg["domain_a"] == cfg["domain_b"]:  # the two test sets would share one file
+        raise InvalidConfig(f"domain_a and domain_b are both {cfg['domain_a']!r}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,7 +285,7 @@ def _sniff_treebank(path: Path) -> bool:
 def cmd_parse(args) -> int:
     t0 = time.perf_counter()
     if args.prefix is not None and args.prefix < 1:
-        raise UsageError(f"--prefix must be >= 1, got {args.prefix}")
+        raise InvalidPrefix(f"--prefix must be >= 1, got {args.prefix}")
     model_path = Path(args.model)
     ensemble = boosting.load_model(model_path)
     m = args.prefix if args.prefix is not None else len(ensemble.steps)
@@ -595,16 +575,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, *_USAGE_ERRORS) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, *_DATA_ERRORS) as exc:
+    except (OSError, UnicodeDecodeError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except RstBoostError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # any other RstBoostError, or a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,23 +1,36 @@
-"""Exception hierarchy shared by all rstboost modules."""
+"""Exception hierarchy shared by all rstboost modules.
+
+The class of an error fixes the command line's exit status: a ``UsageError``
+exits 1, a ``DataError`` exits 2, and any other error is an internal fault
+(exit 3).
+"""
 
 
 class RstBoostError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MalformedSyntax(RstBoostError):
+class UsageError(RstBoostError):
+    """A bad argument or configuration: the caller's to fix (exit 1)."""
+
+
+class DataError(RstBoostError):
+    """A bad input file or a mismatch between inputs (exit 2)."""
+
+
+class MalformedSyntax(DataError):
     """Bracketed input that cannot be tokenized or parsed."""
 
 
-class InvalidTree(RstBoostError):
+class InvalidTree(DataError):
     """A structurally invalid discourse tree (non-binary node, bad label, ...)."""
 
 
-class InvalidConfig(RstBoostError):
+class InvalidConfig(UsageError):
     """A configuration object violates its invariants."""
 
 
-class InvalidInput(RstBoostError):
+class InvalidInput(UsageError):
     """An argument outside an operation's documented domain."""
 
 
@@ -37,7 +50,7 @@ class IllegalGold(RstBoostError):
     """A gold label that is masked out as illegal in its state."""
 
 
-class InvalidPrefix(RstBoostError):
+class InvalidPrefix(UsageError):
     """An ensemble prefix index outside 1..len(steps)."""
 
 
@@ -45,13 +58,13 @@ class TerminalState(RstBoostError):
     """An action was requested for a state that is already terminal."""
 
 
-class EmptyTreebank(RstBoostError):
+class EmptyTreebank(DataError):
     """An operation that needs at least one treebank entry got none."""
 
 
-class DocumentMismatch(RstBoostError):
+class DocumentMismatch(DataError):
     """Two trees or treebanks that are being compared cover different documents."""
 
 
-class RelationInventoryMismatch(RstBoostError):
+class RelationInventoryMismatch(DataError):
     """An evaluation treebank uses relations unknown to the model."""

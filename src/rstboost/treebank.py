@@ -202,7 +202,12 @@ def _take(tokens: Iterator[tuple[str, str]]) -> tuple[str, str]:
 
 
 def parse_bracketed(text: str, doc_id: str = "doc") -> tuple[Document, DiscourseNode]:
-    """Parse one bracketed tree; leaf texts become EDUs numbered 1..n."""
+    """Parse one bracketed tree; leaf texts become EDUs numbered 1..n.
+
+    It rejects empty leaves, non-binary nodes, unknown nuclearity and bad
+    relation labels, so every pair it returns passes :func:`validate` without
+    an inventory, and ``load_treebank`` does not validate again.
+    """
     tokens = iter(_lex(text))
     leaf_texts: list[str] = []
     frames: list[tuple[str, str, list[DiscourseNode]]] = []  # open internal nodes
@@ -367,9 +372,6 @@ def load_treebank(path: str | Path) -> Treebank:
             doc, tree = parse_bracketed(body, doc_id=doc_id)
         except (MalformedSyntax, InvalidTree) as exc:
             raise type(exc)(f"record {record_no} ({doc_id}): {exc}") from exc
-        problems = validate(doc, tree)
-        if problems:
-            raise InvalidTree(f"record {record_no} ({doc_id}): {problems[0]}")
         entries.append((doc, tree))
         domain_tags.append(domain_tag)
 

@@ -73,43 +73,37 @@ class WeakLearner:
                    params["w_relation"], params["b_relation"])
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        if self.w_hidden is not None:
-            items += [("w_hidden", self.w_hidden), ("b_hidden", self.b_hidden)]
-        items += [
-            ("w_structure", self.w_structure), ("b_structure", self.b_structure),
-            ("w_relation", self.w_relation), ("b_relation", self.b_relation),
-        ]
-        return items
+        return [(name, getattr(self, name)) for name in param_shapes(self.cfg)]
+
+
+def param_shapes(cfg: LearnerConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in layout order: the hidden pair (only when
+    ``hidden_dim > 0``), then the structure head, then the relation head."""
+    fan_in = cfg.hidden_dim or cfg.input_dim  # the heads' input width
+    hidden = ({"w_hidden": (cfg.hidden_dim, cfg.input_dim), "b_hidden": (cfg.hidden_dim,)}
+              if cfg.hidden_dim else {})
+    return hidden | {"w_structure": (N_STRUCTURE, fan_in), "b_structure": (N_STRUCTURE,),
+                     "w_relation": (cfg.n_relations, fan_in), "b_relation": (cfg.n_relations,)}
 
 
 def init(cfg: LearnerConfig, seed: int) -> WeakLearner:
-    """Uniform(-a, a) weights with a = init_scale / sqrt(fan_in); zero biases."""
+    """Uniform(-a, a) weights with a = init_scale / sqrt(fan_in), drawn in layout
+    order from one stream; zero biases."""
     rng = np.random.default_rng(seed)
-
-    def uniform(rows: int, fan_in: int) -> np.ndarray:
-        a = cfg.init_scale / math.sqrt(fan_in)
-        return rng.uniform(-a, a, size=(rows, fan_in))
-
     params = {}
-    fan_in = cfg.input_dim
-    if cfg.hidden_dim > 0:
-        params["w_hidden"] = uniform(cfg.hidden_dim, fan_in)
-        params["b_hidden"] = np.zeros(cfg.hidden_dim)
-        fan_in = cfg.hidden_dim
-    params["w_structure"] = uniform(N_STRUCTURE, fan_in)
-    params["b_structure"] = np.zeros(N_STRUCTURE)
-    params["w_relation"] = uniform(cfg.n_relations, fan_in)
-    params["b_relation"] = np.zeros(cfg.n_relations)
+    for name, shape in param_shapes(cfg).items():
+        if name.startswith("w_"):  # (rows, fan_in)
+            a = cfg.init_scale / math.sqrt(shape[1])
+            params[name] = rng.uniform(-a, a, size=shape)
+        else:
+            params[name] = np.zeros(shape)
     return WeakLearner.from_params(cfg, params)
 
 
 def zeros(cfg: LearnerConfig) -> WeakLearner:
     """All-zero parameters; forward output is identically zero."""
-    learner = init(cfg, seed=0)
-    for _, arr in learner.param_items():
-        arr[...] = 0.0
-    return learner
+    return WeakLearner.from_params(
+        cfg, {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()})
 
 
 def _csr(w: WeakLearner, rows, batch: bool = True):

@@ -589,6 +589,17 @@ class TestModelSerialization:
         assert clone.encoder_config == ens.encoder_config
         assert clone.train_domain_tag == ens.train_domain_tag
 
+    def test_load_draws_no_random_numbers(self, monkeypatch):
+        tb = small_treebank(n_docs=8)
+        ens, _ = train(tb, boost_cfg(tb, n_steps=1), ENC)
+        text = model_to_json(ens)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("loading a model must not draw random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert model_to_json(model_from_json(text)) == text
+
     def test_save_load_files(self, tmp_path):
         tb = small_treebank(n_docs=8)
         ens, _ = train(tb, boost_cfg(tb, n_steps=1), ENC)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import rstboost.cli as cli
+from rstboost import errors
 from rstboost.cli import main
 from rstboost.boosting import load_model, save_model
 from rstboost.metrics import CSV_HEADER
@@ -83,6 +85,15 @@ class TestSynth:
         cfg.write_text(text)
         assert run("--quiet", "synth", "--config", cfg, "--out", tmp_path / "out") == 1
         assert needle in capsys.readouterr().err
+
+    def test_equal_domains_are_usage_error_and_write_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "same.json"
+        cfg.write_text(json.dumps({"n_train": 3, "n_test": 2, "domain_a": "x",
+                                   "domain_b": "x"}))
+        out = tmp_path / "data"
+        assert run("synth", "--config", cfg, "--out", out) == 1
+        assert "domain_a and domain_b" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tb"))
 
     def test_float_setting_takes_an_int(self, tmp_path):
         cfg = tmp_path / "ok.json"
@@ -414,6 +425,48 @@ class TestCompare:
         weak, strong = report["contenders"]
         assert weak["hidden_dim"] == strong["hidden_dim"] == 16
         assert weak["total_params"] == strong["total_params"]
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1", "2", "-1"])
+    def test_eval_fraction_outside_open_unit_interval_is_usage_error(
+            self, data_dir, tmp_path, capsys, fraction):
+        out = tmp_path / "cmp.json"
+        assert run("--quiet", "compare", data_dir / "train_news.tb", "--steps", "1",
+                   "--eval-fraction", fraction, "--out", out, *FAST_TRAIN) == 1
+        assert "held-out fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Errors that bad input cannot cause: each one is a fault in rstboost itself.
+INTERNAL_ERRORS = {errors.RstBoostError, errors.IllegalAction, errors.IncompleteParse,
+                   errors.DimensionMismatch, errors.IllegalGold, errors.TerminalState}
+
+
+def all_error_classes():
+    found, todo = [], [errors.RstBoostError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo += cls.__subclasses__()
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+class TestExitStatus:
+    def test_every_error_class_has_one_status(self):
+        for cls in all_error_classes():
+            kinds = [issubclass(cls, errors.UsageError), issubclass(cls, errors.DataError),
+                     cls in INTERNAL_ERRORS]
+            assert kinds.count(True) == 1, cls.__name__
+
+    @pytest.mark.parametrize("cls", all_error_classes(), ids=lambda cls: cls.__name__)
+    def test_main_returns_the_class_status(self, monkeypatch, capsys, cls):
+        def command(args):
+            raise cls("raised on purpose")
+
+        monkeypatch.setattr(cli, "cmd_eval", command)
+        expected = (1 if issubclass(cls, errors.UsageError)
+                    else 2 if issubclass(cls, errors.DataError) else 3)
+        assert main(["eval", "gold.tb", "pred.tb"]) == expected
+        assert "raised on purpose" in capsys.readouterr().err
 
 
 class TestUsage:

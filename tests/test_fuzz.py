@@ -1,12 +1,15 @@
-"""Seeded mutation fuzzing of every kind of file the CLI reads.
+"""Seeded mutation fuzzing of every kind of file the CLI reads, and of its
+numeric flags.
 
 Valid treebank, model, raw-EDU and synth-config files are built from the
 ``conftest.py`` generators, then truncated, cut, overwritten byte by byte
 (invalid UTF-8 included) or partly duplicated.  Whatever the damage, the
 CLI must exit 0, 1 (usage or configuration error) or 2 (data error): never
-3, which is reserved for internal faults.
+3, which is reserved for internal faults.  The same holds for odd values of
+every int and float flag.
 """
 
+import argparse
 import json
 import random
 
@@ -14,9 +17,10 @@ import pytest
 
 from conftest import make_doc, random_tree
 from rstboost.boosting import BoostConfig, save_model, train
-from rstboost.cli import main
+from rstboost.cli import build_parser, main
 from rstboost.encoder import EncoderConfig
-from rstboost.treebank import Treebank, save_treebank
+from rstboost.errors import DataError
+from rstboost.treebank import Treebank, load_treebank, save_treebank, validate_treebank
 from rstboost.weak_learner import LearnerConfig
 
 MUTANTS_PER_FILE = 100
@@ -100,3 +104,62 @@ def test_mutated_input_never_exits_internal(valid, tmp_path, name):
             if code not in (0, 1, 2):
                 bad.append((k, what, command[0], code))
     assert not bad, f"mutants of {name} that exited outside {{0, 1, 2}}: {bad}"
+
+
+def test_every_loaded_mutant_is_valid(valid, tmp_path):
+    """``load_treebank`` does not run ``validate``: the parser must already
+    reject whatever ``validate`` would."""
+    data = (valid / "gold.tb").read_bytes()
+    rng = random.Random("fuzz:validate")
+    loaded, bad = 0, []
+    for k in range(20 * MUTANTS_PER_FILE):
+        what, mutant = mutate(data, rng)
+        path = tmp_path / f"mutant{k}.tb"
+        path.write_bytes(mutant)
+        try:
+            tb = load_treebank(path)
+        except (DataError, UnicodeDecodeError):
+            continue
+        loaded += 1
+        if validate_treebank(tb):
+            bad.append((k, what, validate_treebank(tb)[:1]))
+    assert not bad, f"mutants that load but fail validation: {bad}"
+    assert loaded >= MUTANTS_PER_FILE, f"only {loaded} mutants loaded"
+
+
+# No value above 2, so that no flag sizes a large allocation.
+FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2")
+TINY_TRAIN = {"--steps": "1", "--epochs-max": "1", "--hash-dim": "16", "--hidden-dim": "2"}
+FLAG_COMMANDS = {
+    "train": (["train", "{gold}", "--out", "{out}/m.json"], TINY_TRAIN),
+    "compare": (["compare", "{gold}", "--out", "{out}/cmp.json"], TINY_TRAIN),
+    "parse": (["parse", "{model}", "{gold}", "--out", "{out}/pred.tb"], {}),
+}
+
+
+def numeric_flags(command: str) -> list[str]:
+    """The int and float options that ``command`` reads, the global ones included."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in parser._actions + sub.choices[command]._actions
+            if a.option_strings and a.type in (int, float)]
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))
+def test_numeric_flag_values_never_exit_internal(valid, tmp_path, command):
+    argv, settings = FLAG_COMMANDS[command]
+    argv = [a.format(gold=valid / "gold.tb", model=valid / "model.json", out=tmp_path)
+            for a in argv]
+    flags = numeric_flags(command)
+    assert "--seed" in flags and len(flags) > 1
+    bad = []
+    for flag in flags:
+        for value in FLAG_VALUES:
+            options = {**settings, flag: value}
+            # "--flag=value", so that argparse does not read "-inf" as an option.
+            opts = [f"{k}={v}" for k, v in options.items() if k != "--seed"]
+            seed = [f"--seed={value}"] if flag == "--seed" else []
+            code = main(["--quiet", *seed, *argv, *opts])
+            if code not in (0, 1, 2):
+                bad.append((flag, value, code))
+    assert not bad, f"{command} flag values that exited outside {{0, 1, 2}}: {bad}"

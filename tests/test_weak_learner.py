@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rstboost.weak_learner import (
     forward,
     init,
     param_count,
+    param_shapes,
     sgd_step,
     zeros,
 )
@@ -79,6 +82,58 @@ def random_instance(rng, cfg, gold_shift=False, frozen_scale=0.0):
     if gold_shift:
         return x, frozen, 0, None
     return x, frozen, int(rng.integers(1, 4)), int(rng.integers(0, cfg.n_relations))
+
+
+def reference_init(cfg, seed):
+    """``init`` as it was before ``param_shapes`` owned the layout: each array
+    spelled out, weights drawn hidden, structure, relation."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(rows, fan_in):
+        a = cfg.init_scale / math.sqrt(fan_in)
+        return rng.uniform(-a, a, size=(rows, fan_in))
+
+    params = {}
+    fan_in = cfg.input_dim
+    if cfg.hidden_dim > 0:
+        params["w_hidden"] = uniform(cfg.hidden_dim, fan_in)
+        params["b_hidden"] = np.zeros(cfg.hidden_dim)
+        fan_in = cfg.hidden_dim
+    params["w_structure"] = uniform(4, fan_in)
+    params["b_structure"] = np.zeros(4)
+    params["w_relation"] = uniform(cfg.n_relations, fan_in)
+    params["b_relation"] = np.zeros(cfg.n_relations)
+    return params
+
+
+class TestParamShapes:
+    def test_layout_order(self):
+        assert list(param_shapes(small_cfg(hidden_dim=3))) == [
+            "w_hidden", "b_hidden", "w_structure", "b_structure", "w_relation", "b_relation"]
+        assert param_shapes(small_cfg(hidden_dim=0)) == {
+            "w_structure": (4, 7), "b_structure": (4,),
+            "w_relation": (5, 7), "b_relation": (5,)}
+
+    @pytest.mark.parametrize("hidden_dim", [0, 16])
+    def test_init_bitwise_equals_reference(self, hidden_dim):
+        cfg = LearnerConfig(input_dim=37, n_relations=6, hidden_dim=hidden_dim,
+                            init_scale=0.7)
+        got = init(cfg, 123).param_items()
+        ref = reference_init(cfg, 123)
+        assert [name for name, _ in got] == list(ref)
+        for name, arr in got:
+            assert arr.dtype == ref[name].dtype and np.array_equal(arr, ref[name]), name
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_zeros_follows_the_table_without_random_numbers(self, monkeypatch, hidden_dim):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("zeros must not draw random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        cfg = small_cfg(hidden_dim=hidden_dim)
+        learner = zeros(cfg)
+        assert {name: arr.shape for name, arr in learner.param_items()} == param_shapes(cfg)
+        assert not flatten_params(learner).any()
 
 
 class TestInit:
