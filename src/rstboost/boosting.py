@@ -8,6 +8,7 @@ never modified once appended.
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -535,7 +536,7 @@ def decode_prefixes(ensemble: BoostedEnsemble, doc: Document,
 # Model serialization
 # ---------------------------------------------------------------------------
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLearner:
@@ -545,50 +546,44 @@ def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLear
         if tuple(spec["shape"]) != shape:
             raise MalformedSyntax(
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
-        params[name] = np.asarray(spec["data"], dtype=np.float64).reshape(shape)
+        try:
+            raw = base64.b64decode(spec["f64le"], validate=True)
+            params[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedSyntax(f"parameter {name} is not base64 float64: {exc}") from exc
         if not np.isfinite(params[name]).all():
             raise MalformedSyntax(f"parameter {name} has non-finite values")
     return WeakLearner.from_params(cfg, params)
 
 
 def model_to_json(ensemble: BoostedEnsemble) -> str:
-    """The text of ``json.dumps(doc, indent=1)``.  That call runs the pure-Python
-    encoder, so it writes only the skeleton; each parameter's data list, nearly all
-    of the text, goes through the C encoder (same float text, ``NaN`` and
-    ``Infinity`` included) and is laid out one item per line as ``indent=1`` does."""
-    arrays = [arr for step in ensemble.steps for _, arr in step.param_items()]
+    """The model as JSON; each parameter is its shape and the base64 of its
+    little-endian float64 bytes in row-major order."""
     doc = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(ensemble.encoder_config),
         "relation_inventory": list(ensemble.relation_inventory),
         "train_domain_tag": ensemble.train_domain_tag,
         "boost_config": asdict(ensemble.boost_config),
-        "steps": [{"hidden_dim": step.cfg.hidden_dim,
-                   **{name: {"shape": list(arr.shape), "data": None}
-                      for name, arr in step.param_items()}}
+        "steps": [{name: {"shape": list(arr.shape),
+                          "f64le": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
+                   for name, arr in step.param_items()}
                   for step in ensemble.steps],
     }
-    # The skeleton's keys are field and parameter names and its strings are
-    # escaped, so only the data keys match this marker.
-    head, *tails = json.dumps(doc, indent=1).split('"data": null')
-    pad = "\n" + " " * 5  # a data item's depth: steps, step, parameter, data
-    parts = [head]
-    for arr, tail in zip(arrays, tails, strict=True):
-        items = json.dumps(arr.ravel().tolist(), separators=("," + pad, ": "))
-        parts += ['"data": [', pad, items[1:-1], "\n    ]", tail]
-    return "".join(parts)
+    return json.dumps(doc, indent=1)
 
 
 def model_from_json(text: str) -> BoostedEnsemble:
     """Parse a model; undecodable JSON, missing keys, bad types, an invalid or
-    unsupported config, no steps, non-finite parameters, and a learner config or
-    parameter shapes that do not match the encoder width and the relation
-    inventory raise MalformedSyntax."""
+    unsupported config, no steps, undecodable or non-finite parameters, and a
+    learner config or parameter shapes that do not match the encoder width and
+    the relation inventory raise MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
-                f"unsupported model format_version {doc.get('format_version')!r}")
+                f"unsupported model format_version {doc.get('format_version')!r} "
+                f"(this version reads {FORMAT_VERSION}); retrain with `rstboost train`")
         enc_cfg = EncoderConfig(**doc["encoder_config"])
         bc = dict(doc["boost_config"])
         lc = LearnerConfig(**bc.pop("learner"))

@@ -139,8 +139,6 @@ def cmd_synth(args) -> int:
     if cfg["domain_a"] == cfg["domain_b"]:  # the two test sets would share one file
         raise InvalidConfig(f"domain_a and domain_b are both {cfg['domain_a']!r}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     shared = tuple(cfg["shared_relations"])
     dom_a, dom_b = cfg["domain_a"], cfg["domain_b"]
     rel_a = tuple(cfg["domain_relations_a"])
@@ -165,17 +163,20 @@ def cmd_synth(args) -> int:
         return dataclasses.replace(tb, relation_inventory=full_inventory)
 
     t_synth = time.perf_counter()
-    files = []
-    for name, n, tag, rels, seed in (
+    # Every treebank is built, so every config is checked, before the first write.
+    tbs = [build(*spec) for spec in (
         (f"train_{dom_a}", cfg["n_train"], dom_a, rel_a, args.seed),
         (f"test_{dom_a}", cfg["n_test"], dom_a, rel_a, args.seed + 1),
         (f"test_{dom_b}", cfg["n_test"], dom_b, rel_b, args.seed + 2),
-    ):
-        tb = build(name, n, tag, rels, seed)
-        path = out_dir / f"{name}.tb"
+    )]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for tb in tbs:
+        path = out_dir / f"{tb.name}.tb"
         treebank.save_treebank(tb, path)
         files.append(path)
-        _log(args, f"wrote {path} ({len(tb)} docs, domain {tag})")
+        _log(args, f"wrote {path} ({len(tb)} docs, domain {tb.domain_tag})")
     t_end = time.perf_counter()
 
     _write_manifest(

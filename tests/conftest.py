@@ -1,13 +1,10 @@
-import json
 import random
 import time
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rstboost.boosting import (
-    FORMAT_VERSION,
     BoostConfig,
     _decision,
     _logit_sum,
@@ -111,24 +108,11 @@ def reference_decode(ens, m, doc):
 
 
 def reference_learner_dict(learner):
-    """One step as the reference model writer lays it out, parameters as lists."""
+    """One step as a JSON-ready dict, parameters as lists."""
     out = {"hidden_dim": learner.cfg.hidden_dim}
     for name, arr in learner.param_items():
         out[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
     return out
-
-
-def reference_model_json(ensemble):
-    """The model file text as one ``json.dumps(doc, indent=1)`` call writes it."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "encoder_config": asdict(ensemble.encoder_config),
-        "relation_inventory": list(ensemble.relation_inventory),
-        "train_domain_tag": ensemble.train_domain_tag,
-        "boost_config": asdict(ensemble.boost_config),
-        "steps": [reference_learner_dict(s) for s in ensemble.steps],
-    }
-    return json.dumps(doc, indent=1)
 
 
 def make_doc(n_edus, doc_id="doc", tokens_per_edu=2):

@@ -1,4 +1,7 @@
+import base64
 import dataclasses
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -46,7 +49,7 @@ from rstboost.treebank import (
 )
 from rstboost.weak_learner import LearnerConfig, LogitPair
 
-from conftest import reference_decode, reference_model_json, sparse
+from conftest import reference_decode, sparse
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -95,6 +98,25 @@ def bias_only_learner(cfg, structure_bias, relation_bias=None):
     if relation_bias is not None:
         learner.b_relation[...] = relation_bias
     return learner
+
+
+def format2_reference(ens):
+    """The model file as the README lays out format 2, each parameter packed
+    with ``struct`` rather than numpy."""
+    def param(arr):
+        flat = arr.ravel().tolist()
+        packed = struct.pack(f"<{len(flat)}d", *flat)
+        return {"shape": list(arr.shape), "f64le": base64.b64encode(packed).decode()}
+
+    doc = {
+        "format_version": 2,
+        "encoder_config": dataclasses.asdict(ens.encoder_config),
+        "relation_inventory": list(ens.relation_inventory),
+        "train_domain_tag": ens.train_domain_tag,
+        "boost_config": dataclasses.asdict(ens.boost_config),
+        "steps": [{name: param(arr) for name, arr in s.param_items()} for s in ens.steps],
+    }
+    return json.dumps(doc, indent=1)
 
 
 def manual_ensemble(steps, n_relations, inventory=None):
@@ -613,35 +635,62 @@ class TestModelSerialization:
         tb = small_treebank(n_docs=8)
         ens, _ = train(tb, boost_cfg(tb, hidden_dim=hidden_dim, l2_penalty=l2_penalty),
                        ENC)
-        assert model_to_json(ens) == reference_model_json(ens)
+        assert model_to_json(ens) == format2_reference(ens)
 
-    def test_writer_matches_reference_on_edge_values(self):
+    def test_round_trip_bit_exact_on_edge_values(self):
         cfg = LearnerConfig(input_dim=ENC.width, n_relations=1, hidden_dim=1)
         step = wl.init(cfg, 3)
-        step.b_hidden[0] = np.nan
-        step.w_structure[0, 0], step.w_structure[1, 0] = np.inf, -np.inf
+        step.b_hidden[0] = -0.0
+        step.w_structure[0, 0], step.w_structure[1, 0] = 5e-324, -1.7976931348623157e308
         step.w_relation[0, 0] = -0.0
         ens = dataclasses.replace(
             manual_ensemble([step, wl.init(cfg, 4)], 1, inventory=("élaboration",)),
-            train_domain_tag="nouvelles-€")
-        assert step.b_relation.shape == (1,)
+            boost_config=BoostConfig(learner=cfg), train_domain_tag="nouvelles-€")
+        assert step.b_hidden.shape == step.b_relation.shape == (1,)
         text = model_to_json(ens)
-        assert text == reference_model_json(ens)
-        assert "NaN" in text and "-Infinity" in text and "\\u00e9laboration" in text
+        assert text == format2_reference(ens) and "\\u00e9laboration" in text
+        clone = model_from_json(text)
+        for a, b in zip(ens.steps, clone.steps, strict=True):
+            for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items(), strict=True):
+                assert na == nb and pa.shape == pb.shape and pb.dtype == np.float64
+                assert pb.tobytes() == pa.tobytes()
+                assert pb.flags.writeable
+        assert np.signbit(clone.steps[0].b_hidden[0])
+        assert clone.relation_inventory == ("élaboration",)
+        assert clone.train_domain_tag == "nouvelles-€"
 
-    def test_writer_memory_is_linear_in_text(self):
+    @staticmethod
+    def large_ensemble():
+        """Five steps at hash_dim 4096: 7.9 MB of parameters."""
         enc = EncoderConfig(hash_dim=4096)
         cfg = LearnerConfig(input_dim=enc.width, n_relations=8, hidden_dim=16)
         ens = dataclasses.replace(
             manual_ensemble([wl.init(cfg, seed) for seed in range(5)], 8),
-            encoder_config=enc)
+            encoder_config=enc, boost_config=BoostConfig(learner=cfg))
+        return ens, sum(arr.nbytes for s in ens.steps for _, arr in s.param_items())
+
+    def test_writer_memory_is_linear_in_text(self):
+        """The text is 4/3 of the parameter bytes, so the bound is on those."""
+        ens, n_bytes = self.large_ensemble()
         tracemalloc.start()
         try:
-            text = model_to_json(ens)
+            model_to_json(ens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * len(text), peak / len(text)
+        assert peak <= 4.5 * n_bytes, peak / n_bytes
+
+    def test_loader_memory_is_linear_in_parameters(self):
+        ens, n_bytes = self.large_ensemble()
+        text = model_to_json(ens)
+        tracemalloc.start()
+        try:
+            clone = model_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clone.n_steps == 5
+        assert peak <= 3 * n_bytes, peak / n_bytes
 
     def test_linear_model_round_trip(self):
         tb = small_treebank(n_docs=8)

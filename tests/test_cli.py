@@ -1,6 +1,8 @@
+import base64
 import json
 import os
 import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,13 +88,18 @@ class TestSynth:
         assert run("--quiet", "synth", "--config", cfg, "--out", tmp_path / "out") == 1
         assert needle in capsys.readouterr().err
 
-    def test_equal_domains_are_usage_error_and_write_nothing(self, tmp_path, capsys):
-        cfg = tmp_path / "same.json"
-        cfg.write_text(json.dumps({"n_train": 3, "n_test": 2, "domain_a": "x",
-                                   "domain_b": "x"}))
+    @pytest.mark.parametrize("bad,needle", [
+        ({"domain_a": "x", "domain_b": "x"}, "domain_a and domain_b"),
+        ({"domain_b": "two words"}, "domain tag"),
+        ({"domain_relations_b": ["Two Words"]}, "relation label"),
+    ], ids=["equal-domains", "domain-b-tag", "domain-b-relation"])
+    def test_bad_domain_config_is_usage_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                 bad, needle):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"n_train": 3, "n_test": 2, **bad}))
         out = tmp_path / "data"
         assert run("synth", "--config", cfg, "--out", out) == 1
-        assert "domain_a and domain_b" in capsys.readouterr().err
+        assert needle in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.tb"))
 
     def test_float_setting_takes_an_int(self, tmp_path):
@@ -248,25 +255,50 @@ class TestMalformedModel:
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "w_structure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameter_is_data_error(self, model_doc, data_dir, tmp_path,
                                                 capsys, value):
-        model_doc["steps"][0]["b_structure"]["data"][0] = value
+        spec = model_doc["steps"][0]["b_structure"]
+        raw = struct.pack("<d", value) + base64.b64decode(spec["f64le"])[8:]
+        spec["f64le"] = base64.b64encode(raw).decode()
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
-        assert "b_structure" in capsys.readouterr().err
+        assert "b_structure has non-finite values" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value,literal", [(float("nan"), "NaN"),
-                                               (float("-inf"), "-Infinity")])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_saved_non_finite_parameter_is_data_error(self, model_path, data_dir, tmp_path,
-                                                      capsys, value, literal):
+                                                      capsys, value):
         ens = load_model(model_path)
         ens.steps[1].w_relation[0, 0] = value
         bad = tmp_path / "bad.json"
         save_model(ens, bad)
-        assert f"\n     {literal},\n" in bad.read_text()
+        spec = json.loads(bad.read_text())["steps"][1]["w_relation"]
+        assert base64.b64decode(spec["f64le"])[:8] == struct.pack("<d", value)
         assert run("--quiet", "parse", bad, data_dir / "test_news.tb",
                    "--out", tmp_path / "pred.tb") == 2
         assert "w_relation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["bad-char", "ragged-bytes", "one-short"])
+    def test_undecodable_parameter_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                 capsys, damage):
+        spec = model_doc["steps"][1]["w_structure"]
+        raw = base64.b64decode(spec["f64le"])
+        # Unvalidated, base64 would skip the "!" and decode the rest.
+        spec["f64le"] = {"bad-char": spec["f64le"][:4] + "!" + spec["f64le"][4:],
+                         "ragged-bytes": base64.b64encode(raw[:-3]).decode(),
+                         "one-short": base64.b64encode(raw[:-8]).decode()}[damage]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "parameter w_structure is not base64 float64" in capsys.readouterr().err
+
+    def test_format_1_file_is_refused_with_retrain_hint(self, model_doc, data_dir, tmp_path,
+                                                         capsys):
+        model_doc["format_version"] = 1
+        for step in model_doc["steps"]:
+            for spec in step.values():
+                data = base64.b64decode(spec.pop("f64le"))
+                spec["data"] = list(struct.unpack(f"<{len(data) // 8}d", data))
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "format_version 1" in err and "retrain with `rstboost train`" in err
 
     def test_invalid_encoder_config_is_data_error(self, model_doc, data_dir, tmp_path,
                                                   capsys):

@@ -19,7 +19,7 @@ from rstboost.cli import main
 SYNTH = {"n_train": 30, "n_test": 10, "edu_range": [2, 6]}
 
 GOLDEN_SHA256 = {
-    "model.json": "95cd06ab0e54e7d3f0e1c38fd5739e87b775f1db7346a909003a2a4ba9fc9dee",
+    "model.json": "70702d1c86e72e06e3ab3416c6bed944f8de7da759f4b0863563ce1bf5ee9c99",
     "pred.tb": "9cd93768a96dd3e2b340ebb628c52edbb4cd67ed3a3e676bd012785eedb33f01",
     "pred.tb.trace": "9d64f002097d3e78f2073c3140515f1d160e83158b693cf54731257c33ac65c1",
 }
