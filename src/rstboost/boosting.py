@@ -212,17 +212,6 @@ def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
     return _mean_combined_ce(*_logit_sum(ensemble, m, inst.rows), inst)
 
 
-def oracle_action_accuracy(ensemble: BoostedEnsemble, m: int, entries) -> float:
-    """Fraction of oracle states where prefix m predicts the full gold action."""
-    _check_prefix(ensemble, m)
-    inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    cls, rel = _decision(inst.mask, *_logit_sum(ensemble, m, inst.rows))
-    ok = cls == inst.gold_structure
-    is_reduce = inst.gold_relation >= 0
-    ok &= ~is_reduce | (rel == inst.gold_relation)
-    return float(ok.mean())
-
-
 # ---------------------------------------------------------------------------
 # SGD inner loop
 # ---------------------------------------------------------------------------

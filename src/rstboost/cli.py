@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
                      InvalidPrefix, MalformedSyntax, UsageError)
 from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
-from .weak_learner import LearnerConfig, N_STRUCTURE, param_count
+from .weak_learner import LearnerConfig, param_count, param_shapes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -411,9 +412,16 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def matched_hidden_dim(target_params: int, input_dim: int, n_relations: int) -> int:
-    """Closed-form hidden width whose parameter count is closest to target."""
-    per_unit = input_dim + 1 + N_STRUCTURE + n_relations
-    base = N_STRUCTURE + n_relations
+    """Closed-form hidden width whose parameter count is closest to target.
+
+    The count is linear in the width, so widths 1 and 2 fix its slope and base.
+    """
+    def count(hidden_dim: int) -> int:
+        cfg = LearnerConfig(input_dim, n_relations, hidden_dim)
+        return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+
+    per_unit = count(2) - count(1)
+    base = count(1) - per_unit
     return max(1, round((target_params - base) / per_unit))
 
 

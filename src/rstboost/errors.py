@@ -38,10 +38,6 @@ class IllegalAction(RstBoostError):
     """A shift-reduce action applied in a state where it is not legal."""
 
 
-class IncompleteParse(RstBoostError):
-    """An action sequence that does not end in a terminal parser state."""
-
-
 class DimensionMismatch(RstBoostError):
     """Array or configuration dimensions that do not line up."""
 

@@ -17,29 +17,16 @@ from dataclasses import dataclass
 
 from .boosting import BoostedEnsemble, decode_prefixes
 from .errors import DocumentMismatch, EmptyTreebank, RelationInventoryMismatch
-from .treebank import DiscourseNode, Treebank, iter_internal, iter_leaves
+from .treebank import DiscourseNode, Treebank, iter_internal
 
 CSV_HEADER = "m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1"
 
 
-@dataclass(frozen=True)
-class LabeledConstituent:
-    start_edu: int
-    end_edu: int
-    nuclearity: str
-    relation: str
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start_edu, self.end_edu)
-
-
-def constituents(tree: DiscourseNode) -> frozenset[LabeledConstituent]:
-    """Labeled constituents of all internal nodes; empty for a leaf tree."""
-    return frozenset(
-        LabeledConstituent(node.span[0], node.span[1], node.nuclearity, node.relation)
-        for node in iter_internal(tree)
-    )
+def _prf(matches: int, pred: int, gold: int) -> tuple[float, float, float]:
+    p = matches / pred if pred else 0.0
+    r = matches / gold if gold else 0.0
+    f1 = 2 * p * r / (p + r) if (p + r) else 0.0
+    return p, r, f1
 
 
 @dataclass(frozen=True)
@@ -50,36 +37,9 @@ class ParsevalScores:
     nuc_matches: int
     rel_matches: int
 
-    @staticmethod
-    def _prf(matches: int, pred: int, gold: int) -> tuple[float, float, float]:
-        p = matches / pred if pred else 0.0
-        r = matches / gold if gold else 0.0
-        f1 = 2 * p * r / (p + r) if (p + r) else 0.0
-        return p, r, f1
-
-    @property
-    def span_prf(self) -> tuple[float, float, float]:
-        return self._prf(self.span_matches, self.pred_count, self.gold_count)
-
-    @property
-    def nuc_prf(self) -> tuple[float, float, float]:
-        return self._prf(self.nuc_matches, self.pred_count, self.gold_count)
-
-    @property
-    def rel_prf(self) -> tuple[float, float, float]:
-        return self._prf(self.rel_matches, self.pred_count, self.gold_count)
-
     @property
     def span_f1(self) -> float:
-        return self.span_prf[2]
-
-    @property
-    def nuc_f1(self) -> float:
-        return self.nuc_prf[2]
-
-    @property
-    def rel_f1(self) -> float:
-        return self.rel_prf[2]
+        return _prf(self.span_matches, self.pred_count, self.gold_count)[2]
 
     def __add__(self, other: "ParsevalScores") -> "ParsevalScores":
         return ParsevalScores(
@@ -92,7 +52,10 @@ class ParsevalScores:
 
     def levels(self) -> dict[str, tuple[float, float, float]]:
         """(precision, recall, F1) per matching level, in report order."""
-        return {"span": self.span_prf, "nuclearity": self.nuc_prf, "relation": self.rel_prf}
+        return {name: _prf(matches, self.pred_count, self.gold_count)
+                for name, matches in (("span", self.span_matches),
+                                      ("nuclearity", self.nuc_matches),
+                                      ("relation", self.rel_matches))}
 
     def to_dict(self) -> dict:
         out: dict = {"support": {"gold": self.gold_count, "pred": self.pred_count}}
@@ -105,26 +68,22 @@ ZERO_SCORES = ParsevalScores(0, 0, 0, 0, 0)
 
 
 def score(gold: DiscourseNode, pred: DiscourseNode) -> ParsevalScores:
-    """Micro counts for one document pair; trees must cover the same EDUs."""
-    n_gold = sum(1 for _ in iter_leaves(gold))
-    n_pred = sum(1 for _ in iter_leaves(pred))
-    if n_gold != n_pred:
+    """Micro counts for a gold and a predicted tree over the same EDUs, from one
+    ``{span: (nuclearity, relation)}`` map of each tree's internal nodes."""
+    g, p = ({node.span: (node.nuclearity, node.relation) for node in iter_internal(tree)}
+            for tree in (gold, pred))
+    if len(g) != len(p):
         raise DocumentMismatch(
-            f"gold tree covers {n_gold} EDUs but predicted tree covers {n_pred}"
+            f"gold tree covers {len(g) + 1} EDUs but predicted tree covers {len(p) + 1}"
         )
-    g = constituents(gold)
-    p = constituents(pred)
-    g_spans = {c.span: c for c in g}
     span_m = nuc_m = rel_m = 0
-    for c in p:
-        gc = g_spans.get(c.span)
-        if gc is None:
+    for span, (nuclearity, relation) in p.items():
+        labels = g.get(span)
+        if labels is None:
             continue
         span_m += 1
-        if gc.nuclearity == c.nuclearity:
-            nuc_m += 1
-        if gc.relation == c.relation:
-            rel_m += 1
+        nuc_m += labels[0] == nuclearity
+        rel_m += labels[1] == relation
     return ParsevalScores(len(g), len(p), span_m, nuc_m, rel_m)
 
 

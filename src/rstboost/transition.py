@@ -9,9 +9,9 @@ tree over n EDUs has exactly one derivation: n shifts and n-1 reduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
-from .errors import IllegalAction, IncompleteParse, InvalidInput
+from .errors import IllegalAction, InvalidInput
 from .treebank import DiscourseNode, Internal, Leaf, postorder
 
 
@@ -32,8 +32,6 @@ class Reduce:
 
 Action = Union[Shift, Reduce]
 SHIFT = Shift()
-
-ActionSequence = Sequence[Action]
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,3 @@ def oracle(tree: DiscourseNode) -> list[Action]:
     """Gold action sequence: post-order, Shift at leaves, Reduce at internals."""
     return [SHIFT if isinstance(node, Leaf) else Reduce(node.nuclearity, node.relation)
             for node in postorder(tree)]
-
-
-def execute(n_edus: int, actions: ActionSequence) -> DiscourseNode:
-    """Fold `apply` over the actions; the sequence must parse to completion."""
-    state = initial_state(n_edus)
-    for step, action in enumerate(actions, start=1):
-        try:
-            state = apply(state, action)
-        except IllegalAction as exc:
-            raise IllegalAction(f"step {step}: {exc}") from exc
-    if not state.is_terminal:
-        raise IncompleteParse(
-            f"after {len(actions)} action(s): stack has {len(state.stack)} item(s), "
-            f"queue cursor at {state.queue_cursor} of {n_edus}"
-        )
-    return state.stack[0]

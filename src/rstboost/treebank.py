@@ -130,10 +130,6 @@ def postorder(tree: DiscourseNode) -> list[DiscourseNode]:
     return out
 
 
-def iter_leaves(node: DiscourseNode) -> Iterator[Leaf]:
-    return (n for n in postorder(node) if isinstance(n, Leaf))
-
-
 def head_nucleus_edu(node: DiscourseNode) -> int:
     """Follow the nucleus child down to a leaf (NN ties break to the left)."""
     while isinstance(node, Internal):
@@ -330,12 +326,6 @@ def validate(
         elif ids != list(range(1, n + 1)):
             violations.append(f"root: leaves cover {ids} instead of 1..{n}")
     return violations
-
-
-def validate_treebank(tb: Treebank) -> list[str]:
-    """Validate every entry; messages are prefixed with the doc_id."""
-    return [f"{doc.doc_id}: {v}" for doc, tree in tb.entries
-            for v in validate(doc, tree, tb.relation_inventory)]
 
 
 # ---------------------------------------------------------------------------

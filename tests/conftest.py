@@ -1,11 +1,15 @@
+import functools
 import random
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rstboost.boosting import (
     BoostConfig,
+    _build_instances,
+    _check_prefix,
     _decision,
     _logit_sum,
     structure_mask,
@@ -13,6 +17,8 @@ from rstboost.boosting import (
 )
 from rstboost.cli import main as cli_main
 from rstboost.encoder import EncoderConfig, encode_state
+from rstboost.errors import DocumentMismatch
+from rstboost.metrics import ParsevalScores
 from rstboost.transition import SHIFT, Reduce, apply, initial_state
 from rstboost.treebank import (
     EDU,
@@ -20,7 +26,10 @@ from rstboost.treebank import (
     Internal,
     Leaf,
     NUCLEARITIES,
+    iter_internal,
     load_treebank,
+    postorder,
+    validate,
 )
 from rstboost.weak_learner import LearnerConfig
 
@@ -105,6 +114,81 @@ def reference_decode(ens, m, doc):
         actions.append(action)
         state = apply(state, action)
     return state.stack[0], actions
+
+
+def replay(n_edus, actions):
+    """The tree that ``actions`` build: a fold of ``apply`` from the initial state,
+    which must end in the terminal state."""
+    state = functools.reduce(apply, actions, initial_state(n_edus))
+    assert state.is_terminal, f"{len(state.stack)} stack item(s) left"
+    return state.stack[0]
+
+
+def oracle_action_accuracy(ensemble, m, entries):
+    """Fraction of oracle states where prefix m predicts the full gold action."""
+    _check_prefix(ensemble, m)
+    inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
+    cls, rel = _decision(inst.mask, *_logit_sum(ensemble, m, inst.rows))
+    ok = cls == inst.gold_structure
+    is_reduce = inst.gold_relation >= 0
+    ok &= ~is_reduce | (rel == inst.gold_relation)
+    return float(ok.mean())
+
+
+def validate_treebank(tb):
+    """Validate every entry; messages are prefixed with the doc_id."""
+    return [f"{doc.doc_id}: {v}" for doc, tree in tb.entries
+            for v in validate(doc, tree, tb.relation_inventory)]
+
+
+# The constituent-set scorer that ``metrics.score`` replaced, kept as its reference.
+
+@dataclass(frozen=True)
+class LabeledConstituent:
+    start_edu: int
+    end_edu: int
+    nuclearity: str
+    relation: str
+
+    @property
+    def span(self) -> tuple[int, int]:
+        return (self.start_edu, self.end_edu)
+
+
+def constituents(tree):
+    """Labeled constituents of all internal nodes; empty for a leaf tree."""
+    return frozenset(
+        LabeledConstituent(node.span[0], node.span[1], node.nuclearity, node.relation)
+        for node in iter_internal(tree)
+    )
+
+
+def iter_leaves(node):
+    return (n for n in postorder(node) if isinstance(n, Leaf))
+
+
+def reference_score(gold, pred):
+    """Micro counts for one document pair; trees must cover the same EDUs."""
+    n_gold = sum(1 for _ in iter_leaves(gold))
+    n_pred = sum(1 for _ in iter_leaves(pred))
+    if n_gold != n_pred:
+        raise DocumentMismatch(
+            f"gold tree covers {n_gold} EDUs but predicted tree covers {n_pred}"
+        )
+    g = constituents(gold)
+    p = constituents(pred)
+    g_spans = {c.span: c for c in g}
+    span_m = nuc_m = rel_m = 0
+    for c in p:
+        gc = g_spans.get(c.span)
+        if gc is None:
+            continue
+        span_m += 1
+        if gc.nuclearity == c.nuclearity:
+            nuc_m += 1
+        if gc.relation == c.relation:
+            rel_m += 1
+    return ParsevalScores(len(g), len(p), span_m, nuc_m, rel_m)
 
 
 def reference_learner_dict(learner):

@@ -21,7 +21,6 @@ from rstboost.boosting import (
     mean_oracle_ce,
     model_from_json,
     model_to_json,
-    oracle_action_accuracy,
     predict_action,
     save_model,
     split_dev,
@@ -49,7 +48,7 @@ from rstboost.treebank import (
 )
 from rstboost.weak_learner import LearnerConfig, LogitPair
 
-from conftest import reference_decode, sparse
+from conftest import oracle_action_accuracy, reference_decode, sparse
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")

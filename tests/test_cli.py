@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import rstboost.cli as cli
+import rstboost.weak_learner as wl
 from rstboost import errors
 from rstboost.cli import main
 from rstboost.boosting import load_model, save_model
+from rstboost.encoder import EncoderConfig
 from rstboost.metrics import CSV_HEADER
 from rstboost.treebank import _atomic_write, load_treebank
 
@@ -458,6 +460,14 @@ class TestCompare:
         assert weak["hidden_dim"] == strong["hidden_dim"] == 16
         assert weak["total_params"] == strong["total_params"]
 
+    def test_matched_hidden_dim_inverts_the_parameter_count(self):
+        # README dimensions: the default encoder width and the news inventory
+        input_dim = EncoderConfig().width
+        n_rel = len(cli.DEFAULT_SHARED_RELATIONS) + len(cli.DEFAULT_DOMAIN_RELATIONS["news"])
+        for h in range(1, 41):
+            count = wl.param_count(wl.zeros(wl.LearnerConfig(input_dim, n_rel, h)))
+            assert cli.matched_hidden_dim(count, input_dim, n_rel) == h
+
     @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1", "2", "-1"])
     def test_eval_fraction_outside_open_unit_interval_is_usage_error(
             self, data_dir, tmp_path, capsys, fraction):
@@ -469,8 +479,8 @@ class TestCompare:
 
 
 # Errors that bad input cannot cause: each one is a fault in rstboost itself.
-INTERNAL_ERRORS = {errors.RstBoostError, errors.IllegalAction, errors.IncompleteParse,
-                   errors.DimensionMismatch, errors.IllegalGold, errors.TerminalState}
+INTERNAL_ERRORS = {errors.RstBoostError, errors.IllegalAction, errors.DimensionMismatch,
+                   errors.IllegalGold, errors.TerminalState}
 
 
 def all_error_classes():

@@ -6,8 +6,8 @@ import tracemalloc
 import pytest
 
 from rstboost.cli import main
-from rstboost.metrics import constituents
-from rstboost.transition import SHIFT, execute, oracle
+from rstboost.metrics import ParsevalScores, score
+from rstboost.transition import SHIFT, oracle
 from rstboost.treebank import (
     EDU,
     Document,
@@ -15,13 +15,14 @@ from rstboost.treebank import (
     Leaf,
     SynthConfig,
     iter_internal,
-    iter_leaves,
     parse_bracketed,
     postorder,
     serialize_bracketed,
     synthesize_treebank,
     validate,
 )
+
+from conftest import replay
 
 DEPTH = 5000
 
@@ -75,7 +76,7 @@ def test_oracle(deep):
     actions = oracle(tree)
     assert len(actions) == 2 * DEPTH - 1
     assert actions.count(SHIFT) == DEPTH
-    assert serialize_bracketed(doc, execute(DEPTH, actions)) == serialize_bracketed(doc, tree)
+    assert serialize_bracketed(doc, replay(DEPTH, actions)) == serialize_bracketed(doc, tree)
 
 
 def test_serialize_parse_round_trip(deep):
@@ -111,7 +112,8 @@ def test_validate_does_not_hold_every_leaf_path(deep):
 
 def test_iter_leaves_and_iter_internal(deep):
     _, tree = deep
-    assert [leaf.edu_id for leaf in iter_leaves(tree)] == list(range(1, DEPTH + 1))
+    leaves = [n.edu_id for n in postorder(tree) if isinstance(n, Leaf)]
+    assert leaves == list(range(1, DEPTH + 1))
     internal = list(iter_internal(tree))
     assert len(internal) == DEPTH - 1
     assert internal[-1] is tree
@@ -126,11 +128,11 @@ def test_span(deep):
 
 def test_constituents(deep):
     _, tree = deep
-    spans = {c.span for c in constituents(tree)}
-    if isinstance(tree.left, Internal):
-        assert spans == {(1, hi) for hi in range(2, DEPTH + 1)}
-    else:
-        assert spans == {(lo, DEPTH) for lo in range(1, DEPTH)}
+    n = DEPTH - 1
+    assert score(tree, tree) == ParsevalScores(n, n, n, n, n)
+    # A left and a right chain share only the root span, whose labels differ.
+    side = "right" if isinstance(tree.left, Internal) else "left"
+    assert score(tree, chain(DEPTH, side)) == ParsevalScores(n, n, 1, 0, 0)
 
 
 def test_synthesize_deep_document():

@@ -15,12 +15,12 @@ import random
 
 import pytest
 
-from conftest import make_doc, random_tree
+from conftest import make_doc, random_tree, validate_treebank
 from rstboost.boosting import BoostConfig, save_model, train
 from rstboost.cli import build_parser, main
 from rstboost.encoder import EncoderConfig
 from rstboost.errors import DataError
-from rstboost.treebank import Treebank, load_treebank, save_treebank, validate_treebank
+from rstboost.treebank import Treebank, load_treebank, save_treebank
 from rstboost.weak_learner import LearnerConfig
 
 MUTANTS_PER_FILE = 100

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import rstboost.treebank
 from rstboost.boosting import BoostConfig, train
 from rstboost.encoder import EncoderConfig
 from rstboost.errors import (
@@ -13,20 +14,25 @@ from rstboost.errors import (
 )
 from rstboost.metrics import (
     CSV_HEADER,
-    LabeledConstituent,
     ParsevalScores,
     ZERO_SCORES,
     boost_curve,
-    constituents,
     evaluate_treebank,
     score,
     score_entries,
 )
-from rstboost.transition import execute, oracle
+from rstboost.transition import oracle
 from rstboost.treebank import Internal, Leaf, SynthConfig, synthesize_treebank
 from rstboost.weak_learner import LearnerConfig
 
-from conftest import random_tree, reference_decode
+from conftest import (
+    enumerate_shapes,
+    label_shape,
+    random_tree,
+    reference_decode,
+    reference_score,
+    replay,
+)
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -64,25 +70,35 @@ LEFT3 = Internal("NS", "cause", Internal("NS", "elaboration", Leaf(1), Leaf(2)),
 RIGHT3 = Internal("NS", "cause", Leaf(1), Internal("NS", "elaboration", Leaf(2), Leaf(3)))
 
 
+def f1s(s):
+    """(span, nuclearity, relation) F1."""
+    return tuple(prf[2] for prf in s.levels().values())
+
+
 class TestConstituents:
+    """One constituent per internal node, as ``score`` counts them."""
+
     def test_leaf_tree_empty(self):
-        assert constituents(Leaf(1)) == frozenset()
+        assert score(Leaf(1), Leaf(1)) == ZERO_SCORES
 
     def test_two_edu_tree(self):
         tree = Internal("NS", "elaboration", Leaf(1), Leaf(2))
-        assert constituents(tree) == {
-            LabeledConstituent(1, 2, "NS", "elaboration")
-        }
+        assert score(tree, tree) == ParsevalScores(1, 1, 1, 1, 1)
+        relabeled = Internal("SN", "contrast", Leaf(1), Leaf(2))
+        assert score(tree, relabeled) == ParsevalScores(1, 1, 1, 0, 0)
 
     def test_left_branching_spans(self):
-        spans = {c.span for c in constituents(LEFT3)}
-        assert spans == {(1, 2), (1, 3)}
+        # LEFT3 has spans {(1, 2), (1, 3)}: the right-branching tree shares
+        # (1, 3), the other left-branching labelling shares both
+        relabeled = Internal("NN", "joint", Internal("SN", "cause", Leaf(1), Leaf(2)), Leaf(3))
+        assert score(LEFT3, RIGHT3).span_matches == 1
+        assert score(LEFT3, relabeled) == ParsevalScores(2, 2, 2, 0, 0)
 
     def test_count_is_n_minus_one(self, rng):
         for _ in range(25):
             n = rng.randint(1, 10)
             tree = random_tree(rng, n)
-            assert len(constituents(tree)) == n - 1
+            assert score(tree, tree) == ParsevalScores(*[n - 1] * 5)
 
 
 class TestScore:
@@ -91,8 +107,7 @@ class TestScore:
         # the zero-support case (all counts 0 -> F1 = 0 by convention)
         for _ in range(50):
             tree = random_tree(rng, rng.randint(2, 10))
-            s = score(tree, tree)
-            assert s.span_f1 == s.nuc_f1 == s.rel_f1 == 1.0
+            assert f1s(score(tree, tree)) == (1.0, 1.0, 1.0)
 
     def test_leaf_tree_self_score_has_zero_support(self):
         s = score(Leaf(1), Leaf(1))
@@ -102,20 +117,17 @@ class TestScore:
     def test_left_vs_right_branching_half_span(self):
         # gold {(1,2),(1,3)} vs pred {(2,3),(1,3)}: 1 match of 2 on each side
         s = score(LEFT3, RIGHT3)
-        assert s.span_prf == (0.5, 0.5, 0.5)
+        assert s.levels()["span"] == (0.5, 0.5, 0.5)
 
     def test_flipped_nuclearity(self):
         gold = Internal("NS", "r", Leaf(1), Leaf(2))
         pred = Internal("SN", "r", Leaf(1), Leaf(2))
-        s = score(gold, pred)
-        assert s.span_f1 == 1.0
-        assert s.nuc_f1 == 0.0
-        assert s.rel_f1 == 1.0
+        assert f1s(score(gold, pred)) == (1.0, 0.0, 1.0)
 
     def test_relation_match_independent_of_nuclearity(self):
         gold = Internal("NS", "cause", Leaf(1), Leaf(2))
         pred = Internal("NN", "cause", Leaf(1), Leaf(2))
-        assert score(gold, pred).rel_f1 == 1.0
+        assert score(gold, pred).levels()["relation"][2] == 1.0
 
     def test_document_mismatch(self):
         with pytest.raises(DocumentMismatch):
@@ -131,17 +143,16 @@ class TestScore:
         for _ in range(25):
             n = rng.randint(2, 8)
             a, b = random_tree(rng, n), random_tree(rng, n)
-            s = score(a, b)
-            assert s.nuc_f1 <= s.span_f1 + 1e-12
-            assert s.rel_f1 <= s.span_f1 + 1e-12
+            span, nuc, rel = f1s(score(a, b))
+            assert nuc <= span + 1e-12
+            assert rel <= span + 1e-12
 
     def test_oracle_replay_scores_perfect(self, rng):
         for _ in range(20):
             n = rng.randint(2, 8)
             tree = random_tree(rng, n)
-            replayed = execute(n, oracle(tree))
-            s = score(tree, replayed)
-            assert s.span_f1 == s.nuc_f1 == s.rel_f1 == 1.0
+            replayed = replay(n, oracle(tree))
+            assert f1s(score(tree, replayed)) == (1.0, 1.0, 1.0)
 
     def test_aggregation_equivalence(self, rng):
         pairs = []
@@ -155,6 +166,50 @@ class TestScore:
         assert total == by_hand
         # micro counts: f1 recomputed from summed counts, not averaged
         assert total.gold_count == sum(score(g, p).gold_count for g, p in pairs)
+
+    def test_walks_each_tree_once(self, rng, monkeypatch):
+        walks = []
+        postorder = rstboost.treebank.postorder
+        monkeypatch.setattr(rstboost.treebank, "postorder",
+                            lambda tree: walks.append(tree) or postorder(tree))
+        gold, pred = random_tree(rng, 7), random_tree(rng, 7)
+        score(gold, pred)
+        assert walks == [gold, pred]
+
+    def test_matches_constituent_set_reference(self):
+        """``score`` against the constituent-set scorer it replaced, on seeded
+        pairs of random labelled trees: leaf-only, identical, same-size and
+        different-size pairs."""
+        rng = random.Random(2026)
+        relations = ("cause", "contrast", "elaboration")
+        pairs = [(Leaf(1), Leaf(1))]
+        for _ in range(800):
+            n = rng.randint(1, 9)
+            gold = random_tree(rng, n, relations)
+            kind = rng.choice(("identical", "random", "shape", "size"))
+            if kind == "identical":
+                pred = gold
+            elif kind == "random":
+                pred = random_tree(rng, n, relations)
+            elif kind == "shape" and n <= 6:
+                pred = label_shape(rng.choice(enumerate_shapes(1, n)), rng, relations)
+            else:
+                pred = random_tree(rng, rng.randint(1, 9), relations)
+            pairs.append((gold, pred))
+        kinds = {"equal": 0, "mismatch": 0, "leaf": 0}
+        for gold, pred in pairs:
+            try:
+                want = reference_score(gold, pred)
+            except DocumentMismatch as exc:
+                with pytest.raises(DocumentMismatch) as got:
+                    score(gold, pred)
+                assert str(got.value) == str(exc)
+                kinds["mismatch"] += 1
+                continue
+            assert score(gold, pred) == want
+            kinds["equal"] += 1
+            kinds["leaf"] += isinstance(gold, Leaf)
+        assert kinds["equal"] >= 500 and kinds["mismatch"] >= 20 and kinds["leaf"] >= 20, kinds
 
 
 class TestEvaluateTreebank:
@@ -252,7 +307,18 @@ class TestBoostCurve:
 
 class TestParsevalScores:
     def test_zero_counts_give_zero_scores(self):
-        assert ZERO_SCORES.span_prf == (0.0, 0.0, 0.0)
+        assert ZERO_SCORES.levels() == {
+            level: (0.0, 0.0, 0.0) for level in ("span", "nuclearity", "relation")}
+
+    def test_levels_from_counts(self):
+        s = ParsevalScores(gold_count=4, pred_count=5, span_matches=3, nuc_matches=2,
+                           rel_matches=0)
+        levels = s.levels()
+        assert list(levels) == ["span", "nuclearity", "relation"]
+        assert levels["span"] == pytest.approx((3 / 5, 3 / 4, 2 / 3))
+        assert levels["nuclearity"] == pytest.approx((2 / 5, 2 / 4, 4 / 9))
+        assert levels["relation"] == (0.0, 0.0, 0.0)
+        assert s.span_f1 == levels["span"][2]
 
     def test_to_dict_layout(self):
         s = ParsevalScores(4, 4, 2, 1, 1)

@@ -2,21 +2,20 @@ import random
 
 import pytest
 
-from rstboost.errors import IllegalAction, IncompleteParse, InvalidInput
+from rstboost.errors import IllegalAction, InvalidInput
 from rstboost.transition import (
     SHIFT,
     ParserState,
     Reduce,
     Shift,
     apply,
-    execute,
     initial_state,
     legal_actions,
     oracle,
 )
 from rstboost.treebank import Internal, Leaf
 
-from conftest import enumerate_shapes, label_shape, random_tree
+from conftest import enumerate_shapes, label_shape, random_tree, replay
 
 
 class TestInitialState:
@@ -111,19 +110,13 @@ class TestOracle:
 
 
 class TestExecute:
+    """The oracle's actions, replayed with ``apply``, rebuild the tree."""
+
     def test_round_trip_random(self, rng):
         for _ in range(100):
             n = rng.randint(1, 12)
             tree = random_tree(rng, n)
-            assert execute(n, oracle(tree)) == tree
-
-    def test_incomplete_parse(self):
-        with pytest.raises(IncompleteParse):
-            execute(2, [SHIFT, SHIFT])
-
-    def test_illegal_action_names_step(self):
-        with pytest.raises(IllegalAction, match="step 2"):
-            execute(2, [SHIFT, Reduce("NS", "rel")])
+            assert replay(n, oracle(tree)) == tree
 
     def test_exhaustive_small_shapes(self, rng):
         # all shapes for n <= 4, a few labelings each
@@ -131,7 +124,7 @@ class TestExecute:
             for shape in enumerate_shapes(1, n):
                 for _ in range(3):
                     tree = label_shape(shape, rng, ("a", "b"))
-                    assert execute(n, oracle(tree)) == tree
+                    assert replay(n, oracle(tree)) == tree
 
     def test_stack_spans_adjacent_along_rollouts(self, rng):
         # stack items cover touching intervals and end at queue_cursor - 1

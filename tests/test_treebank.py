@@ -8,15 +8,16 @@ from rstboost.treebank import (
     Leaf,
     SynthConfig,
     iter_internal,
-    iter_leaves,
     load_treebank,
+    postorder,
     parse_bracketed,
     save_treebank,
     serialize_bracketed,
     synthesize_treebank,
     validate,
-    validate_treebank,
 )
+
+from conftest import validate_treebank
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -235,7 +236,7 @@ class TestSynthesize:
     def test_leaves_cover_document(self):
         tb = synthesize_treebank(synth_cfg(n_docs=25), seed=9)
         for doc, tree in tb.entries:
-            ids = [leaf.edu_id for leaf in iter_leaves(tree)]
+            ids = [n.edu_id for n in postorder(tree) if isinstance(n, Leaf)]
             assert ids == list(range(1, doc.n_edus + 1))
 
     def test_relations_drawn_from_inventory(self):
