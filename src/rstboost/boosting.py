@@ -25,7 +25,6 @@ from .errors import (
     InvalidPrefix,
     MalformedSyntax,
     RelationInventoryMismatch,
-    TerminalState,
 )
 from .transition import (
     Action,
@@ -155,6 +154,13 @@ class _Instances:
         return len(self.rows[0]) - 1
 
 
+def _stack_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse rows ``(indices, values)`` as one CSR batch ``(indptr, indices, data)``."""
+    return (np.cumsum([0] + [len(idx) for idx, _ in rows], dtype=np.int64),
+            np.concatenate([np.zeros(0, np.int64)] + [idx for idx, _ in rows]),
+            np.concatenate([np.zeros(0)] + [values for _, values in rows]))
+
+
 def _build_instances(
     entries, enc_cfg: EncoderConfig, inventory: tuple[str, ...]
 ) -> _Instances:
@@ -177,9 +183,7 @@ def _build_instances(
             masks.append(structure_mask(state))
             state = apply(state, action)
     return _Instances(
-        rows=(np.cumsum([0] + [len(idx) for idx, _ in rows], dtype=np.int64),
-              np.concatenate([np.zeros(0, np.int64)] + [idx for idx, _ in rows]),
-              np.concatenate([np.zeros(0)] + [values for _, values in rows])),
+        rows=_stack_rows(rows),
         gold_structure=np.asarray(gs, dtype=np.int64),
         gold_relation=np.asarray(gr, dtype=np.int64),
         mask=np.asarray(masks, dtype=bool),
@@ -464,60 +468,77 @@ def train(
 # Decoding
 # ---------------------------------------------------------------------------
 
-def predict_action(ensemble: BoostedEnsemble, prefixes, state: ParserState, doc: Document,
-                   bags: dict | None = None) -> dict[Action, list[int]]:
-    """Each prefix's greedy action at ``state``, the masked argmax of its logit sum
-    (ties to the lowest index), as {action: [prefixes choosing it]} in order of first
-    choice.  The state is encoded once (``bags`` is ``encode_state``'s memo) and each
-    step runs once into one running sum, in ``_logit_sum``'s order.  Prefixes must
-    lie in 1..n_steps; ``decode_prefixes`` checks them."""
-    if state.is_terminal:
-        raise TerminalState("no action to predict in a terminal state")
-    row = encode_state(state, doc, ensemble.encoder_config, bags)
-    mask = structure_mask(state)
-    s, r = np.zeros(wl.N_STRUCTURE), np.zeros(len(ensemble.relation_inventory))
-    chosen: dict[Action, list[int]] = {}
-    for k, step in enumerate(ensemble.steps[:max(prefixes)], 1):
-        out = wl.forward(step, row)
-        s += out.structure
-        r += out.relation
-        if k in prefixes:
-            cls, rel = _decision(mask, s, r)
-            action = SHIFT if cls == wl.SHIFT_CLASS else Reduce(
-                NUCLEARITIES[cls - 1], ensemble.relation_inventory[rel])
-            chosen.setdefault(action, []).append(k)
+# Documents per frontier: bounds the states, bag memos and rows ``decode_batch`` holds.
+DECODE_CHUNK_DOCS = 256
+
+
+def predict_action(ensemble: BoostedEnsemble, groups, rows,
+                   masks: np.ndarray) -> list[dict[Action, list[int]]]:
+    """One step of every frontier state: the greedy action of each prefix of its group,
+    the masked argmax of its logit sum (ties to the lowest index), as {action: [prefixes
+    choosing it]} in order of first choice.  ``rows`` (a CSR batch, or one sparse row)
+    is checked once and each step runs once over it, into one running sum per state in
+    ``_logit_sum``'s order.  Prefixes must lie in 1..n_steps; ``decode_batch`` checks them."""
+    checked = wl._csr(ensemble.steps[0], rows)
+    s = np.zeros((len(groups), wl.N_STRUCTURE))
+    r = np.zeros((len(groups), len(ensemble.relation_inventory)))
+    chosen: list[dict[Action, list[int]]] = [{} for _ in groups]
+    for k, step in enumerate(ensemble.steps[:max(map(max, groups))], 1):
+        _, zs, zr = wl._forward(step, *checked)
+        s += zs
+        r += zr
+        want = [i for i, group in enumerate(groups) if k in group]
+        if want:
+            cls, rel = (x.tolist() for x in _decision(masks, s, r))
+        for i in want:
+            action = SHIFT if cls[i] == wl.SHIFT_CLASS else Reduce(
+                NUCLEARITIES[cls[i] - 1], ensemble.relation_inventory[rel[i]])
+            chosen[i].setdefault(action, []).append(k)
     return chosen
 
 
 def decode(ensemble: BoostedEnsemble, m: int,
            doc: Document) -> tuple[DiscourseNode, list[Action]]:
     """Greedy parse with prefix m; always terminates with a full tree in 2n-1 actions."""
-    return decode_prefixes(ensemble, doc, [m])[m]
+    return decode_batch(ensemble, [doc], [m])[0][m]
 
 
-def decode_prefixes(ensemble: BoostedEnsemble, doc: Document,
-                    prefixes) -> dict[int, tuple[DiscourseNode, list[Action]]]:
-    """The greedy parse ``(tree, actions)`` of every m in ``prefixes``, in one pass.
+def decode_batch(ensemble: BoostedEnsemble, docs,
+                 prefixes) -> list[dict[int, tuple[DiscourseNode, list[Action]]]]:
+    """The greedy parse ``(tree, actions)`` of every m in ``prefixes``, for each of ``docs``.
 
-    Prefixes whose action histories agree share a state and one ``predict_action``
-    call on it; where their actions differ the group splits.
+    The frontier holds every unfinished (document, prefix group) of up to
+    ``DECODE_CHUNK_DOCS`` documents; each iteration encodes its states (one bag memo per
+    document) and moves each one action on with one ``predict_action`` call.  A group
+    splits where its prefixes' actions differ; the parts share their history, a linked
+    list ``(last action, earlier history)``.  No parse depends on the other documents.
     """
     prefixes = sorted(set(prefixes))
     for m in prefixes:
         _check_prefix(ensemble, m)
-    bags: dict = {}
-    decoded: dict[int, tuple[DiscourseNode, list[Action]]] = {}
-    groups = [(initial_state(doc.n_edus), [], prefixes)] if prefixes else []
-    while groups:
-        state, actions, group = groups.pop()
-        while not state.is_terminal:
-            (action, group), *rest = predict_action(ensemble, group, state, doc, bags).items()
-            for other, part in rest:
-                groups.append((apply(state, other), actions + [other], part))
-            actions.append(action)
-            state = apply(state, action)
-        for m in group:
-            decoded[m] = (state.stack[0], list(actions))
+    decoded: list[dict[int, tuple[DiscourseNode, list[Action]]]] = [{} for _ in docs]
+    for lo in range(0, len(docs), DECODE_CHUNK_DOCS):
+        bags: dict[int, dict] = {}
+        frontier = [(i, initial_state(docs[i].n_edus), (), prefixes)
+                    for i in range(lo, min(lo + DECODE_CHUNK_DOCS, len(docs))) if prefixes]
+        while frontier:
+            rows = [encode_state(state, docs[i], ensemble.encoder_config, bags.setdefault(i, {}))
+                    for i, state, _, _ in frontier]
+            chosen = predict_action(ensemble, [group for _, _, _, group in frontier],
+                                    rows[0] if len(rows) == 1 else _stack_rows(rows),
+                                    np.array([structure_mask(state) for _, state, _, _ in frontier]))
+            pending, frontier = frontier, []
+            for (i, state, history, _), choice in zip(pending, chosen):
+                for move, part in choice.items():
+                    after = apply(state, move)
+                    if not after.is_terminal:
+                        frontier.append((i, after, (move, history), part))
+                        continue
+                    actions, link = [move], history
+                    while link:
+                        actions.append(link[0])
+                        link = link[1]
+                    decoded[i].update((m, (after.stack[0], actions[::-1])) for m in part)
     return decoded
 
 

@@ -50,10 +50,6 @@ class InvalidPrefix(UsageError):
     """An ensemble prefix index outside 1..len(steps)."""
 
 
-class TerminalState(RstBoostError):
-    """An action was requested for a state that is already terminal."""
-
-
 class EmptyTreebank(DataError):
     """An operation that needs at least one treebank entry got none."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .boosting import BoostedEnsemble, decode_prefixes
+from .boosting import BoostedEnsemble, decode_batch
 from .errors import DocumentMismatch, EmptyTreebank, RelationInventoryMismatch
 from .treebank import DiscourseNode, Treebank, iter_internal
 
@@ -97,7 +97,7 @@ def score_entries(pairs) -> ParsevalScores:
 
 def _evaluate_prefixes(ensemble: BoostedEnsemble, prefixes,
                        tb: Treebank) -> dict[int, ParsevalScores]:
-    """Decode every document once for all ``prefixes`` and micro-score each."""
+    """Decode every document for all ``prefixes`` in one batch and micro-score each."""
     if len(tb.entries) == 0:
         raise EmptyTreebank(f"treebank {tb.name!r} has no entries to evaluate")
     unknown = set(tb.relation_inventory) - set(ensemble.relation_inventory)
@@ -106,7 +106,7 @@ def _evaluate_prefixes(ensemble: BoostedEnsemble, prefixes,
             f"treebank {tb.name!r} uses relations unknown to the model: "
             f"{sorted(unknown)}"
         )
-    decoded = [decode_prefixes(ensemble, doc, prefixes) for doc, _ in tb.entries]
+    decoded = decode_batch(ensemble, [doc for doc, _ in tb.entries], prefixes)
     return {
         m: score_entries((tree, d[m][0]) for (_, tree), d in zip(tb.entries, decoded))
         for m in prefixes
@@ -144,10 +144,8 @@ class CurveTable:
 
 
 def boost_curve(ensemble: BoostedEnsemble, treebanks: list[Treebank]) -> CurveTable:
-    """Evaluate every (prefix m, treebank) cell for m = 1..n_steps.
-
-    All prefixes of a document are decoded in one pass (``decode_prefixes``).
-    """
+    """Evaluate every (prefix m, treebank) cell for m = 1..n_steps; each treebank is
+    decoded for every m by one ``decode_batch`` call."""
     if not treebanks:
         raise EmptyTreebank("boost_curve needs at least one treebank")
     n = len(ensemble.steps)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import rstboost.weak_learner as wl
 from rstboost.boosting import (
     BoostConfig,
     _build_instances,
@@ -114,6 +115,33 @@ def reference_decode(ens, m, doc):
         actions.append(action)
         state = apply(state, action)
     return state.stack[0], actions
+
+
+class TerminalState(Exception):
+    """``reference_predict_action`` was asked for an action in a terminal state."""
+
+
+def reference_predict_action(ens, prefixes, state, doc):
+    """The per-state decode step that the frontier step ``predict_action`` replaced,
+    kept as its reference: each prefix's greedy action at ``state`` as
+    {action: [prefixes choosing it]} in order of first choice, from one encoding
+    and one single-row ``wl.forward`` per step into one running sum."""
+    if state.is_terminal:
+        raise TerminalState("no action to predict in a terminal state")
+    row = encode_state(state, doc, ens.encoder_config)
+    mask = structure_mask(state)
+    s, r = np.zeros(wl.N_STRUCTURE), np.zeros(len(ens.relation_inventory))
+    chosen = {}
+    for k, step in enumerate(ens.steps[:max(prefixes)], 1):
+        out = wl.forward(step, row)
+        s += out.structure
+        r += out.relation
+        if k in prefixes:
+            cls, rel = _decision(mask, s, r)
+            action = SHIFT if cls == wl.SHIFT_CLASS else Reduce(
+                NUCLEARITIES[cls - 1], ens.relation_inventory[rel])
+            chosen.setdefault(action, []).append(k)
+    return chosen
 
 
 def replay(n_edus, actions):

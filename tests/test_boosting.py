@@ -7,16 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rstboost.boosting as boosting
 import rstboost.weak_learner as wl
 from rstboost.boosting import (
+    DECODE_CHUNK_DOCS,
     BoostConfig,
     BoostedEnsemble,
     _build_instances,
     _logit_sum,
+    _stack_rows,
     _Trainer,
     action_to_class,
     decode,
-    decode_prefixes,
+    decode_batch,
     load_model,
     mean_oracle_ce,
     model_from_json,
@@ -29,12 +32,7 @@ from rstboost.boosting import (
     train_step,
 )
 from rstboost.encoder import CENTER, NUCLEUS, EncoderConfig, encode_state
-from rstboost.errors import (
-    DimensionMismatch,
-    EmptyTreebank,
-    InvalidPrefix,
-    TerminalState,
-)
+from rstboost.errors import DimensionMismatch, EmptyTreebank, InvalidPrefix
 from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
@@ -48,7 +46,13 @@ from rstboost.treebank import (
 )
 from rstboost.weak_learner import LearnerConfig, LogitPair
 
-from conftest import oracle_action_accuracy, reference_decode, sparse
+from conftest import (
+    TerminalState,
+    oracle_action_accuracy,
+    reference_decode,
+    reference_predict_action,
+    sparse,
+)
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -116,6 +120,15 @@ def format2_reference(ens):
         "steps": [{name: param(arr) for name, arr in s.param_items()} for s in ens.steps],
     }
     return json.dumps(doc, indent=1)
+
+
+def frontier_step(ens, prefixes, state, doc):
+    """``predict_action`` on a one-state frontier, checked against the per-state
+    reference step."""
+    got, = predict_action(ens, [sorted(prefixes)], encode_state(state, doc, ens.encoder_config),
+                          structure_mask(state)[None])
+    assert list(got.items()) == list(reference_predict_action(ens, prefixes, state, doc).items())
+    return got
 
 
 def manual_ensemble(steps, n_relations, inventory=None):
@@ -418,14 +431,14 @@ class TestDecoding:
         learner = bias_only_learner(self.linear_cfg(), np.array([-5.0, 9, 9, 9]))
         ens = manual_ensemble([learner], 3)
         doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
-        assert predict_action(ens, [1], initial_state(2), doc) == {SHIFT: [1]}
+        assert frontier_step(ens, [1], initial_state(2), doc) == {SHIFT: [1]}
 
     def test_exhausted_queue_forces_reduce(self):
         learner = bias_only_learner(self.linear_cfg(), np.array([9.0, -5, -5, -5]))
         ens = manual_ensemble([learner], 3)
         doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
         state = apply(apply(initial_state(2), SHIFT), SHIFT)
-        (action, prefixes), = predict_action(ens, [1], state, doc).items()
+        (action, prefixes), = frontier_step(ens, [1], state, doc).items()
         assert isinstance(action, Reduce) and prefixes == [1]
 
     def test_zero_ensemble_tie_breaks_to_lowest_index(self):
@@ -434,17 +447,23 @@ class TestDecoding:
         doc = Document("d", tuple(EDU(i, ("t",)) for i in (1, 2, 3)))
         state = apply(apply(initial_state(3), SHIFT), SHIFT)
         # shift and reduce both legal, all logits zero -> class 0 (shift)
-        assert predict_action(ens, [1], state, doc) == {SHIFT: [1]}
+        assert frontier_step(ens, [1], state, doc) == {SHIFT: [1]}
         # queue exhausted -> lowest reduce class (NN) and lowest relation index
         state = apply(state, SHIFT)
-        assert predict_action(ens, [1], state, doc) == {Reduce("NN", "alpha"): [1]}
+        assert frontier_step(ens, [1], state, doc) == {Reduce("NN", "alpha"): [1]}
 
-    def test_terminal_state_rejected(self):
+    def test_terminal_state_rejected(self, monkeypatch):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
         doc = Document("d", (EDU(1, ("a",)),))
         state = apply(initial_state(1), SHIFT)
         with pytest.raises(TerminalState):
-            predict_action(ens, [1], state, doc)
+            reference_predict_action(ens, [1], state, doc)
+        # No frontier holds a terminal state: a one-EDU document takes one step.
+        calls = []
+        monkeypatch.setattr(boosting, "predict_action",
+                            lambda *args: calls.append(args) or predict_action(*args))
+        assert decode(ens, 1, doc) == (Leaf(1), [SHIFT])
+        assert len(calls) == 1
 
     def test_single_edu_parse(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
@@ -500,12 +519,13 @@ class TestDecoding:
 
 
 class TestDecodePrefixes:
-    """The one-pass decoder against a sequential reference for every prefix."""
+    """The batched decoder against a sequential reference for every prefix."""
 
     def assert_matches_decode(self, ens, docs):
         n = ens.n_steps
-        for doc in docs:
-            got = decode_prefixes(ens, doc, range(1, n + 1))
+        batch = decode_batch(ens, docs, range(1, n + 1))
+        assert len(batch) == len(docs)
+        for doc, got in zip(docs, batch):
             assert sorted(got) == list(range(1, n + 1))
             for m in range(1, n + 1):
                 want = reference_decode(ens, m, doc)
@@ -526,8 +546,8 @@ class TestDecodePrefixes:
                               len(tb.relation_inventory), inventory=tb.relation_inventory)
         docs = [doc for doc, _ in tb.entries]
         self.assert_matches_decode(ens, docs)
-        histories = [{tuple(a) for _, a in decode_prefixes(ens, doc, range(1, 5)).values()}
-                     for doc in docs]
+        histories = [{tuple(a) for _, a in got.values()}
+                     for got in decode_batch(ens, docs, range(1, 5))]
         assert any(len(h) > 1 for h in histories)
 
     def test_hand_built_groups_split(self):
@@ -539,9 +559,9 @@ class TestDecodePrefixes:
         ], 3)
         doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in range(1, 6)))
         state = apply(apply(initial_state(5), SHIFT), SHIFT)
-        assert list(predict_action(ens, [1, 2, 3], state, doc).items()) == [
+        assert list(frontier_step(ens, [1, 2, 3], state, doc).items()) == [
             (SHIFT, [1]), (Reduce("NN", "rel0"), [2]), (Reduce("NN", "rel1"), [3])]
-        got = decode_prefixes(ens, doc, [3, 1, 2, 2])
+        got, = decode_batch(ens, [doc], [3, 1, 2, 2])
         # prefix 1 shifts while it can; 2 and 3 reduce as soon as they can
         # and split on the relation of that first reduce
         assert got[1][1][:5] == [SHIFT] * 5
@@ -555,7 +575,7 @@ class TestDecodePrefixes:
                                bias_only_learner(cfg, np.array([0.0, 0, 2, 0]))],
                               3, inventory=("alpha", "beta", "gamma"))
         doc = Document("d", tuple(EDU(i, ("t",)) for i in (1, 2, 3)))
-        got = decode_prefixes(ens, doc, range(1, 4))
+        got, = decode_batch(ens, [doc], range(1, 4))
         tie = [SHIFT, SHIFT, SHIFT, Reduce("NN", "alpha"), Reduce("NN", "alpha")]
         assert got[1][1] == got[2][1] == tie
         assert got[3][1] == [SHIFT, SHIFT, Reduce("NS", "alpha"), SHIFT,
@@ -566,7 +586,7 @@ class TestDecodePrefixes:
         ens = manual_ensemble([wl.zeros(TestDecoding().linear_cfg())], 3)
         doc = Document("d", (EDU(1, ("a",)),))
         with pytest.raises(InvalidPrefix):
-            decode_prefixes(ens, doc, [1, 2])
+            decode_batch(ens, [doc], [1, 2])
 
     def test_instances_hold_each_states_row(self):
         tb = small_treebank(n_docs=5, seed=3, edu_range=(2, 7))
@@ -594,6 +614,110 @@ class TestDecodePrefixes:
                     assert all(np.array_equal(a, b) for a, b in zip(again, memo))
                 state = apply(state, action)
             assert bags
+
+
+class TestDecodeBatch:
+    """``decode_batch`` over many documents against ``reference_decode``."""
+
+    def random_ensemble(self, tb, hidden_dim, strategy, n_steps=4):
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+                            hidden_dim=hidden_dim)
+        ens = manual_ensemble([wl.init(cfg, seed) for seed in range(n_steps)],
+                              len(tb.relation_inventory), inventory=tb.relation_inventory)
+        return dataclasses.replace(ens, encoder_config=EncoderConfig(
+            hash_dim=ENC.hash_dim, max_span_tokens=4, truncation_strategy=strategy))
+
+    @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
+    @pytest.mark.parametrize("hidden_dim", [0, 4])
+    def test_mixed_lengths_match_reference(self, hidden_dim, strategy):
+        tb = small_treebank(n_docs=24, seed=29, edu_range=(1, 12))
+        docs = [doc for doc, _ in tb.entries]
+        assert {doc.n_edus for doc in docs} >= {1, 12}
+        ens = self.random_ensemble(tb, hidden_dim, strategy)
+        batch = decode_batch(ens, docs, range(1, 5))
+        for doc, got in zip(docs, batch):
+            assert got == {m: reference_decode(ens, m, doc) for m in range(1, 5)}
+        assert any(len({tuple(a) for _, a in got.values()}) > 1 for got in batch)
+
+    def test_unsorted_and_duplicate_prefixes(self):
+        tb = small_treebank(n_docs=8, seed=31, edu_range=(1, 9))
+        docs = [doc for doc, _ in tb.entries]
+        ens = self.random_ensemble(tb, 4, NUCLEUS)
+        for got, doc in zip(decode_batch(ens, docs, [4, 2, 4, 1, 2]), docs):
+            assert sorted(got) == [1, 2, 4]
+            assert got == {m: reference_decode(ens, m, doc) for m in (1, 2, 4)}
+        assert decode_batch(ens, docs, []) == [{} for _ in docs]
+        assert decode_batch(ens, [], [1]) == []
+
+    def test_duplicate_doc_ids(self):
+        tb = small_treebank(n_docs=3, seed=37, edu_range=(3, 8))
+        ens = self.random_ensemble(tb, 4, CENTER)
+        a, b, c = (Document("same", doc.edus) for doc, _ in tb.entries)
+        docs = [a, b, a, c, b]
+        batch = decode_batch(ens, docs, range(1, 5))
+        for doc, got in zip(docs, batch):
+            assert got == {m: reference_decode(ens, m, doc) for m in range(1, 5)}
+        assert batch[0] == batch[2] and batch[1] == batch[4]
+
+    def test_batch_independence(self):
+        tb = small_treebank(n_docs=10, seed=41, edu_range=(1, 12))
+        docs = [doc for doc, _ in tb.entries]
+        ens = self.random_ensemble(tb, 4, NUCLEUS)
+        alone = [decode_batch(ens, [doc], range(1, 5))[0] for doc in docs]
+        assert decode_batch(ens, docs, range(1, 5)) == alone
+        assert decode_batch(ens, docs[::-1], range(1, 5)) == alone[::-1]
+        assert decode_batch(ens, docs[:1] + docs, range(1, 5))[1:] == alone
+
+    def test_frontier_step_matches_per_state_reference(self):
+        tb = small_treebank(n_docs=6, seed=43, edu_range=(3, 9))
+        ens = self.random_ensemble(tb, 4, CENTER)
+        frontier = []
+        for (doc, tree), prefixes in zip(tb.entries, ([1, 2, 3, 4], [2], [1, 3], [4],
+                                                      [2, 3, 4], [1])):
+            state = initial_state(doc.n_edus)
+            for action in oracle(tree)[:doc.n_edus]:
+                frontier.append((state, doc, prefixes))
+                state = apply(state, action)
+        rows = [encode_state(state, doc, ens.encoder_config) for state, doc, _ in frontier]
+        got = predict_action(ens, [prefixes for *_, prefixes in frontier], _stack_rows(rows),
+                             np.array([structure_mask(state) for state, *_ in frontier]))
+        for (state, doc, prefixes), choice in zip(frontier, got):
+            want = reference_predict_action(ens, prefixes, state, doc)
+            assert list(choice.items()) == list(want.items())
+
+    def test_rows_are_checked_once_per_iteration(self, monkeypatch):
+        tb = small_treebank(n_docs=4, seed=53, edu_range=(2, 6))
+        ens = self.random_ensemble(tb, 4, NUCLEUS)
+        counts = {"check": 0, "step": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(wl, "_csr", counting("check", wl._csr))
+        monkeypatch.setattr(boosting, "predict_action", counting("step", predict_action))
+        decode_batch(ens, [doc for doc, _ in tb.entries], range(1, 5))
+        # All documents move in lockstep, one frontier per action of the longest.
+        iterations = max(2 * doc.n_edus - 1 for doc, _ in tb.entries)
+        assert counts == {"check": iterations, "step": iterations}
+
+    def test_large_treebank_is_decoded_in_bounded_chunks(self, monkeypatch):
+        tb = small_treebank(n_docs=2000, seed=47, edu_range=(1, 4))
+        docs = [doc for doc, _ in tb.entries]
+        ens = self.random_ensemble(tb, 0, NUCLEUS, n_steps=2)
+        alone = [decode_batch(ens, [doc], [1, 2])[0] for doc in docs]
+        frontiers = []
+
+        def counting_predict_action(ensemble, groups, rows, masks):
+            frontiers.append(len(groups))
+            return predict_action(ensemble, groups, rows, masks)
+
+        monkeypatch.setattr(boosting, "predict_action", counting_predict_action)
+        assert decode_batch(ens, docs, [1, 2]) == alone
+        assert max(frontiers) <= 2 * DECODE_CHUNK_DOCS < len(docs)
+        assert sum(frontiers) >= sum(2 * doc.n_edus - 1 for doc in docs)
 
 
 class TestModelSerialization:

@@ -480,7 +480,7 @@ class TestCompare:
 
 # Errors that bad input cannot cause: each one is a fault in rstboost itself.
 INTERNAL_ERRORS = {errors.RstBoostError, errors.IllegalAction, errors.DimensionMismatch,
-                   errors.IllegalGold, errors.TerminalState}
+                   errors.IllegalGold}
 
 
 def all_error_classes():

@@ -1,10 +1,14 @@
-"""Golden pin of the seed-1 pipeline: synth -> train -> parse --trace -> curve.
+"""Golden pins of the seed-1 pipeline: synth -> train -> parse --trace -> curve.
 
 A small synthetic config is trained with the default train flags, and the
 digests of the primary artifacts plus the exact curve CSV are compared to
-pinned values.  Any change that moves them changes default behaviour.  The
-same pipeline run with one and with two BLAS threads must give the same
-outputs.
+pinned values.  Any change that moves them changes default behaviour.  A
+second pin trains the same data at a weak setting (``WEAK_TRAIN``), where
+every step is kept on dev CE, the curve moves between m = 1 and m = 5 and
+the prefixes of most test documents decode to different action sequences,
+so that it covers the frozen logits of steps k >= 2 and the decoder's group
+splits.  The same pipelines run with one and with two BLAS threads must give
+the same outputs.
 """
 
 import hashlib
@@ -38,6 +42,28 @@ m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
 5,chat,10,0.8611,0.8611,0.8611,0.6111,0.6111,0.6111,0.4444,0.4444,0.4444
 """
 
+WEAK_TRAIN = ["--hidden-dim", "2", "--epochs-max", "2"]
+
+WEAK_SHA256 = {
+    "model.json": "ca04bf91f2ba0f233cfaf79937dbb4683f1273f6bb77cc821edf95ca6f6379f9",
+    "pred.tb": "abf68d98316f3f98a6174ca897d2d9fc197185aab4cfd24b1544b64e0331b51f",
+    "pred.tb.trace": "00bd5e602bb810b3a7a7ff2d2b8dbecacc524db6917a3e5394cd53d8d5f64f0f",
+}
+
+WEAK_CURVE = """\
+m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
+1,news,10,0.8333,0.8333,0.8333,0.4333,0.4333,0.4333,0.4000,0.4000,0.4000
+2,news,10,0.7333,0.7333,0.7333,0.6000,0.6000,0.6000,0.4000,0.4000,0.4000
+3,news,10,0.8000,0.8000,0.8000,0.6667,0.6667,0.6667,0.4333,0.4333,0.4333
+4,news,10,0.8333,0.8333,0.8333,0.6667,0.6667,0.6667,0.4667,0.4667,0.4667
+5,news,10,0.9000,0.9000,0.9000,0.6667,0.6667,0.6667,0.4667,0.4667,0.4667
+1,chat,10,0.8333,0.8333,0.8333,0.3056,0.3056,0.3056,0.0000,0.0000,0.0000
+2,chat,10,0.7222,0.7222,0.7222,0.3056,0.3056,0.3056,0.0000,0.0000,0.0000
+3,chat,10,0.8056,0.8056,0.8056,0.3889,0.3889,0.3889,0.0000,0.0000,0.0000
+4,chat,10,0.8056,0.8056,0.8056,0.3889,0.3889,0.3889,0.0000,0.0000,0.0000
+5,chat,10,0.7778,0.7778,0.7778,0.3056,0.3056,0.3056,0.0000,0.0000,0.0000
+"""
+
 REGENERATE = (
     "{name} differs from the golden pin. A numpy, Python or CPU change can move "
     "these digests, because training sums floating-point products. If the change "
@@ -52,9 +78,9 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_pipeline(workdir) -> dict:
-    """Run the pinned pipeline in ``workdir``; return the artifact digests and
-    the curve CSV text."""
+def run_pipeline(workdir, train_flags=()) -> dict:
+    """Run the pinned pipeline in ``workdir``, training with ``train_flags`` on
+    top of the defaults; return the artifact digests and the curve CSV text."""
     workdir = Path(workdir)
     cfg = workdir / "synth.json"
     cfg.write_text(json.dumps(SYNTH))
@@ -63,7 +89,7 @@ def run_pipeline(workdir) -> dict:
     assert main(["--seed", "1", "--quiet", "synth", "--config", str(cfg),
                  "--out", str(data)]) == 0
     assert main(["--seed", "1", "--quiet", "train", str(data / "train_news.tb"),
-                 "--out", str(model)]) == 0
+                 "--out", str(model), *train_flags]) == 0
     assert main(["--quiet", "parse", str(model), str(data / "test_news.tb"),
                  "--out", str(pred), "--trace"]) == 0
     assert main(["--quiet", "curve", str(model), str(data / "test_news.tb"),
@@ -73,27 +99,42 @@ def run_pipeline(workdir) -> dict:
     return out
 
 
-def test_seed1_pipeline_matches_golden_pin(tmp_path):
-    got = run_pipeline(tmp_path)
-    for name, want in GOLDEN_SHA256.items():
+def assert_matches_pin(got, digests, curve):
+    for name, want in digests.items():
         assert got[name] == want, REGENERATE.format(name=name)
-    assert got["curve.csv"] == GOLDEN_CURVE, REGENERATE.format(name="curve.csv")
+    assert got["curve.csv"] == curve, REGENERATE.format(name="curve.csv")
 
 
-def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+def test_seed1_pipeline_matches_golden_pin(tmp_path):
+    assert_matches_pin(run_pipeline(tmp_path), GOLDEN_SHA256, GOLDEN_CURVE)
+
+
+def test_seed1_weak_pipeline_matches_golden_pin(tmp_path):
+    assert_matches_pin(run_pipeline(tmp_path, WEAK_TRAIN), WEAK_SHA256, WEAK_CURVE)
+
+
+def assert_same_under_one_and_two_threads(tmp_path, train_flags):
     """The pinned pipeline in fresh processes with 1 and with 2 BLAS threads."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here), str(here.parent / "src")])
     script = ("import json, sys; from test_golden import run_pipeline; "
-              "print(json.dumps(run_pipeline(sys.argv[1])))")
+              "print(json.dumps(run_pipeline(sys.argv[1], sys.argv[2:])))")
     results = {}
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path,
                **{var: threads for var in BLAS_THREAD_VARS}}
         workdir = tmp_path / f"threads{threads}"
         workdir.mkdir()
-        proc = subprocess.run([sys.executable, "-c", script, str(workdir)], env=env,
-                              capture_output=True, text=True, timeout=600)
+        proc = subprocess.run([sys.executable, "-c", script, str(workdir), *train_flags],
+                              env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         results[threads] = json.loads(proc.stdout.splitlines()[-1])
     assert results["1"] == results["2"]
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    assert_same_under_one_and_two_threads(tmp_path, [])
+
+
+def test_weak_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    assert_same_under_one_and_two_threads(tmp_path, WEAK_TRAIN)
