@@ -36,7 +36,7 @@ from .transition import (
     legal_actions,
     oracle,
 )
-from .treebank import NUCLEARITIES, DiscourseNode, Document, Treebank, _atomic_write
+from .treebank import NUCLEARITIES, _RELATION_RE, DiscourseNode, Document, Treebank, _atomic_write
 from .weak_learner import LearnerConfig, WeakLearner
 
 
@@ -111,31 +111,10 @@ class TrainReport:
     steps: list[StepReport] = field(default_factory=list)
     cumulative_params: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": [asdict(s) for s in self.steps],
-            "cumulative_params": list(self.cumulative_params),
-        }
-
 
 def _check_prefix(ensemble: BoostedEnsemble, m: int) -> None:
     if not 1 <= m <= len(ensemble.steps):
         raise InvalidPrefix(f"prefix {m} outside 1..{len(ensemble.steps)}")
-
-
-def _logit_sum(
-    ensemble: BoostedEnsemble, m: int, rows
-) -> tuple[np.ndarray, np.ndarray]:
-    """Summed (structure, relation) logits of the first m steps (m = 0 gives zeros)
-    on one sparse row or a CSR batch, as ``wl.forward`` takes them."""
-    lead = (len(rows[0]) - 1,) if len(rows) == 3 else ()
-    s = np.zeros(lead + (wl.N_STRUCTURE,))
-    r = np.zeros(lead + (len(ensemble.relation_inventory),))
-    for step in ensemble.steps[:m]:
-        out = wl.forward(step, rows)
-        s += out.structure
-        r += out.relation
-    return s, r
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +123,44 @@ def _logit_sum(
 
 @dataclass
 class _Instances:
+    """The gold oracle states of some entries, with the summed logits of the steps
+    added so far: what the next step is fit against."""
     # CSR (indptr, indices, data): state i's row is indices/data[indptr[i]:indptr[i + 1]]
     rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     gold_structure: np.ndarray  # (N,) int64
     gold_relation: np.ndarray   # (N,) int64; -1 for shift
     mask: np.ndarray            # (N, 4) bool
+    frozen_s: np.ndarray        # (N, 4) summed structure logits
+    frozen_r: np.ndarray        # (N, R) summed relation logits
 
     def __len__(self) -> int:
         return len(self.rows[0]) - 1
+
+    def add(self, step: WeakLearner) -> None:
+        """Add ``step``'s logits to the frozen sums, in place."""
+        out = wl.forward(step, self.rows)
+        self.frozen_s += out.structure
+        self.frozen_r += out.relation
+
+    def mean_ce(self, step: WeakLearner | None = None) -> float:
+        """Mean per-instance cross-entropy of the frozen sums plus ``step``'s logits
+        (if given): masked structure CE + gated relation CE."""
+        z_s, z_r = self.frozen_s, self.frozen_r
+        if step is not None:
+            out = wl.forward(step, self.rows)
+            z_s, z_r = z_s + out.structure, z_r + out.relation
+
+        def nll(z: np.ndarray, logits: np.ndarray, gold: np.ndarray) -> np.ndarray:
+            mx = z.max(axis=1)
+            lse = mx + np.log(np.exp(z - mx[:, None]).sum(axis=1))
+            return lse - logits[np.arange(len(gold)), gold]
+
+        ce = nll(np.where(self.mask, z_s, -np.inf), z_s, self.gold_structure)
+        is_reduce = self.gold_relation >= 0
+        if is_reduce.any():
+            zr = z_r[is_reduce]
+            ce[is_reduce] += nll(zr, zr, self.gold_relation[is_reduce])
+        return float(ce.mean())
 
 
 def _stack_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,16 +170,16 @@ def _stack_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([np.zeros(0)] + [values for _, values in rows]))
 
 
-def _build_instances(
-    entries, enc_cfg: EncoderConfig, inventory: tuple[str, ...]
-) -> _Instances:
+def _build_instances(entries, ensemble: BoostedEnsemble, m: int | None = None) -> _Instances:
+    """The oracle instances of ``entries`` with the first m steps added (all if None)."""
+    inventory = ensemble.relation_inventory
     rel_index = {rel: i for i, rel in enumerate(inventory)}
     rows, gs, gr, masks = [], [], [], []
     for doc, tree in entries:
         state = initial_state(doc.n_edus)
         bags: dict = {}
         for action in oracle(tree):
-            rows.append(encode_state(state, doc, enc_cfg, bags))
+            rows.append(encode_state(state, doc, ensemble.encoder_config, bags))
             gs.append(action_to_class(action))
             if isinstance(action, Reduce):
                 if action.relation not in rel_index:
@@ -182,117 +191,88 @@ def _build_instances(
                 gr.append(-1)
             masks.append(structure_mask(state))
             state = apply(state, action)
-    return _Instances(
+    inst = _Instances(
         rows=_stack_rows(rows),
         gold_structure=np.asarray(gs, dtype=np.int64),
         gold_relation=np.asarray(gr, dtype=np.int64),
         mask=np.asarray(masks, dtype=bool),
+        frozen_s=np.zeros((len(gs), wl.N_STRUCTURE)),
+        frozen_r=np.zeros((len(gs), len(inventory))),
     )
-
-
-def _mean_combined_ce(
-    z_structure: np.ndarray,
-    z_relation: np.ndarray,
-    inst: _Instances,
-) -> float:
-    """Mean per-instance cross-entropy: masked structure CE + gated relation CE."""
-    def nll(z: np.ndarray, logits: np.ndarray, gold: np.ndarray) -> np.ndarray:
-        mx = z.max(axis=1)
-        lse = mx + np.log(np.exp(z - mx[:, None]).sum(axis=1))
-        return lse - logits[np.arange(len(gold)), gold]
-
-    ce = nll(np.where(inst.mask, z_structure, -np.inf), z_structure, inst.gold_structure)
-    is_reduce = inst.gold_relation >= 0
-    if is_reduce.any():
-        zr = z_relation[is_reduce]
-        ce[is_reduce] += nll(zr, zr, inst.gold_relation[is_reduce])
-    return float(ce.mean())
+    for step in ensemble.steps[:m]:
+        inst.add(step)
+    return inst
 
 
 def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
     """Mean combined cross-entropy of prefix m over the gold oracle states."""
     _check_prefix(ensemble, m)
-    inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    return _mean_combined_ce(*_logit_sum(ensemble, m, inst.rows), inst)
+    return _build_instances(entries, ensemble, m).mean_ce()
 
 
 # ---------------------------------------------------------------------------
 # SGD inner loop
 # ---------------------------------------------------------------------------
 
-class _Trainer:
-    """Owns the working parameter arrays for one boosting step."""
+def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
+    """Per-instance SGD of ``learner``'s own arrays against ``inst``'s frozen sums, over
+    ``order``, touching only each row's nonzero columns.
 
-    def __init__(self, learner: WeakLearner):
-        self.cfg = learner.cfg
-        self.params = {name: arr.copy() for name, arr in learner.param_items()}
+    With ``l2_penalty`` > 0 every update first decays all parameters by
+    ``1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
+    taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.
+    """
+    lr = learner.cfg.learning_rate
+    decay = 1.0 - 2.0 * lr * learner.cfg.l2_penalty
+    p = dict(learner.param_items())
+    w1, b1 = p.get("w_hidden"), p.get("b_hidden")
+    hidden = w1 is not None
+    ws, bs = p["w_structure"], p["b_structure"]
+    wr, br = p["w_relation"], p["b_relation"]
+    indptr, indices, data = inst.rows
+    bounds = indptr.tolist()
+    gold_s, gold_r = inst.gold_structure.tolist(), inst.gold_relation.tolist()
+    # Illegal structure classes start at -inf, so their softmax weight is 0.
+    base_s, frozen_r = np.where(inst.mask, inst.frozen_s, -np.inf), inst.frozen_r
+    for i in order.tolist():
+        idx, xv = indices[bounds[i]:bounds[i + 1]], data[bounds[i]:bounds[i + 1]]
+        # The heads read the hidden layer, or the row's nonzero inputs.
+        h = np.tanh(w1[:, idx] @ xv + b1) if hidden else xv
+        zs = base_s[i] + (ws @ h if hidden else ws[:, idx] @ h) + bs
+        e = np.exp(zs - zs.max())
+        dz_s = e / e.sum()
+        dz_s[gold_s[i]] -= 1.0
 
-    def snapshot(self) -> WeakLearner:
-        return WeakLearner.from_params(
-            self.cfg, {name: arr.copy() for name, arr in self.params.items()})
+        g_rel = gold_r[i]
+        if g_rel >= 0:
+            zr = frozen_r[i] + (wr @ h if hidden else wr[:, idx] @ h) + br
+            e = np.exp(zr - zr.max())
+            dz_r = e / e.sum()
+            dz_r[g_rel] -= 1.0
+        else:
+            dz_r = None
 
-    def run_epoch(self, inst: _Instances, frozen_s, frozen_r, order) -> None:
-        """Per-instance SGD over ``order``, touching only each row's nonzero columns.
-
-        With ``l2_penalty`` > 0 every update first decays all parameters by
-        ``1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
-        taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.
-        """
-        lr = self.cfg.learning_rate
-        decay = 1.0 - 2.0 * lr * self.cfg.l2_penalty
-        p = self.params
-        w1, b1 = p.get("w_hidden"), p.get("b_hidden")
-        hidden = w1 is not None
-        ws, bs = p["w_structure"], p["b_structure"]
-        wr, br = p["w_relation"], p["b_relation"]
-        indptr, indices, data = inst.rows
-        bounds = indptr.tolist()
-        gold_s, gold_r = inst.gold_structure.tolist(), inst.gold_relation.tolist()
-        # Illegal structure classes start at -inf, so their softmax weight is 0.
-        base_s = np.where(inst.mask, frozen_s, -np.inf)
-        for i in order.tolist():
-            idx, xv = indices[bounds[i]:bounds[i + 1]], data[bounds[i]:bounds[i + 1]]
-            # The heads read the hidden layer, or the row's nonzero inputs.
-            h = np.tanh(w1[:, idx] @ xv + b1) if hidden else xv
-            zs = base_s[i] + (ws @ h if hidden else ws[:, idx] @ h) + bs
-            e = np.exp(zs - zs.max())
-            dz_s = e / e.sum()
-            dz_s[gold_s[i]] -= 1.0
-
-            g_rel = gold_r[i]
-            if g_rel >= 0:
-                zr = frozen_r[i] + (wr @ h if hidden else wr[:, idx] @ h) + br
-                e = np.exp(zr - zr.max())
-                dz_r = e / e.sum()
-                dz_r[g_rel] -= 1.0
-            else:
-                dz_r = None
-
-            if hidden:
-                dh = ws.T @ dz_s
-                if dz_r is not None:
-                    dh += wr.T @ dz_r
-                dpre = dh * (1.0 - h * h)
-            if decay != 1.0:
-                for arr in p.values():
-                    arr *= decay
-            bs -= lr * dz_s
+        if hidden:
+            dh = ws.T @ dz_s
             if dz_r is not None:
-                br -= lr * dz_r
-            if hidden:
-                ws -= lr * (dz_s[:, None] * h)
-                if dz_r is not None:
-                    wr -= lr * (dz_r[:, None] * h)
-                w1[:, idx] -= lr * (dpre[:, None] * xv)
-                b1 -= lr * dpre
-            else:
-                ws[:, idx] -= lr * (dz_s[:, None] * h)
-                if dz_r is not None:
-                    wr[:, idx] -= lr * (dz_r[:, None] * h)
-
-    def combined_ce(self, inst: _Instances, frozen_s, frozen_r) -> float:
-        out = wl.forward(WeakLearner.from_params(self.cfg, self.params), inst.rows)
-        return _mean_combined_ce(frozen_s + out.structure, frozen_r + out.relation, inst)
+                dh += wr.T @ dz_r
+            dpre = dh * (1.0 - h * h)
+        if decay != 1.0:
+            for arr in p.values():
+                arr *= decay
+        bs -= lr * dz_s
+        if dz_r is not None:
+            br -= lr * dz_r
+        if hidden:
+            ws -= lr * (dz_s[:, None] * h)
+            if dz_r is not None:
+                wr -= lr * (dz_r[:, None] * h)
+            w1[:, idx] -= lr * (dpre[:, None] * xv)
+            b1 -= lr * dpre
+        else:
+            ws[:, idx] -= lr * (dz_s[:, None] * h)
+            if dz_r is not None:
+                wr[:, idx] -= lr * (dz_r[:, None] * h)
 
 
 def _child_seed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -320,16 +300,19 @@ def split_dev(
     return train, dev
 
 
-def _train_one_step(cfg: BoostConfig, learner_cfg: LearnerConfig, step_no: int, seed: int,
-                    split: tuple) -> tuple[WeakLearner, StepReport]:
-    """Train step ``step_no`` on ``_split_instances``'s ``split``."""
-    train_inst, frozen_train, dev_inst, frozen_dev = split
+def _train_one_step(cfg: BoostConfig, step_no: int, seed: int, train_inst: _Instances,
+                    dev_inst: _Instances | None) -> tuple[WeakLearner, StepReport]:
+    """Train step ``step_no`` against the instance sets' frozen sums."""
     t0 = time.perf_counter()
-    trainer = _Trainer(wl.init(learner_cfg, np.random.default_rng(
-        _child_seed(seed, step_no, 0)).integers(0, 2**31)))
+    learner = wl.init(cfg.learner, np.random.default_rng(
+        _child_seed(seed, step_no, 0)).integers(0, 2**31))
     shuffle_rng = np.random.default_rng(_child_seed(seed, step_no, 1))
 
-    baseline_train = _mean_combined_ce(*frozen_train, train_inst)
+    def snapshot() -> WeakLearner:
+        return WeakLearner.from_params(
+            learner.cfg, {name: arr.copy() for name, arr in learner.param_items()})
+
+    baseline_train = train_inst.mean_ce()
 
     best_dev = best_dev_train = float("inf")
     best_dev_params = None
@@ -340,14 +323,14 @@ def _train_one_step(cfg: BoostConfig, learner_cfg: LearnerConfig, step_no: int, 
     n = len(train_inst)
     for _ in range(cfg.epochs_max):
         order = shuffle_rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
-        trainer.run_epoch(train_inst, frozen_train[0], frozen_train[1], order)
-        t = trainer.combined_ce(train_inst, *frozen_train)
-        d = trainer.combined_ce(dev_inst, *frozen_dev) if dev_inst else t  # None or empty
+        _run_epoch(learner, train_inst, order)
+        t = train_inst.mean_ce(learner)
+        d = dev_inst.mean_ce(learner) if dev_inst else t  # None or empty
         dev_curve.append(d)
         if t < best_train:
-            best_train, best_train_params = t, trainer.snapshot()
+            best_train, best_train_params = t, snapshot()
         if d < best_dev:
-            best_dev, best_dev_train, best_dev_params = d, t, trainer.snapshot()
+            best_dev, best_dev_train, best_dev_params = d, t, snapshot()
             bad = 0
         else:
             bad += 1
@@ -362,7 +345,7 @@ def _train_one_step(cfg: BoostConfig, learner_cfg: LearnerConfig, step_no: int, 
         if best_train_params is not None and best_train <= baseline_train:
             selection, chosen, final_ce = "train", best_train_params, best_train
         else:
-            selection, chosen = "zero", wl.zeros(learner_cfg)
+            selection, chosen = "zero", wl.zeros(cfg.learner)
             final_ce = baseline_train
 
     report = StepReport(
@@ -377,8 +360,7 @@ def _train_one_step(cfg: BoostConfig, learner_cfg: LearnerConfig, step_no: int, 
     return chosen, report
 
 
-def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig,
-                inventory: tuple[str, ...]) -> LearnerConfig:
+def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig, inventory: tuple[str, ...]) -> None:
     lc = cfg.learner
     if lc.input_dim != enc_cfg.width:
         raise DimensionMismatch(
@@ -388,18 +370,24 @@ def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig,
         raise DimensionMismatch(
             f"learner n_relations {lc.n_relations} != |inventory| {len(inventory)}"
         )
-    return lc
 
 
-def _split_instances(ensemble: BoostedEnsemble, train_entries, dev_entries) -> tuple:
-    """The oracle instances of the train entries and the ensemble's summed logits
-    on them (the next step's frozen logits), then the same for the dev entries,
-    or (None, None) when there are none."""
-    def build(entries):
-        inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-        return inst, _logit_sum(ensemble, len(ensemble.steps), inst.rows)
-
-    return (*build(train_entries), *(build(dev_entries) if dev_entries else (None, None)))
+def _instance_sets(ensemble: BoostedEnsemble, treebank: Treebank, seed: int,
+                   dev_entries: tuple | None = None) -> tuple[_Instances, _Instances | None]:
+    """The train and dev instance sets (dev None when there are no dev entries) that
+    the next step of ``ensemble`` is fit and selected on, each holding the summed
+    logits of all its steps.  Without ``dev_entries``, a dev_fraction split of
+    ``treebank`` is drawn with ``seed``; with them, all of ``treebank`` trains."""
+    if len(treebank.entries) == 0:
+        raise EmptyTreebank("cannot train on an empty treebank")
+    cfg = ensemble.boost_config
+    _check_dims(cfg, ensemble.encoder_config, ensemble.relation_inventory)
+    if dev_entries is None:
+        train_entries, dev_entries = split_dev(treebank, cfg.dev_fraction, seed)
+    else:
+        train_entries = treebank.entries
+    return (_build_instances(train_entries, ensemble),
+            _build_instances(dev_entries, ensemble) if dev_entries else None)
 
 
 def train_step(
@@ -413,16 +401,8 @@ def train_step(
     ``dev_entries`` pins the early-stopping split; when omitted, a
     dev_fraction split of ``treebank`` is drawn here with ``seed``.
     """
-    if len(treebank.entries) == 0:
-        raise EmptyTreebank("cannot train on an empty treebank")
-    cfg = ensemble.boost_config
-    lc = _check_dims(cfg, ensemble.encoder_config, ensemble.relation_inventory)
-    if dev_entries is None:
-        train_entries, dev_entries = split_dev(treebank, cfg.dev_fraction, seed)
-    else:
-        train_entries = treebank.entries
-    learner, report = _train_one_step(cfg, lc, len(ensemble.steps) + 1, seed,
-                                      _split_instances(ensemble, train_entries, dev_entries))
+    learner, report = _train_one_step(ensemble.boost_config, len(ensemble.steps) + 1, seed,
+                                      *_instance_sets(ensemble, treebank, seed, dev_entries))
     return replace(ensemble, steps=ensemble.steps + (learner,)), report
 
 
@@ -432,32 +412,23 @@ def train(
     enc_cfg: EncoderConfig,
 ) -> tuple[BoostedEnsemble, TrainReport]:
     """Run the full staged procedure: n_steps weak learners, dev split fixed once."""
-    if len(treebank.entries) == 0:
-        raise EmptyTreebank("cannot train on an empty treebank")
-    inventory = treebank.relation_inventory
-    lc = _check_dims(cfg, enc_cfg, inventory)
     ensemble = BoostedEnsemble(
         encoder_config=enc_cfg,
-        relation_inventory=inventory,
+        relation_inventory=treebank.relation_inventory,
         steps=(),
         boost_config=cfg,
         train_domain_tag=treebank.domain_tag,
     )
-    split = _split_instances(ensemble, *split_dev(treebank, cfg.dev_fraction, cfg.seed))
-    train_inst, frozen_train, dev_inst, frozen_dev = split
+    train_inst, dev_inst = _instance_sets(ensemble, treebank, cfg.seed)
 
     report = TrainReport()
     total_params = 0
     for k in range(1, cfg.n_steps + 1):
-        learner, step_report = _train_one_step(cfg, lc, k, cfg.seed, split)
+        learner, step_report = _train_one_step(cfg, k, cfg.seed, train_inst, dev_inst)
         ensemble = replace(ensemble, steps=ensemble.steps + (learner,))
-        # Add the new step's logits in place, in the order _logit_sum sums them.
-        for inst, frozen in ((train_inst, frozen_train), (dev_inst, frozen_dev)):
+        for inst in (train_inst, dev_inst):
             if inst is not None:
-                zs, zr = frozen
-                out = wl.forward(learner, inst.rows)
-                zs += out.structure
-                zr += out.relation
+                inst.add(learner)
         total_params += step_report.param_count
         report.steps.append(step_report)
         report.cumulative_params.append(total_params)
@@ -478,7 +449,7 @@ def predict_action(ensemble: BoostedEnsemble, groups, rows,
     the masked argmax of its logit sum (ties to the lowest index), as {action: [prefixes
     choosing it]} in order of first choice.  ``rows`` (a CSR batch, or one sparse row)
     is checked once and each step runs once over it, into one running sum per state in
-    ``_logit_sum``'s order.  Prefixes must lie in 1..n_steps; ``decode_batch`` checks them."""
+    ``_Instances.add``'s order.  Prefixes must lie in 1..n_steps; ``decode_batch`` checks them."""
     checked = wl._csr(ensemble.steps[0], rows)
     s = np.zeros((len(groups), wl.N_STRUCTURE))
     r = np.zeros((len(groups), len(ensemble.relation_inventory)))
@@ -585,9 +556,10 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
 
 def model_from_json(text: str) -> BoostedEnsemble:
     """Parse a model; undecodable JSON, missing keys, bad types, an invalid or
-    unsupported config, no steps, undecodable or non-finite parameters, and a
-    learner config or parameter shapes that do not match the encoder width and
-    the relation inventory raise MalformedSyntax."""
+    unsupported config, a relation label outside ``[a-z_-]+``, no steps,
+    undecodable or non-finite parameters, and a learner config or parameter
+    shapes that do not match the encoder width and the relation inventory raise
+    MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
@@ -599,6 +571,9 @@ def model_from_json(text: str) -> BoostedEnsemble:
         lc = LearnerConfig(**bc.pop("learner"))
         boost_cfg = BoostConfig(learner=lc, **bc)
         inventory = tuple(doc["relation_inventory"])
+        for rel in inventory:
+            if not _RELATION_RE.match(rel):
+                raise MalformedSyntax(f"bad relation label {rel!r} (expected [a-z_-]+)")
         _check_dims(boost_cfg, enc_cfg, inventory)
         shapes = wl.param_shapes(lc)
         steps = tuple(_learner_from_dict(lc, shapes, blob) for blob in doc["steps"])

@@ -230,7 +230,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     boosting.save_model(ensemble, out)
     report_path = Path(str(out) + ".report.json")
-    _atomic_write(report_path, json.dumps(report.to_dict(), indent=1) + "\n")
+    _atomic_write(report_path, json.dumps(dataclasses.asdict(report), indent=1) + "\n")
     t_end = time.perf_counter()
     for s in report.steps:
         _log(args, f"step {s.step}: epochs={s.epochs_run} "

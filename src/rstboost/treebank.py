@@ -345,7 +345,10 @@ def load_treebank(path: str | Path) -> Treebank:
     for block in blocks:
         lines = block.strip().splitlines()
         if lines[0].startswith("#relations"):
-            declared.extend(lines[0].split()[1:])
+            for relation in lines[0].split()[1:]:
+                if not _RELATION_RE.match(relation):
+                    raise MalformedSyntax(f"bad #relations label {relation!r} (expected [a-z_-]+)")
+                declared.append(relation)
             lines = lines[1:]
             if not lines:
                 continue

@@ -12,7 +12,6 @@ from rstboost.boosting import (
     _build_instances,
     _check_prefix,
     _decision,
-    _logit_sum,
     structure_mask,
     train,
 )
@@ -102,14 +101,27 @@ def dense(row, width):
     return x
 
 
+def reference_logit_sum(ensemble, m, rows):
+    """Summed (structure, relation) logits of the first m steps (m = 0 gives zeros)
+    on one sparse row or a CSR batch, one ``wl.forward`` per step in step order."""
+    lead = (len(rows[0]) - 1,) if len(rows) == 3 else ()
+    s = np.zeros(lead + (wl.N_STRUCTURE,))
+    r = np.zeros(lead + (len(ensemble.relation_inventory),))
+    for step in ensemble.steps[:m]:
+        out = wl.forward(step, rows)
+        s += out.structure
+        r += out.relation
+    return s, r
+
+
 def reference_decode(ens, m, doc):
     """Sequential greedy parse with prefix m, one state at a time: ``encode_state``,
-    then the prefix-m ``_logit_sum``, then ``_decision``."""
+    then the prefix-m ``reference_logit_sum``, then ``_decision``."""
     state = initial_state(doc.n_edus)
     actions = []
     while not state.is_terminal:
         row = encode_state(state, doc, ens.encoder_config)
-        cls, rel = _decision(structure_mask(state), *_logit_sum(ens, m, row))
+        cls, rel = _decision(structure_mask(state), *reference_logit_sum(ens, m, row))
         action = SHIFT if cls == 0 else Reduce(NUCLEARITIES[cls - 1],
                                                ens.relation_inventory[rel])
         actions.append(action)
@@ -155,8 +167,8 @@ def replay(n_edus, actions):
 def oracle_action_accuracy(ensemble, m, entries):
     """Fraction of oracle states where prefix m predicts the full gold action."""
     _check_prefix(ensemble, m)
-    inst = _build_instances(entries, ensemble.encoder_config, ensemble.relation_inventory)
-    cls, rel = _decision(inst.mask, *_logit_sum(ensemble, m, inst.rows))
+    inst = _build_instances(entries, ensemble, 0)
+    cls, rel = _decision(inst.mask, *reference_logit_sum(ensemble, m, inst.rows))
     ok = cls == inst.gold_structure
     is_reduce = inst.gold_relation >= 0
     ok &= ~is_reduce | (rel == inst.gold_relation)

@@ -41,6 +41,7 @@ from conftest import (
     replay,
     sparse,
 )
+from test_golden import SYNTH, WEAK_TRAIN
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -308,3 +309,20 @@ def test_criterion_11_parameter_matching(setups, tmp_path):
     report("11 parameter-matching", ok,
            f"parameter gap {gap:.2%} (<= 5% or warned); "
            f"both contenders timed: {timings}")
+
+
+def test_criterion_12_weak_steps_lower_train_ce(tmp_path):
+    """At the weak golden setting, where step 1 leaves work for the later steps,
+    every step is kept and each kept step lowers the combined train CE."""
+    cfg, data, model = tmp_path / "synth.json", tmp_path / "data", tmp_path / "model.json"
+    cfg.write_text(json.dumps(SYNTH))
+    assert cli_main(["--seed", "1", "--quiet", "synth", "--config", str(cfg),
+                     "--out", str(data)]) == 0
+    assert cli_main(["--seed", "1", "--quiet", "train", str(data / "train_news.tb"),
+                     "--out", str(model), *WEAK_TRAIN]) == 0
+    steps = json.loads(Path(str(model) + ".report.json").read_text())["steps"]
+    kept = [s["final_train_loss"] for s in steps if s["selection"] != "zero"]
+    ok = len(kept) == len(steps) == 5 and all(b < a for a, b in zip(kept, kept[1:]))
+    report("12 weak-steps-lower-train-ce", ok,
+           "kept steps' train CE " + " -> ".join(f"{c:.4f}" for c in kept)
+           + f" ({len(kept)} of {len(steps)} kept), strictly decreasing")

@@ -14,9 +14,8 @@ from rstboost.boosting import (
     BoostConfig,
     BoostedEnsemble,
     _build_instances,
-    _logit_sum,
+    _run_epoch,
     _stack_rows,
-    _Trainer,
     action_to_class,
     decode,
     decode_batch,
@@ -32,7 +31,7 @@ from rstboost.boosting import (
     train_step,
 )
 from rstboost.encoder import CENTER, NUCLEUS, EncoderConfig, encode_state
-from rstboost.errors import DimensionMismatch, EmptyTreebank, InvalidPrefix
+from rstboost.errors import DimensionMismatch, EmptyTreebank, InvalidPrefix, MalformedSyntax
 from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
@@ -50,8 +49,8 @@ from conftest import (
     TerminalState,
     oracle_action_accuracy,
     reference_decode,
+    reference_logit_sum,
     reference_predict_action,
-    sparse,
 )
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
@@ -63,6 +62,12 @@ def row_of(inst, i):
     """Instance i's sparse row ``(indices, values)``."""
     indptr, indices, data = inst.rows
     return indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]
+
+
+def oracle_instances(tb):
+    """``tb``'s oracle instance set under ``ENC``, with no step added (zero frozen sums)."""
+    ens = BoostedEnsemble(ENC, tb.relation_inventory, (), boost_cfg(tb))
+    return _build_instances(tb.entries, ens)
 
 
 def small_treebank(n_docs=30, seed=1, edu_range=(2, 6)):
@@ -159,46 +164,73 @@ class TestActionMapping:
 
 
 class TestAggregate:
-    def cfg(self):
-        return LearnerConfig(input_dim=ENC.width, n_relations=3, hidden_dim=0)
+    """The frozen sums of ``_build_instances(..., m)`` and ``_Instances.add`` against
+    per-step ``wl.forward`` sums, over the oracle states of a small treebank."""
+    TB = small_treebank(n_docs=3)
+
+    def cfg(self, hidden_dim=0):
+        return LearnerConfig(input_dim=ENC.width, n_relations=len(self.TB.relation_inventory),
+                             hidden_dim=hidden_dim)
+
+    def ensemble(self, steps):
+        return manual_ensemble(steps, len(self.TB.relation_inventory),
+                               inventory=self.TB.relation_inventory)
 
     def test_prefix_one_equals_forward(self):
         learner = bias_only_learner(self.cfg(), np.array([1.0, 0, 0, 0]))
-        ens = manual_ensemble([learner], 3)
-        x = sparse(np.zeros(ENC.width))
-        structure, relation = _logit_sum(ens, 1, x)
-        fw = wl.forward(learner, x)
-        assert np.array_equal(structure, fw.structure)
-        assert np.array_equal(relation, fw.relation)
+        inst = _build_instances(self.TB.entries, self.ensemble([learner]), 1)
+        fw = wl.forward(learner, inst.rows)
+        assert np.array_equal(inst.frozen_s, fw.structure)
+        assert np.array_equal(inst.frozen_r, fw.relation)
 
     def test_elementwise_sum(self):
         a = bias_only_learner(self.cfg(), np.array([1.0, 0, 0, 0]))
         b = bias_only_learner(self.cfg(), np.array([0.5, 2.0, 0, 0]))
-        ens = manual_ensemble([a, b], 3)
-        structure, _ = _logit_sum(ens, 2, sparse(np.zeros(ENC.width)))
-        assert np.allclose(structure, [1.5, 2.0, 0, 0])
+        inst = _build_instances(self.TB.entries, self.ensemble([a, b]), 2)
+        assert np.allclose(inst.frozen_s, [1.5, 2.0, 0, 0])
 
     def test_zero_step_is_identity(self):
         a = bias_only_learner(self.cfg(), np.array([1.0, -1.0, 0, 0]))
         z = wl.zeros(self.cfg())
-        x = sparse(np.zeros(ENC.width))
-        with_zero = _logit_sum(manual_ensemble([a, z], 3), 2, x)
-        without = _logit_sum(manual_ensemble([a], 3), 1, x)
-        assert np.array_equal(with_zero[0], without[0])
-        assert np.array_equal(with_zero[1], without[1])
+        with_zero = _build_instances(self.TB.entries, self.ensemble([a, z]), 2)
+        without = _build_instances(self.TB.entries, self.ensemble([a]), 1)
+        assert np.array_equal(with_zero.frozen_s, without.frozen_s)
+        assert np.array_equal(with_zero.frozen_r, without.frozen_r)
 
     def test_additivity(self):
         rng = np.random.default_rng(0)
-        cfg = LearnerConfig(input_dim=ENC.width, n_relations=3, hidden_dim=4)
-        steps = [wl.init(cfg, int(s)) for s in rng.integers(0, 100, size=3)]
-        ens = manual_ensemble(steps, 3)
-        x = sparse(rng.normal(size=ENC.width))
+        steps = [wl.init(self.cfg(hidden_dim=4), int(s)) for s in rng.integers(0, 100, size=3)]
+        ens = self.ensemble(steps)
         for m in (2, 3):
-            total = _logit_sum(ens, m, x)
-            prev = _logit_sum(ens, m - 1, x)
-            step = wl.forward(steps[m - 1], x)
-            assert np.allclose(total[0], prev[0] + step.structure)
-            assert np.allclose(total[1], prev[1] + step.relation)
+            total = _build_instances(self.TB.entries, ens, m)
+            prev = _build_instances(self.TB.entries, ens, m - 1)
+            step = wl.forward(steps[m - 1], prev.rows)
+            assert np.allclose(total.frozen_s, prev.frozen_s + step.structure)
+            assert np.allclose(total.frozen_r, prev.frozen_r + step.relation)
+            prev.add(steps[m - 1])
+            assert np.array_equal(prev.frozen_s, total.frozen_s)
+            assert np.array_equal(prev.frozen_r, total.frozen_r)
+        every = _build_instances(self.TB.entries, ens)
+        assert np.array_equal(every.frozen_s, total.frozen_s)
+
+    def test_mean_oracle_ce_is_the_boosted_loss_of_step_m(self):
+        """Prefix m's oracle CE is the mean loss of step m against the sum of steps
+        1..m-1, as ``boosted_loss_and_grad`` takes it one state at a time."""
+        rng = np.random.default_rng(1)
+        steps = [wl.init(self.cfg(hidden_dim=3), int(s)) for s in rng.integers(0, 100, size=3)]
+        ens = self.ensemble(steps)
+        inst = _build_instances(self.TB.entries, ens, 0)
+        for m in (1, 2, 3):
+            losses = []
+            for i in range(len(inst)):
+                gr = int(inst.gold_relation[i])
+                loss, _ = wl.boosted_loss_and_grad(
+                    steps[m - 1], row_of(inst, i),
+                    LogitPair(*reference_logit_sum(ens, m - 1, row_of(inst, i))),
+                    int(inst.gold_structure[i]), gr if gr >= 0 else None, inst.mask[i])
+                losses.append(loss)
+            assert np.isclose(mean_oracle_ce(ens, m, self.TB.entries), np.mean(losses),
+                              rtol=1e-12, atol=0)
 
     def test_invalid_prefix(self):
         ens = manual_ensemble([wl.zeros(self.cfg())], 3)
@@ -356,36 +388,37 @@ class TestFastPathEquivalence:
     @pytest.mark.parametrize("l2_penalty", [0.0, 0.01])
     def test_epoch_bitwise_equals_reference_loop(self, hidden_dim, l2_penalty):
         tb = small_treebank(n_docs=6)
-        inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
+        inst = oracle_instances(tb)
         cfg = LearnerConfig(
             input_dim=ENC.width, n_relations=len(tb.relation_inventory),
             hidden_dim=hidden_dim, learning_rate=0.05, l2_penalty=l2_penalty)
         rng = np.random.default_rng(hidden_dim)
-        frozen_s = rng.normal(size=(len(inst), 4))
-        frozen_r = rng.normal(size=(len(inst), cfg.n_relations))
+        inst.frozen_s = rng.normal(size=(len(inst), 4))
+        inst.frozen_r = rng.normal(size=(len(inst), cfg.n_relations))
         order = rng.permutation(len(inst))
 
-        fast = _Trainer(wl.init(cfg, 7))
-        fast.run_epoch(inst, frozen_s, frozen_r, order)
+        fast = wl.init(cfg, 7)
+        _run_epoch(fast, inst, order)
         ref = {name: arr.copy() for name, arr in wl.init(cfg, 7).param_items()}
-        reference_run_epoch(ref, cfg, inst, frozen_s, frozen_r, order)
-        assert list(fast.params) == list(ref)
+        reference_run_epoch(ref, cfg, inst, inst.frozen_s, inst.frozen_r, order)
+        got = dict(fast.param_items())
+        assert list(got) == list(ref)
         for name, arr in ref.items():
-            assert np.array_equal(fast.params[name], arr), name
+            assert np.array_equal(got[name], arr), name
             assert not np.array_equal(arr, getattr(wl.init(cfg, 7), name)), name
 
     def test_sparse_epoch_matches_reference_updates(self):
         tb = small_treebank(n_docs=6)
-        inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
+        inst = oracle_instances(tb)
         cfg = LearnerConfig(
             input_dim=ENC.width, n_relations=len(tb.relation_inventory),
             hidden_dim=4, learning_rate=0.05, l2_penalty=0.0)
-        frozen_s = np.random.default_rng(0).normal(size=(len(inst), 4)) * 0.1
-        frozen_r = np.zeros((len(inst), cfg.n_relations))
+        inst.frozen_s = frozen_s = np.random.default_rng(0).normal(size=(len(inst), 4)) * 0.1
+        frozen_r = inst.frozen_r
         order = np.arange(len(inst))
 
-        fast = _Trainer(wl.init(cfg, 7))
-        fast.run_epoch(inst, frozen_s, frozen_r, order)
+        fast = wl.init(cfg, 7)
+        _run_epoch(fast, inst, order)
 
         ref = wl.init(cfg, 7)
         for i in order:
@@ -395,22 +428,20 @@ class TestFastPathEquivalence:
                 int(inst.gold_structure[i]), gr if gr >= 0 else None, inst.mask[i])
             ref = wl.sgd_step(ref, grads, cfg.learning_rate)
 
-        got = fast.snapshot()
-        for (_, a), (_, b) in zip(got.param_items(), ref.param_items()):
+        for (_, a), (_, b) in zip(fast.param_items(), ref.param_items()):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("hidden_dim", [0, 3])
     def test_l2_epoch_matches_reference_updates(self, hidden_dim):
         tb = small_treebank(n_docs=4)
-        inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
+        inst = oracle_instances(tb)
         cfg = LearnerConfig(
             input_dim=ENC.width, n_relations=len(tb.relation_inventory),
             hidden_dim=hidden_dim, learning_rate=0.05, l2_penalty=0.01)
-        frozen_s = np.zeros((len(inst), 4))
-        frozen_r = np.zeros((len(inst), cfg.n_relations))
+        frozen_s, frozen_r = inst.frozen_s, inst.frozen_r  # zero: no step added
         order = np.arange(len(inst))
-        fast = _Trainer(wl.init(cfg, 7))
-        fast.run_epoch(inst, frozen_s, frozen_r, order)
+        fast = wl.init(cfg, 7)
+        _run_epoch(fast, inst, order)
         ref = wl.init(cfg, 7)
         for i in order:
             gr = int(inst.gold_relation[i])
@@ -418,8 +449,7 @@ class TestFastPathEquivalence:
                 ref, row_of(inst, i), LogitPair(frozen_s[i], frozen_r[i]),
                 int(inst.gold_structure[i]), gr if gr >= 0 else None, inst.mask[i])
             ref = wl.sgd_step(ref, grads, cfg.learning_rate)
-        got = fast.snapshot()
-        for (_, a), (_, b) in zip(got.param_items(), ref.param_items()):
+        for (_, a), (_, b) in zip(fast.param_items(), ref.param_items()):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
@@ -590,7 +620,7 @@ class TestDecodePrefixes:
 
     def test_instances_hold_each_states_row(self):
         tb = small_treebank(n_docs=5, seed=3, edu_range=(2, 7))
-        inst = _build_instances(tb.entries, ENC, tb.relation_inventory)
+        inst = oracle_instances(tb)
         i = 0
         for doc, tree in tb.entries:
             state = initial_state(doc.n_edus)
@@ -767,11 +797,11 @@ class TestModelSerialization:
         step.w_structure[0, 0], step.w_structure[1, 0] = 5e-324, -1.7976931348623157e308
         step.w_relation[0, 0] = -0.0
         ens = dataclasses.replace(
-            manual_ensemble([step, wl.init(cfg, 4)], 1, inventory=("élaboration",)),
+            manual_ensemble([step, wl.init(cfg, 4)], 1, inventory=("elaboration",)),
             boost_config=BoostConfig(learner=cfg), train_domain_tag="nouvelles-€")
         assert step.b_hidden.shape == step.b_relation.shape == (1,)
         text = model_to_json(ens)
-        assert text == format2_reference(ens) and "\\u00e9laboration" in text
+        assert text == format2_reference(ens) and "nouvelles-\\u20ac" in text
         clone = model_from_json(text)
         for a, b in zip(ens.steps, clone.steps, strict=True):
             for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items(), strict=True):
@@ -779,8 +809,17 @@ class TestModelSerialization:
                 assert pb.tobytes() == pa.tobytes()
                 assert pb.flags.writeable
         assert np.signbit(clone.steps[0].b_hidden[0])
-        assert clone.relation_inventory == ("élaboration",)
+        assert clone.relation_inventory == ("elaboration",)
         assert clone.train_domain_tag == "nouvelles-€"
+
+    @pytest.mark.parametrize("label", ["ela boration", "x)y", "élaboration", "Attri bution"])
+    def test_inventory_label_outside_grammar_rejected(self, label):
+        """A label that the bracket grammar forbids would be written into ``pred.tb``,
+        which could then not be read back."""
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=2, hidden_dim=0)
+        ens = manual_ensemble([wl.init(cfg, 1)], 2, inventory=("elaboration", label))
+        with pytest.raises(MalformedSyntax, match="bad relation label"):
+            model_from_json(model_to_json(ens))
 
     @staticmethod
     def large_ensemble():
@@ -788,7 +827,7 @@ class TestModelSerialization:
         enc = EncoderConfig(hash_dim=4096)
         cfg = LearnerConfig(input_dim=enc.width, n_relations=8, hidden_dim=16)
         ens = dataclasses.replace(
-            manual_ensemble([wl.init(cfg, seed) for seed in range(5)], 8),
+            manual_ensemble([wl.init(cfg, seed) for seed in range(5)], 8, inventory=SHARED + DOMAIN),
             encoder_config=enc, boost_config=BoostConfig(learner=cfg))
         return ens, sum(arr.nbytes for s in ens.steps for _, arr in s.param_items())
 

@@ -213,6 +213,17 @@ class TestTrain:
         assert run("--quiet", "train", tmp_path / "nope.tb",
                    "--out", tmp_path / "m.json") == 2
 
+    def test_declared_relation_outside_grammar_is_data_error(self, data_dir, tmp_path,
+                                                              capsys):
+        text = (data_dir / "train_news.tb").read_text()
+        assert text.startswith("#relations ")
+        bad = tmp_path / "bad.tb"
+        bad.write_text(text.replace("#relations ", "#relations Bad,Label ", 1))
+        out = tmp_path / "m.json"
+        assert run("--quiet", "train", bad, "--out", out, "--steps", "1", *FAST_TRAIN) == 2
+        assert "'Bad,Label'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
                                             ("--l2", "nan")])
     def test_non_finite_rate_is_usage_error(self, data_dir, tmp_path, capsys,
@@ -313,6 +324,14 @@ class TestMalformedModel:
         model_doc["format_version"] = 99
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "format_version" in capsys.readouterr().err
+
+    def test_inventory_label_outside_grammar_is_data_error(self, model_doc, data_dir,
+                                                            tmp_path, capsys):
+        """Labels that the bracket grammar forbids would reach ``pred.tb``."""
+        model_doc["relation_inventory"][:2] = ["ela boration", "x)y"]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "bad relation label 'ela boration'" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
 
     def test_model_without_steps_is_data_error(self, model_doc, data_dir, tmp_path,
                                                capsys):

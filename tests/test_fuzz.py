@@ -5,7 +5,8 @@ Valid treebank, model, raw-EDU and synth-config files are built from the
 ``conftest.py`` generators, then truncated, cut, overwritten byte by byte
 (invalid UTF-8 included) or partly duplicated.  Whatever the damage, the
 CLI must exit 0, 1 (usage or configuration error) or 2 (data error): never
-3, which is reserved for internal faults.  The same holds for odd values of
+3, which is reserved for internal faults.  A treebank that ``parse`` writes
+after exit 0 must load again.  The same holds for odd values of
 every int and float flag.
 """
 
@@ -92,6 +93,7 @@ COMMANDS = {
 def test_mutated_input_never_exits_internal(valid, tmp_path, name):
     data = (valid / name).read_bytes()
     rng = random.Random(f"fuzz:{name}")
+    pred = tmp_path / "pred.tb"
     bad = []
     for k in range(MUTANTS_PER_FILE):
         what, mutant = mutate(data, rng)
@@ -100,9 +102,16 @@ def test_mutated_input_never_exits_internal(valid, tmp_path, name):
         for command in COMMANDS[name]:
             argv = [a.format(path, gold=valid / "gold.tb", model=valid / "model.json",
                              out=tmp_path) for a in command]
+            pred.unlink(missing_ok=True)
             code = main(["--quiet", *argv])
             if code not in (0, 1, 2):
                 bad.append((k, what, command[0], code))
+            elif code == 0 and command[0] == "parse":
+                # What parse writes must read back.
+                try:
+                    load_treebank(pred)
+                except DataError as exc:
+                    bad.append((k, what, "pred.tb does not load", str(exc)))
     assert not bad, f"mutants of {name} that exited outside {{0, 1, 2}}: {bad}"
 
 

@@ -180,6 +180,17 @@ class TestFileIO:
         tb = load_treebank(path)
         assert tb.relation_inventory == ("apple", "elaboration", "zebra")
 
+    @pytest.mark.parametrize("label", ["Bad,Label", "x)y", "élaboration"])
+    def test_declared_relation_outside_grammar_rejected(self, tmp_path, label):
+        """A ``#relations`` label must be one a record could use: ``[a-z_-]+``."""
+        path = tmp_path / "declared.tb"
+        path.write_text(
+            f"#relations {label} elaboration\n\n"
+            '#doc d1 news\n(NS elaboration (leaf "a") (leaf "b"))\n'
+        )
+        with pytest.raises(MalformedSyntax, match="#relations label"):
+            load_treebank(path)
+
     def test_save_load_round_trip(self, tmp_path):
         tb = synthesize_treebank(synth_cfg(n_docs=12), seed=3)
         path = tmp_path / "rt.tb"
