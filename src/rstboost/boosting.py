@@ -479,10 +479,12 @@ def decode_batch(ensemble: BoostedEnsemble, docs,
     """The greedy parse ``(tree, actions)`` of every m in ``prefixes``, for each of ``docs``.
 
     The frontier holds every unfinished (document, prefix group) of up to
-    ``DECODE_CHUNK_DOCS`` documents; each iteration encodes its states (one bag memo per
-    document) and moves each one action on with one ``predict_action`` call.  A group
-    splits where its prefixes' actions differ; the parts share their history, a linked
-    list ``(last action, earlier history)``.  No parse depends on the other documents.
+    ``DECODE_CHUNK_DOCS`` documents.  A group splits where its prefixes' actions differ;
+    the parts share their history, a linked list ``(last action, earlier history)``.  A
+    state's row and mask read only its queue cursor, stack depth, and the span and head EDU
+    of its top two items, so entries carry their stack's ``(span, head EDU)`` pairs and are
+    keyed by their document and these; each iteration encodes one row per key (one bag memo
+    per document) for one ``predict_action`` call.  No parse depends on the other documents.
     """
     prefixes = sorted(set(prefixes))
     for m in prefixes:
@@ -490,26 +492,41 @@ def decode_batch(ensemble: BoostedEnsemble, docs,
     decoded: list[dict[int, tuple[DiscourseNode, list[Action]]]] = [{} for _ in docs]
     for lo in range(0, len(docs), DECODE_CHUNK_DOCS):
         bags: dict[int, dict] = {}
-        frontier = [(i, initial_state(docs[i].n_edus), (), prefixes)
-                    for i in range(lo, min(lo + DECODE_CHUNK_DOCS, len(docs))) if prefixes]
+        # key -> (entries (document, state, stack's pairs, history, group), union of groups)
+        frontier = {(i, 1, 0, ()): ([(i, initial_state(docs[i].n_edus), (), (), prefixes)],
+                                    prefixes)
+                    for i in range(lo, min(lo + DECODE_CHUNK_DOCS, len(docs))) if prefixes}
         while frontier:
-            rows = [encode_state(state, docs[i], ensemble.encoder_config, bags.setdefault(i, {}))
-                    for i, state, _, _ in frontier]
-            chosen = predict_action(ensemble, [group for _, _, _, group in frontier],
+            rows = [encode_state(es[0][1], docs[es[0][0]], ensemble.encoder_config,
+                                 bags.setdefault(es[0][0], {})) for es, _ in frontier.values()]
+            chosen = predict_action(ensemble, [union for _, union in frontier.values()],
                                     rows[0] if len(rows) == 1 else _stack_rows(rows),
-                                    np.array([structure_mask(state) for _, state, _, _ in frontier]))
-            pending, frontier = frontier, []
-            for (i, state, history, _), choice in zip(pending, chosen):
-                for move, part in choice.items():
-                    after = apply(state, move)
-                    if not after.is_terminal:
-                        frontier.append((i, after, (move, history), part))
-                        continue
-                    actions, link = [move], history
-                    while link:
-                        actions.append(link[0])
-                        link = link[1]
-                    decoded[i].update((m, (after.stack[0], actions[::-1])) for m in part)
+                                    np.array([structure_mask(es[0][1])
+                                              for es, _ in frontier.values()]))
+            shared, frontier = frontier.values(), {}
+            for (es, _), choice in zip(shared, chosen):
+                for i, state, items, history, group in es:
+                    for move, part in choice.items():
+                        if len(es) > 1 and not (part := [m for m in part if m in group]):
+                            continue
+                        after = apply(state, move)
+                        if not after.is_terminal:
+                            if isinstance(move, Reduce):  # the parent's head is its nucleus's
+                                (left, lh), (right, rh) = items[-2:]
+                                top = (left[0], right[1]), rh if move.nuclearity == "SN" else lh
+                                stack = items[:-2] + (top,)
+                            else:
+                                stack = items + (((state.queue_cursor,) * 2, state.queue_cursor),)
+                            slot = frontier.setdefault(
+                                (i, after.queue_cursor, len(stack), stack[-2:]), ([], []))
+                            slot[0].append((i, after, stack, (move, history), part))
+                            slot[1].extend(part)
+                            continue
+                        actions, link = [move], history
+                        while link:
+                            actions.append(link[0])
+                            link = link[1]
+                        decoded[i].update((m, (after.stack[0], actions[::-1])) for m in part)
     return decoded
 
 

@@ -278,9 +278,10 @@ def _load_raw_documents(path: Path) -> list[Document]:
 
 
 def _sniff_treebank(path: Path) -> bool:
+    """Whether the first non-blank line starts with ``#doc`` or is a ``#relations`` header."""
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.strip():
-            return line.startswith("#doc") or line.startswith("#relations")
+            return line.startswith("#doc") or treebank.relations_header(line) is not None
     return False
 
 

@@ -332,6 +332,20 @@ def validate(
 # File I/O
 # ---------------------------------------------------------------------------
 
+def relations_header(line: str) -> list[str] | None:
+    """The labels of a ``#relations`` header, or None for a line without the keyword; a
+    keyword not ended by whitespace or a label outside ``[a-z_-]+`` raises MalformedSyntax."""
+    if not line.startswith("#relations"):
+        return None
+    keyword, *labels = line.split()
+    if keyword != "#relations":
+        raise MalformedSyntax(f"bad #relations header {line!r} (expected '#relations <labels>')")
+    for relation in labels:
+        if not _RELATION_RE.match(relation):
+            raise MalformedSyntax(f"bad #relations label {relation!r} (expected [a-z_-]+)")
+    return labels
+
+
 def load_treebank(path: str | Path) -> Treebank:
     """Load a treebank file; raises MalformedSyntax/InvalidTree naming the record."""
     path = Path(path)
@@ -344,11 +358,9 @@ def load_treebank(path: str | Path) -> Treebank:
     record_no = 0
     for block in blocks:
         lines = block.strip().splitlines()
-        if lines[0].startswith("#relations"):
-            for relation in lines[0].split()[1:]:
-                if not _RELATION_RE.match(relation):
-                    raise MalformedSyntax(f"bad #relations label {relation!r} (expected [a-z_-]+)")
-                declared.append(relation)
+        labels = relations_header(lines[0])
+        if labels is not None:
+            declared += labels
             lines = lines[1:]
             if not lines:
                 continue

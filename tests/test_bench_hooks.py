@@ -67,7 +67,7 @@ def test_cli_parse_calls_predict_action_and_decode(tmp_path, monkeypatch):
     assert calls["decode"] == [3] * 3
     assert calls["predict_action"] > 0
 
-    # curve decodes every prefix through decode_prefixes, which steps through
+    # curve decodes every prefix through decode_batch, which steps through
     # predict_action
     calls["predict_action"] = 0
     assert main(["--quiet", "curve", str(model), str(data / "test_news.tb"),

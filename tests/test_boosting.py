@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import functools
 import json
 import struct
 import tracemalloc
@@ -732,6 +733,64 @@ class TestDecodeBatch:
         # All documents move in lockstep, one frontier per action of the longest.
         iterations = max(2 * doc.n_edus - 1 for doc, _ in tb.entries)
         assert counts == {"check": iterations, "step": iterations}
+
+    @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
+    def test_shared_rows_match_each_prefix_alone(self, strategy, monkeypatch):
+        """Entries whose states share a row are encoded and scored once, and every
+        prefix still decodes as it does alone."""
+        tb = small_treebank(n_docs=12, seed=59, edu_range=(2, 12))
+        docs = [doc for doc, _ in tb.entries]
+        ens = self.random_ensemble(tb, 4, strategy, n_steps=5)
+        alone = {m: decode_batch(ens, docs, [m]) for m in range(1, 6)}
+        encoded = []
+
+        def counting_encode_state(*args):
+            encoded.append(args[0])
+            return encode_state(*args)
+
+        monkeypatch.setattr(boosting, "encode_state", counting_encode_state)
+        batch = decode_batch(ens, docs, range(1, 6))
+        assert batch == [{m: alone[m][k][m] for m in range(1, 6)} for k in range(len(docs))]
+        # Before action t, a document's frontier holds one entry per distinct history
+        # of its prefixes, and at least one row per distinct row of their states.
+        entries = rows = 0
+        for doc, got in zip(docs, batch):
+            for t in range(2 * doc.n_edus - 1):
+                entries += len({tuple(actions[:t]) for _, actions in got.values()})
+                states = [functools.reduce(apply, actions[:t], initial_state(doc.n_edus))
+                          for _, actions in got.values()]
+                rows += len({tuple(map(bytes, encode_state(state, doc, ens.encoder_config)))
+                             for state in states})
+        assert rows <= len(encoded) < entries
+
+    def test_relation_split_shares_the_next_row(self, monkeypatch):
+        """Two prefixes that choose the same structure but different relations split
+        into two entries, which the next iteration encodes and scores as one row."""
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=2, hidden_dim=0)
+        # Reduce-NS whenever it is legal; prefix 1 labels rel0 and prefix 2 rel1.
+        ens = manual_ensemble([bias_only_learner(cfg, [0.0, -1.0, 1.0, -1.0], [1.0, 0.0]),
+                               bias_only_learner(cfg, [0.0] * 4, [-2.0, 0.0])], 2)
+        doc = Document("d", tuple(EDU(i, (f"w{i}",)) for i in range(1, 4)))
+        groups, encoded = [], []
+
+        def recording_predict_action(ensemble, g, rows, masks):
+            groups.append(g)
+            return predict_action(ensemble, g, rows, masks)
+
+        def counting_encode_state(*args):
+            encoded.append(args[0])
+            return encode_state(*args)
+
+        monkeypatch.setattr(boosting, "predict_action", recording_predict_action)
+        monkeypatch.setattr(boosting, "encode_state", counting_encode_state)
+        got = decode_batch(ens, [doc], [1, 2])[0]
+        # The split is at the third action; the fourth and fifth each encode one row.
+        assert groups == [[[1, 2]]] * 5 and len(encoded) == 5
+        for m, rel in ((1, "rel0"), (2, "rel1")):
+            tree, actions = got[m]
+            assert actions == [SHIFT, SHIFT, Reduce("NS", rel), SHIFT, Reduce("NS", rel)]
+            assert tree == Internal("NS", rel, Internal("NS", rel, Leaf(1), Leaf(2)), Leaf(3))
+            assert got[m] == reference_decode(ens, m, doc)
 
     def test_large_treebank_is_decoded_in_bounded_chunks(self, monkeypatch):
         tb = small_treebank(n_docs=2000, seed=47, edu_range=(1, 4))

@@ -382,6 +382,20 @@ class TestParse:
         assert pred.entries[0][0].n_edus == 2
         assert pred.entries[1][0].n_edus == 3
 
+    def test_relations_keyword_glued_to_a_label_is_data_error(self, model_path, data_dir,
+                                                             tmp_path, capsys):
+        """The format sniff and the loader share one header rule: ``#relations`` ends at
+        whitespace or the end of the line, so ``#relationselaboration`` is neither a
+        header nor raw text."""
+        text = (data_dir / "test_news.tb").read_text()
+        assert text.startswith("#relations ")
+        bad = tmp_path / "glued.tb"
+        bad.write_text(text.replace("#relations ", "#relationselaboration ", 1))
+        out = tmp_path / "pred.tb"
+        assert run("--quiet", "parse", model_path, bad, "--out", out) == 2
+        assert "#relations header" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_prefix_zero_is_usage_error(self, model_path, data_dir, tmp_path, capsys):
         assert run("--quiet", "parse", model_path, data_dir / "test_news.tb",
                    "--out", tmp_path / "x.tb", "--prefix", "0") == 1

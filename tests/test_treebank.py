@@ -191,6 +191,27 @@ class TestFileIO:
         with pytest.raises(MalformedSyntax, match="#relations label"):
             load_treebank(path)
 
+    @pytest.mark.parametrize("header", ["#relationsBad zebra", "#relations-x zebra",
+                                        "#relations,zebra", "#relationszebra"])
+    def test_relations_keyword_glued_to_text_rejected(self, tmp_path, header):
+        """``#relations`` is a header only when whitespace or the end of the line follows."""
+        path = tmp_path / "declared.tb"
+        path.write_text(f"{header}\n\n"
+                        '#doc d1 news\n(NS elaboration (leaf "a") (leaf "b"))\n')
+        with pytest.raises(MalformedSyntax, match="#relations header"):
+            load_treebank(path)
+
+    @pytest.mark.parametrize("header,inventory", [
+        ("#relations", ("elaboration",)),
+        ("#relations\tzebra", ("elaboration", "zebra")),
+        ("#relations  zebra  apple ", ("apple", "elaboration", "zebra")),
+    ])
+    def test_relations_keyword_ends_at_whitespace(self, tmp_path, header, inventory):
+        path = tmp_path / "declared.tb"
+        path.write_text(f"{header}\n\n"
+                        '#doc d1 news\n(NS elaboration (leaf "a") (leaf "b"))\n')
+        assert load_treebank(path).relation_inventory == inventory
+
     def test_save_load_round_trip(self, tmp_path):
         tb = synthesize_treebank(synth_cfg(n_docs=12), seed=3)
         path = tmp_path / "rt.tb"
