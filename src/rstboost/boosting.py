@@ -11,13 +11,14 @@ from __future__ import annotations
 import base64
 import json
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import weak_learner as wl
-from .encoder import EncoderConfig, encode_state
+from .encoder import EncoderConfig, encode_state, row_key
 from .errors import (
     DimensionMismatch,
     EmptyTreebank,
@@ -25,6 +26,7 @@ from .errors import (
     InvalidPrefix,
     MalformedSyntax,
     RelationInventoryMismatch,
+    json_typed,
 )
 from .transition import (
     Action,
@@ -476,57 +478,43 @@ def decode(ensemble: BoostedEnsemble, m: int,
 
 def decode_batch(ensemble: BoostedEnsemble, docs,
                  prefixes) -> list[dict[int, tuple[DiscourseNode, list[Action]]]]:
-    """The greedy parse ``(tree, actions)`` of every m in ``prefixes``, for each of ``docs``.
+    """The greedy parse ``(tree, oracle(tree))`` of every m in ``prefixes``, for each of ``docs``.
 
-    The frontier holds every unfinished (document, prefix group) of up to
-    ``DECODE_CHUNK_DOCS`` documents.  A group splits where its prefixes' actions differ;
-    the parts share their history, a linked list ``(last action, earlier history)``.  A
-    state's row and mask read only its queue cursor, stack depth, and the span and head EDU
-    of its top two items, so entries carry their stack's ``(span, head EDU)`` pairs and are
-    keyed by their document and these; each iteration encodes one row per key (one bag memo
-    per document) for one ``predict_action`` call.  No parse depends on the other documents.
+    The frontier holds every unfinished (document, state, prefix group) of up to
+    ``DECODE_CHUNK_DOCS`` documents, filed under the document and ``row_key``; each
+    iteration encodes one row per key for one ``predict_action`` call.  A group splits
+    where its prefixes' actions differ.  No parse depends on the other documents.
     """
     prefixes = sorted(set(prefixes))
     for m in prefixes:
         _check_prefix(ensemble, m)
+    cfg = ensemble.encoder_config
     decoded: list[dict[int, tuple[DiscourseNode, list[Action]]]] = [{} for _ in docs]
     for lo in range(0, len(docs), DECODE_CHUNK_DOCS):
         bags: dict[int, dict] = {}
-        # key -> (entries (document, state, stack's pairs, history, group), union of groups)
-        frontier = {(i, 1, 0, ()): ([(i, initial_state(docs[i].n_edus), (), (), prefixes)],
-                                    prefixes)
-                    for i in range(lo, min(lo + DECODE_CHUNK_DOCS, len(docs))) if prefixes}
+        starts = [(i, initial_state(docs[i].n_edus))
+                  for i in range(lo, min(lo + DECODE_CHUNK_DOCS, len(docs))) if prefixes]
+        # (document, *row_key) -> entries (document, state, prefix group)
+        frontier = {(i, *row_key(state, cfg)): [(i, state, prefixes)] for i, state in starts}
         while frontier:
-            rows = [encode_state(es[0][1], docs[es[0][0]], ensemble.encoder_config,
-                                 bags.setdefault(es[0][0], {})) for es, _ in frontier.values()]
-            chosen = predict_action(ensemble, [union for _, union in frontier.values()],
-                                    rows[0] if len(rows) == 1 else _stack_rows(rows),
-                                    np.array([structure_mask(es[0][1])
-                                              for es, _ in frontier.values()]))
             shared, frontier = frontier.values(), {}
-            for (es, _), choice in zip(shared, chosen):
-                for i, state, items, history, group in es:
+            rows = [encode_state(es[0][1], docs[es[0][0]], cfg, bags.setdefault(es[0][0], {}))
+                    for es in shared]
+            chosen = predict_action(ensemble, [[m for *_, g in es for m in g] for es in shared],
+                                    rows[0] if len(rows) == 1 else _stack_rows(rows),
+                                    np.array([structure_mask(es[0][1]) for es in shared]))
+            for es, choice in zip(shared, chosen):
+                for i, state, group in es:
                     for move, part in choice.items():
                         if len(es) > 1 and not (part := [m for m in part if m in group]):
                             continue
                         after = apply(state, move)
-                        if not after.is_terminal:
-                            if isinstance(move, Reduce):  # the parent's head is its nucleus's
-                                (left, lh), (right, rh) = items[-2:]
-                                top = (left[0], right[1]), rh if move.nuclearity == "SN" else lh
-                                stack = items[:-2] + (top,)
-                            else:
-                                stack = items + (((state.queue_cursor,) * 2, state.queue_cursor),)
-                            slot = frontier.setdefault(
-                                (i, after.queue_cursor, len(stack), stack[-2:]), ([], []))
-                            slot[0].append((i, after, stack, (move, history), part))
-                            slot[1].extend(part)
-                            continue
-                        actions, link = [move], history
-                        while link:
-                            actions.append(link[0])
-                            link = link[1]
-                        decoded[i].update((m, (after.stack[0], actions[::-1])) for m in part)
+                        if after.is_terminal:
+                            parse = after.stack[0], oracle(after.stack[0])
+                            decoded[i].update(dict.fromkeys(part, parse))
+                        else:
+                            frontier.setdefault((i, *row_key(after, cfg)), []).append(
+                                (i, after, part))
     return decoded
 
 
@@ -571,22 +559,32 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _config_from_json(cls, values: dict):
+    """``cls(**values)`` once each value has its field's type (``json_typed``)."""
+    kinds = typing.get_type_hints(cls)
+    for name, value in values.items():
+        if name in kinds and not json_typed(value, kinds[name]):
+            raise InvalidConfig(f"{cls.__name__}.{name} must be {kinds[name].__name__}, "
+                                f"got {value!r}")
+    return cls(**values)
+
+
 def model_from_json(text: str) -> BoostedEnsemble:
-    """Parse a model; undecodable JSON, missing keys, bad types, an invalid or
-    unsupported config, a relation label outside ``[a-z_-]+``, no steps,
-    undecodable or non-finite parameters, and a learner config or parameter
-    shapes that do not match the encoder width and the relation inventory raise
-    MalformedSyntax."""
+    """Parse a model; undecodable JSON, missing keys, bad types (a config value must
+    have its field's ``json_typed`` type), an invalid or unsupported config, a
+    relation label outside ``[a-z_-]+``, no steps, undecodable or non-finite
+    parameters, and a learner config or parameter shapes that do not match the
+    encoder width and the relation inventory raise MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
                 f"unsupported model format_version {doc.get('format_version')!r} "
                 f"(this version reads {FORMAT_VERSION}); retrain with `rstboost train`")
-        enc_cfg = EncoderConfig(**doc["encoder_config"])
+        enc_cfg = _config_from_json(EncoderConfig, doc["encoder_config"])
         bc = dict(doc["boost_config"])
-        lc = LearnerConfig(**bc.pop("learner"))
-        boost_cfg = BoostConfig(learner=lc, **bc)
+        lc = _config_from_json(LearnerConfig, bc.pop("learner"))
+        boost_cfg = _config_from_json(BoostConfig, {**bc, "learner": lc})
         inventory = tuple(doc["relation_inventory"])
         for rel in inventory:
             if not _RELATION_RE.match(rel):

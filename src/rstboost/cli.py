@@ -25,7 +25,7 @@ from . import __version__
 from . import boosting, metrics, treebank
 from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
-                     InvalidPrefix, MalformedSyntax, UsageError)
+                     InvalidPrefix, MalformedSyntax, UsageError, json_typed)
 from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
 from .weak_learner import LearnerConfig, param_count, param_shapes
 
@@ -114,15 +114,11 @@ def _read_synth_config(path: Path, defaults: dict) -> dict:
     unknown = set(user) - set(defaults)
     if unknown:
         raise InvalidConfig(f"unknown synth config keys: {sorted(unknown)}")
-
-    def typed(value, default) -> bool:  # a float setting also takes an int
-        return type(value) is type(default) or (type(default), type(value)) == (float, int)
-
     for key, value in user.items():
         default = defaults[key]
-        ok = typed(value, default)
+        ok = json_typed(value, type(default))
         if ok and isinstance(default, list):
-            ok = all(typed(item, default[0]) for item in value)
+            ok = all(json_typed(item, type(default[0])) for item in value)
         if not ok:
             raise InvalidConfig(
                 f"synth config {key!r} must be like {default!r}, got {value!r}")
@@ -251,7 +247,7 @@ def cmd_train(args) -> int:
 # parse
 # ---------------------------------------------------------------------------
 
-def _load_raw_documents(path: Path) -> list[Document]:
+def _load_raw_documents(text: str) -> list[Document]:
     """Raw-EDU format: one EDU per line, blank line between documents."""
     docs = []
     block: list[str] = []
@@ -268,7 +264,7 @@ def _load_raw_documents(path: Path) -> list[Document]:
         docs.append(Document(f"raw-{len(docs):04d}", tuple(edus)))
         block.clear()
 
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if line.strip():
             block.append(line)
         else:
@@ -277,9 +273,9 @@ def _load_raw_documents(path: Path) -> list[Document]:
     return docs
 
 
-def _sniff_treebank(path: Path) -> bool:
+def _sniff_treebank(text: str) -> bool:
     """Whether the first non-blank line starts with ``#doc`` or is a ``#relations`` header."""
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if line.strip():
             return line.startswith("#doc") or treebank.relations_header(line) is not None
     return False
@@ -294,12 +290,13 @@ def cmd_parse(args) -> int:
     m = args.prefix if args.prefix is not None else len(ensemble.steps)
 
     in_path = Path(args.input)
-    if _sniff_treebank(in_path):
-        tb = treebank.load_treebank(in_path)
+    text = in_path.read_text(encoding="utf-8")
+    if _sniff_treebank(text):
+        tb = treebank.load_treebank(in_path, text)
         docs = [doc for doc, _ in tb.entries]
         domain_tag = tb.domain_tag
     else:
-        docs = _load_raw_documents(in_path)
+        docs = _load_raw_documents(text)
         domain_tag = "raw"
     if not docs:
         raise EmptyTreebank(f"no documents found in {in_path}")

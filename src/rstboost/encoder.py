@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .treebank import DiscourseNode, Document, head_nucleus_edu
+from .treebank import DiscourseNode, Document
 from .transition import ParserState
 
 N_STRUCTURAL = 4
@@ -63,7 +63,7 @@ def represent_span(node: DiscourseNode, doc: Document, cfg: EncoderConfig) -> li
     gives ``truncate_center`` of the span's tokens, reading only EDUs at its two ends."""
     limit = cfg.max_span_tokens
     if cfg.truncation_strategy == NUCLEUS:
-        return truncate_center(doc.edus[head_nucleus_edu(node) - 1].tokens, limit)
+        return truncate_center(doc.edus[node.head - 1].tokens, limit)
     lo, hi = node.span
     head: list[str] = []
     for edu_id in range(lo, hi + 1):
@@ -95,6 +95,15 @@ def _bag(tokens: list[str] | tuple[str, ...],
     n = max(1, len(tokens))
     buckets = sorted(counts)
     return buckets, [counts[bucket] / n for bucket in buckets]
+
+
+def row_key(state: ParserState, cfg: EncoderConfig) -> tuple:
+    """All that ``encode_state``'s row and the legality mask read of a state of a given
+    document: the queue cursor, the stack depth, and the top two items' ``(span, head)``
+    under ``nucleus`` truncation or only their ``span`` under ``center``."""
+    nucleus = cfg.truncation_strategy == NUCLEUS
+    return (state.queue_cursor, len(state.stack),
+            *[(node.span, node.head) if nucleus else node.span for node in state.stack[-2:]])
 
 
 def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,

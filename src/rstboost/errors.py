@@ -2,8 +2,14 @@
 
 The class of an error fixes the command line's exit status: a ``UsageError``
 exits 1, a ``DataError`` exits 2, and any other error is an internal fault
-(exit 3).
+(exit 3).  ``json_typed`` is the one type rule for settings read from JSON.
 """
+
+
+def json_typed(value, kind: type) -> bool:
+    """Whether a JSON value has a setting's type ``kind``: a float setting also takes an
+    int, and a bool is not an int."""
+    return type(value) is kind or (kind, type(value)) == (float, int)
 
 
 class RstBoostError(Exception):

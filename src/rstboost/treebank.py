@@ -51,19 +51,27 @@ class Leaf:
     def span(self) -> tuple[int, int]:
         return (self.edu_id, self.edu_id)
 
+    @property
+    def head(self) -> int:
+        return self.edu_id
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Internal:
-    """A binary node; ``==``, ``hash`` and ``repr`` walk it iteratively and ignore ``span``."""
+    """A binary node; ``==``, ``hash`` and ``repr`` walk it iteratively and ignore ``span``
+    and ``head``, the head-nucleus EDU (the nucleus child's head; NN ties break left)."""
 
     nuclearity: str
     relation: str
     left: "DiscourseNode"
     right: "DiscourseNode"
     span: tuple[int, int] = field(init=False)
+    head: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "span", (self.left.span[0], self.right.span[1]))
+        nucleus = self.right if self.nuclearity == "SN" else self.left
+        object.__setattr__(self, "head", nucleus.head)
 
     def _key(self) -> tuple:
         # Post-order labels, leaves as bare EDU ids: with binary nodes this fixes the tree.
@@ -128,13 +136,6 @@ def postorder(tree: DiscourseNode) -> list[DiscourseNode]:
             stack.append(node.right)
     out.reverse()  # pre-order with the right child first, reversed, is post-order
     return out
-
-
-def head_nucleus_edu(node: DiscourseNode) -> int:
-    """Follow the nucleus child down to a leaf (NN ties break to the left)."""
-    while isinstance(node, Internal):
-        node = node.right if node.nuclearity == "SN" else node.left
-    return node.edu_id
 
 
 def iter_internal(node: DiscourseNode) -> Iterator[Internal]:
@@ -346,10 +347,11 @@ def relations_header(line: str) -> list[str] | None:
     return labels
 
 
-def load_treebank(path: str | Path) -> Treebank:
-    """Load a treebank file; raises MalformedSyntax/InvalidTree naming the record."""
+def load_treebank(path: str | Path, text: str | None = None) -> Treebank:
+    """Load a treebank file, or its ``text`` if the caller has read it already; raises
+    MalformedSyntax/InvalidTree naming the record."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8") if text is None else text
     declared: list[str] = []
     entries: list[tuple[Document, DiscourseNode]] = []
     domain_tags: list[str] = []
@@ -524,9 +526,9 @@ def _inject_cues(tree: DiscourseNode, cues: dict[int, dict]) -> None:
             if isinstance(child, Leaf):
                 cues[child.edu_id]["kind"] = kind
             else:
-                cues[head_nucleus_edu(child)]["cont"] = cont
+                cues[child.head]["cont"] = cont
         satellite = node.left if node.nuclearity == "SN" else node.right
-        cues[head_nucleus_edu(satellite)]["marker"] = relation_markers(node.relation)
+        cues[satellite.head]["marker"] = relation_markers(node.relation)
 
 
 def _fillers(rng: Random, cfg: SynthConfig) -> list[str]:

@@ -239,6 +239,14 @@ def reference_learner_dict(learner):
     return out
 
 
+def head_nucleus_edu(node):
+    """Reference for ``node.head``: follow the nucleus child down to a leaf (NN ties
+    break to the left)."""
+    while isinstance(node, Internal):
+        node = node.right if node.nuclearity == "SN" else node.left
+    return node.edu_id
+
+
 def make_doc(n_edus, doc_id="doc", tokens_per_edu=2):
     edus = tuple(
         EDU(i, tuple(f"tok{i}_{j}" for j in range(tokens_per_edu)))

@@ -31,7 +31,7 @@ from rstboost.boosting import (
     train,
     train_step,
 )
-from rstboost.encoder import CENTER, NUCLEUS, EncoderConfig, encode_state
+from rstboost.encoder import CENTER, NUCLEUS, EncoderConfig, encode_state, row_key
 from rstboost.errors import DimensionMismatch, EmptyTreebank, InvalidPrefix, MalformedSyntax
 from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
@@ -41,6 +41,7 @@ from rstboost.treebank import (
     Internal,
     Leaf,
     SynthConfig,
+    postorder,
     synthesize_treebank,
     validate,
 )
@@ -48,6 +49,7 @@ from rstboost.weak_learner import LearnerConfig, LogitPair
 
 from conftest import (
     TerminalState,
+    head_nucleus_edu,
     oracle_action_accuracy,
     reference_decode,
     reference_logit_sum,
@@ -752,16 +754,29 @@ class TestDecodeBatch:
         batch = decode_batch(ens, docs, range(1, 6))
         assert batch == [{m: alone[m][k][m] for m in range(1, 6)} for k in range(len(docs))]
         # Before action t, a document's frontier holds one entry per distinct history
-        # of its prefixes, and at least one row per distinct row of their states.
-        entries = rows = 0
+        # of its prefixes and one row per distinct ``row_key`` of their states, at
+        # least one per distinct row.
+        entries = keys = rows = 0
         for doc, got in zip(docs, batch):
             for t in range(2 * doc.n_edus - 1):
                 entries += len({tuple(actions[:t]) for _, actions in got.values()})
                 states = [functools.reduce(apply, actions[:t], initial_state(doc.n_edus))
                           for _, actions in got.values()]
+                keys += len({row_key(state, ens.encoder_config) for state in states})
                 rows += len({tuple(map(bytes, encode_state(state, doc, ens.encoder_config)))
                              for state in states})
-        assert rows <= len(encoded) < entries
+        assert rows <= len(encoded) == keys < entries
+        if strategy == CENTER:  # a center row reads only spans: one call per distinct row
+            assert len(encoded) == rows
+
+    @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
+    def test_decoded_heads_match_reference_walk(self, strategy):
+        """Every node of a decoded tree holds the head of the reference walk."""
+        tb = small_treebank(n_docs=12, seed=61, edu_range=(1, 12))
+        docs = [doc for doc, _ in tb.entries]
+        for got in decode_batch(self.random_ensemble(tb, 4, strategy), docs, range(1, 5)):
+            for tree, _ in got.values():
+                assert all(node.head == head_nucleus_edu(node) for node in postorder(tree))
 
     def test_relation_split_shares_the_next_row(self, monkeypatch):
         """Two prefixes that choose the same structure but different relations split

@@ -319,6 +319,32 @@ class TestMalformedModel:
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "hash_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("encoder_config", "max_span_tokens", 2.5),
+        ("encoder_config", "hash_dim", 256.0),
+        ("encoder_config", "hash_seed", 0.0),
+        ("encoder_config", "hash_seed", False),
+        ("learner", "hidden_dim", True),
+        ("boost_config", "shuffle_each_epoch", 1),
+        ("learner", "learning_rate", "0.1"),
+    ])
+    def test_config_value_of_the_wrong_json_type_is_data_error(
+            self, model_doc, data_dir, tmp_path, capsys, section, key, value):
+        """A config value must have its field's JSON type, as a synth setting must; a
+        float that equals an int would otherwise load and parse differently, and a
+        float span limit would fail inside the encoder."""
+        config = (model_doc["boost_config"]["learner"] if section == "learner"
+                  else model_doc[section])
+        assert key in config
+        config[key] = value
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert f".{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
+
+    def test_float_config_value_takes_an_int(self, model_doc, data_dir, tmp_path):
+        model_doc["boost_config"]["learner"]["init_scale"] = 2
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 0
+
     def test_unsupported_format_version_is_data_error(self, model_doc, data_dir, tmp_path,
                                                       capsys):
         model_doc["format_version"] = 99
@@ -381,6 +407,27 @@ class TestParse:
         assert len(pred) == 2
         assert pred.entries[0][0].n_edus == 2
         assert pred.entries[1][0].n_edus == 3
+
+    @pytest.mark.parametrize("kind", ["treebank", "raw"])
+    def test_reads_the_input_text_once(self, model_path, data_dir, tmp_path, monkeypatch,
+                                       kind):
+        """The format sniff and the loader share one read of the input's text."""
+        src = data_dir / "test_news.tb"
+        if kind == "raw":
+            src = tmp_path / "raw.txt"
+            src.write_text("the cat sat\nbecause it was tired\n\nhello world\n")
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        out = tmp_path / "pred.tb"
+        assert run("--quiet", "parse", model_path, src, "--out", out) == 0
+        assert reads == [model_path, src]
+        assert load_treebank(out).domain_tag == ("news" if kind == "treebank" else "raw")
 
     def test_relations_keyword_glued_to_a_label_is_data_error(self, model_path, data_dir,
                                                              tmp_path, capsys):

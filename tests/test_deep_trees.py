@@ -22,7 +22,7 @@ from rstboost.treebank import (
     validate,
 )
 
-from conftest import replay
+from conftest import head_nucleus_edu, replay
 
 DEPTH = 5000
 
@@ -69,6 +69,11 @@ def test_eq_hash_repr(deep):
     text = repr(tree)
     assert repr(twin) == text != repr(other)
     assert text.count("Internal(") == DEPTH - 1 and text.count("Leaf(") == DEPTH
+
+
+def test_head(deep):
+    _, tree = deep
+    assert tree.head == head_nucleus_edu(tree) == (1 if tree.nuclearity == "NS" else DEPTH)
 
 
 def test_oracle(deep):

@@ -1,19 +1,24 @@
+import random
+
 import numpy as np
 import pytest
 
+from rstboost.boosting import structure_mask
 from rstboost.encoder import (
+    CENTER,
+    NUCLEUS,
     EncoderConfig,
     encode_state,
     hash_token,
-    head_nucleus_edu,
     represent_span,
+    row_key,
     truncate_center,
 )
 from rstboost.errors import InvalidConfig
-from rstboost.transition import SHIFT, Reduce, apply, initial_state
-from rstboost.treebank import EDU, Document, Internal, Leaf
+from rstboost.transition import SHIFT, Reduce, apply, initial_state, legal_actions
+from rstboost.treebank import EDU, NUCLEARITIES, Document, Internal, Leaf, postorder
 
-from conftest import dense, make_doc
+from conftest import dense, head_nucleus_edu, make_doc, random_tree
 
 
 class TestTruncateCenter:
@@ -39,26 +44,29 @@ class TestTruncateCenter:
 
 class TestHeadNucleus:
     def test_leaf(self):
-        assert head_nucleus_edu(Leaf(3)) == 3
+        assert Leaf(3).head == 3
 
     def test_ns_heads_left(self):
-        assert head_nucleus_edu(Internal("NS", "r", Leaf(1), Leaf(2))) == 1
+        assert Internal("NS", "r", Leaf(1), Leaf(2)).head == 1
 
     def test_sn_then_ns_hand_trace(self):
         # SN: follow right -> NS: follow left -> EDU 2
         tree = Internal("SN", "r", Leaf(1), Internal("NS", "r", Leaf(2), Leaf(3)))
-        assert head_nucleus_edu(tree) == 2
+        assert tree.head == 2
 
     def test_nn_ties_left(self):
-        assert head_nucleus_edu(Internal("NN", "r", Leaf(4), Leaf(5))) == 4
+        assert Internal("NN", "r", Leaf(4), Leaf(5)).head == 4
 
     def test_head_within_span(self, rng):
-        from conftest import random_tree
-
         for _ in range(50):
             tree = random_tree(rng, rng.randint(2, 10))
             lo, hi = tree.span
-            assert lo <= head_nucleus_edu(tree) <= hi
+            assert lo <= tree.head <= hi
+
+    def test_head_matches_reference_walk(self, rng):
+        for _ in range(50):
+            for node in postorder(random_tree(rng, rng.randint(1, 30))):
+                assert node.head == head_nucleus_edu(node)
 
 
 class TestRepresentSpan:
@@ -199,3 +207,52 @@ class TestEncodeState:
             assert (np.diff(indices) > 0).all()
             assert (values != 0).all()
             state = apply(state, action)
+
+
+class TestRowKey:
+    @staticmethod
+    def random_states(rng, doc, walks):
+        """Every state of ``walks`` random legal derivations over ``doc``."""
+        states = []
+        for _ in range(walks):
+            state = initial_state(doc.n_edus)
+            while not state.is_terminal:
+                states.append(state)
+                legal = legal_actions(state)
+                if legal.shift_legal and (not legal.reduce_legal or rng.random() < 0.5):
+                    state = apply(state, SHIFT)
+                else:
+                    state = apply(state, Reduce(rng.choice(NUCLEARITIES), "r"))
+        return states
+
+    @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
+    def test_equal_keys_give_equal_rows_and_masks(self, strategy):
+        """States of one document with equal ``row_key`` encode to the same row and
+        legality mask; the states compared differ in their lower stack or in their
+        top items' inner structure."""
+        rng = random.Random(71)
+        cfg = EncoderConfig(hash_dim=64, max_span_tokens=3, truncation_strategy=strategy)
+        doc = Document("d", tuple(EDU(i, tuple(f"e{i}t{j}" for j in range(rng.randint(1, 4))))
+                                  for i in range(1, 9)))
+        by_key: dict = {}
+        for state in self.random_states(rng, doc, 200):
+            by_key.setdefault(row_key(state, cfg), set()).add(state)
+        shared = [states for states in by_key.values() if len(states) > 1]
+        assert len(shared) > 20
+        for states in shared:
+            first, *rest = states
+            row, mask = encode_state(first, doc, cfg), structure_mask(first)
+            for state in rest:
+                assert all(np.array_equal(u, v)
+                           for u, v in zip(encode_state(state, doc, cfg), row))
+                assert np.array_equal(structure_mask(state), mask)
+
+    def test_center_key_reads_spans_only(self):
+        """Under ``center`` a row does not read the head, so two reduces that differ
+        only in nuclearity share a key; under ``nucleus`` they do not."""
+        state = apply(apply(initial_state(3), SHIFT), SHIFT)
+        ns, sn = apply(state, Reduce("NS", "r")), apply(state, Reduce("SN", "r"))
+        assert row_key(ns, EncoderConfig(truncation_strategy=CENTER)) == row_key(
+            sn, EncoderConfig(truncation_strategy=CENTER))
+        assert row_key(ns, EncoderConfig(truncation_strategy=NUCLEUS)) != row_key(
+            sn, EncoderConfig(truncation_strategy=NUCLEUS))

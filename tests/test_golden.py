@@ -8,7 +8,7 @@ every step is kept on dev CE, the curve moves between m = 1 and m = 5 and
 the prefixes of most test documents decode to different action sequences,
 so that it covers the frozen logits of steps k >= 2 and the decoder's group
 splits.  The same pipelines run with one and with two BLAS threads must give
-the same outputs.
+the same outputs.  A third pin runs README quick-start steps 1-5 as written.
 """
 
 import hashlib
@@ -64,6 +64,30 @@ m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
 5,chat,10,0.7778,0.7778,0.7778,0.3056,0.3056,0.3056,0.0000,0.0000,0.0000
 """
 
+# README quick-start steps 1-5 at seed 1, in the README's own paths and sizes.
+README_STEPS = [
+    ["--seed", "1", "synth", "--out", "data/"],
+    ["--seed", "1", "train", "data/train_news.tb", "--out", "runs/model.json", "--steps", "5"],
+    ["parse", "runs/model.json", "data/test_news.tb", "--out", "runs/pred.tb", "--trace"],
+    ["parse", "runs/model.json", "data/test_news.tb", "--out", "runs/pred_m1.tb",
+     "--prefix", "1"],
+    ["eval", "data/test_news.tb", "runs/pred.tb", "--csv", "runs/eval.csv"],
+    ["curve", "runs/model.json", "data/test_news.tb", "data/test_chat.tb",
+     "--out", "runs/curve.csv"],
+]
+
+README_SHA256 = {
+    "data/train_news.tb": "ad686b571b9da4c25694d56fe1a68e52f82954f1d5985b3790efbd9eaa43001e",
+    "data/test_news.tb": "5c6ed9a125285971c287479ac8f3cd2ff4503774fec1fef40a9fab5e19852b32",
+    "data/test_chat.tb": "c1891e34daa9ef5e3ec9d163110eb2ac78cdb1e4b41d8801ab1b469fd1df4453",
+    "runs/model.json": "47f1ef5f6fd90812035adc4bdd6fab5db2ddad48b1783acc5cd08bb49235e648",
+    "runs/pred.tb": "5c6ed9a125285971c287479ac8f3cd2ff4503774fec1fef40a9fab5e19852b32",
+    "runs/pred_m1.tb": "5c6ed9a125285971c287479ac8f3cd2ff4503774fec1fef40a9fab5e19852b32",
+    "runs/pred.tb.trace": "46e279b89d5f4de903f18f54d35e190fe3037f2863274e65f35c9c99892624b0",
+    "runs/eval.csv": "e299f1490d83029de7b1d307ae731fbccb09ff995399c1a39a8b91aee47886b3",
+    "runs/curve.csv": "a396b384a268eef2b3d7f21aafbf172ad4f644aefd80f6875a36193d90e36645",
+}
+
 REGENERATE = (
     "{name} differs from the golden pin. A numpy, Python or CPU change can move "
     "these digests, because training sums floating-point products. If the change "
@@ -111,6 +135,14 @@ def test_seed1_pipeline_matches_golden_pin(tmp_path):
 
 def test_seed1_weak_pipeline_matches_golden_pin(tmp_path):
     assert_matches_pin(run_pipeline(tmp_path, WEAK_TRAIN), WEAK_SHA256, WEAK_CURVE)
+
+
+def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in README_STEPS:
+        assert main(["--quiet", *argv]) == 0, argv
+    for name, want in README_SHA256.items():
+        assert _sha256(tmp_path / name) == want, REGENERATE.format(name=name)
 
 
 def assert_same_under_one_and_two_threads(tmp_path, train_flags):
