@@ -472,13 +472,13 @@ def predict_action(ensemble: BoostedEnsemble, groups, rows,
 
 def decode(ensemble: BoostedEnsemble, m: int,
            doc: Document) -> tuple[DiscourseNode, list[Action]]:
-    """Greedy parse with prefix m; always terminates with a full tree in 2n-1 actions."""
-    return decode_batch(ensemble, [doc], [m])[0][m]
+    """Greedy parse with prefix m and its 2n-1 actions (a binary tree has one derivation)."""
+    tree = decode_batch(ensemble, [doc], [m])[0][m]
+    return tree, oracle(tree)
 
 
-def decode_batch(ensemble: BoostedEnsemble, docs,
-                 prefixes) -> list[dict[int, tuple[DiscourseNode, list[Action]]]]:
-    """The greedy parse ``(tree, oracle(tree))`` of every m in ``prefixes``, for each of ``docs``.
+def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, DiscourseNode]]:
+    """The greedy parse tree of every m in ``prefixes``, for each of ``docs``.
 
     The frontier holds every unfinished (document, state, prefix group) of up to
     ``DECODE_CHUNK_DOCS`` documents, filed under the document and ``row_key``; each
@@ -489,7 +489,7 @@ def decode_batch(ensemble: BoostedEnsemble, docs,
     for m in prefixes:
         _check_prefix(ensemble, m)
     cfg = ensemble.encoder_config
-    decoded: list[dict[int, tuple[DiscourseNode, list[Action]]]] = [{} for _ in docs]
+    decoded: list[dict[int, DiscourseNode]] = [{} for _ in docs]
     for lo in range(0, len(docs), DECODE_CHUNK_DOCS):
         bags: dict[int, dict] = {}
         starts = [(i, initial_state(docs[i].n_edus))
@@ -510,8 +510,7 @@ def decode_batch(ensemble: BoostedEnsemble, docs,
                             continue
                         after = apply(state, move)
                         if after.is_terminal:
-                            parse = after.stack[0], oracle(after.stack[0])
-                            decoded[i].update(dict.fromkeys(part, parse))
+                            decoded[i].update(dict.fromkeys(part, after.stack[0]))
                         else:
                             frontier.setdefault((i, *row_key(after, cfg)), []).append(
                                 (i, after, part))
@@ -610,5 +609,6 @@ def save_model(ensemble: BoostedEnsemble, path: str | Path) -> None:
     _atomic_write(path, model_to_json(ensemble))
 
 
-def load_model(path: str | Path) -> BoostedEnsemble:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))
+def load_model(path: str | Path, text: str | None = None) -> BoostedEnsemble:
+    """Load a model file, or its ``text`` if the caller has read it already."""
+    return model_from_json(Path(path).read_text(encoding="utf-8") if text is None else text)

@@ -50,37 +50,58 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _log(args, msg: str) -> None:
     if not args.quiet:
         print(msg, file=sys.stderr)
 
 
-def _write_manifest(
-    primary: Path,
-    command: str,
-    args,
-    config: dict,
-    inputs: list[Path],
-    outputs: list[Path],
-    timings: dict[str, float],
-    extra: dict | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "toolkit_version": __version__,
-        "seed": args.seed,
-        "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-        "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
-    }
-    if extra:
-        manifest.update(extra)
-    _atomic_write(str(primary) + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
+class _Run:
+    """One command's record: a digest of each input as read, the outputs, and the
+    phase timings, written as ``<primary>.manifest.json``."""
+
+    def __init__(self, args) -> None:
+        self.args = args
+        self.inputs: dict[str, str] = {}
+        self.outputs: list[str] = []
+        self.timings: dict[str, float] = {}
+        self._start = self._lap = time.perf_counter()
+
+    def read(self, path) -> str:
+        """The UTF-8 text of ``path`` with ``read_text``'s newline translation.  The
+        digest is of these bytes, so an output written over the input later does not
+        change it."""
+        path = Path(path)
+        data = path.read_bytes()
+        self.inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
+        text = data.decode("utf-8")
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+    def output(self, path) -> Path:
+        """Record ``path`` as an output and make its parent directory."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(str(path))
+        return path
+
+    def lap(self, phase: str) -> None:
+        """Time ``phase`` from the previous lap, or from the start."""
+        now = time.perf_counter()
+        self.timings[phase] = now - self._lap
+        self._lap = now
+
+    def write_manifest(self, primary: Path, config: dict, **extra) -> None:
+        timings = {"total": time.perf_counter() - self._start, **self.timings}
+        manifest = {
+            "command": self.args.command,
+            "toolkit_version": __version__,
+            "seed": self.args.seed,
+            "config": config,
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
+            **extra,
+        }
+        _atomic_write(str(primary) + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +124,11 @@ def _default_synth_config() -> dict:
     }
 
 
-def _read_synth_config(path: Path, defaults: dict) -> dict:
-    """The JSON object in ``path``; each value must have its default's JSON type."""
+def _read_synth_config(path: str, text: str, defaults: dict) -> dict:
+    """The JSON object in ``text``, read from ``path``; each value must have its default's
+    JSON type."""
     try:
-        user = json.loads(path.read_text(encoding="utf-8"))
+        user = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"synth config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
@@ -126,13 +148,10 @@ def _read_synth_config(path: Path, defaults: dict) -> dict:
 
 
 def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+    run = _Run(args)
     cfg = _default_synth_config()
-    inputs = []
     if args.config:
-        cfg_path = Path(args.config)
-        cfg.update(_read_synth_config(cfg_path, cfg))
-        inputs.append(cfg_path)
+        cfg.update(_read_synth_config(args.config, run.read(args.config), cfg))
     if cfg["domain_a"] == cfg["domain_b"]:  # the two test sets would share one file
         raise InvalidConfig(f"domain_a and domain_b are both {cfg['domain_a']!r}")
 
@@ -159,7 +178,6 @@ def cmd_synth(args) -> int:
         # one domain can be evaluated on the other.
         return dataclasses.replace(tb, relation_inventory=full_inventory)
 
-    t_synth = time.perf_counter()
     # Every treebank is built, so every config is checked, before the first write.
     tbs = [build(*spec) for spec in (
         (f"train_{dom_a}", cfg["n_train"], dom_a, rel_a, args.seed),
@@ -167,19 +185,12 @@ def cmd_synth(args) -> int:
         (f"test_{dom_b}", cfg["n_test"], dom_b, rel_b, args.seed + 2),
     )]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
     for tb in tbs:
-        path = out_dir / f"{tb.name}.tb"
+        path = run.output(out_dir / f"{tb.name}.tb")
         treebank.save_treebank(tb, path)
-        files.append(path)
         _log(args, f"wrote {path} ({len(tb)} docs, domain {tb.domain_tag})")
-    t_end = time.perf_counter()
-
-    _write_manifest(
-        out_dir / "synth", "synth", args, cfg, inputs, files,
-        {"total": t_end - t0, "generate_and_write": t_end - t_synth},
-    )
+    run.lap("generate_and_write")
+    run.write_manifest(out_dir / "synth", cfg)
     return EXIT_OK
 
 
@@ -210,36 +221,29 @@ def _boost_config(args, enc_cfg: EncoderConfig, n_relations: int, hidden_dim: in
 
 
 def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    tb_path = Path(args.treebank)
-    tb = treebank.load_treebank(tb_path)
+    run = _Run(args)
+    tb = treebank.load_treebank(args.treebank, run.read(args.treebank))
     if len(tb) == 0:
-        raise EmptyTreebank(f"treebank {tb_path} has no documents")
-    t_load = time.perf_counter()
+        raise EmptyTreebank(f"treebank {args.treebank} has no documents")
+    run.lap("load")
     enc_cfg = _encoder_config(args)
     boost_cfg = _boost_config(args, enc_cfg, len(tb.relation_inventory), args.hidden_dim,
                               args.steps)
     ensemble, report = boosting.train(tb, boost_cfg, enc_cfg)
-    t_train = time.perf_counter()
+    run.lap("train")
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = run.output(args.out)
     boosting.save_model(ensemble, out)
-    report_path = Path(str(out) + ".report.json")
+    report_path = run.output(str(out) + ".report.json")
     _atomic_write(report_path, json.dumps(dataclasses.asdict(report), indent=1) + "\n")
-    t_end = time.perf_counter()
+    config = {"boost_config": dataclasses.asdict(boost_cfg),
+              "encoder_config": dataclasses.asdict(enc_cfg)}
+    run.lap("save")
+    run.write_manifest(out, config)
     for s in report.steps:
         _log(args, f"step {s.step}: epochs={s.epochs_run} "
                    f"train_loss={s.final_train_loss:.4f} params={s.param_count} "
                    f"({s.seconds:.1f}s, kept={s.selection})")
-    _write_manifest(
-        out, "train", args,
-        {"boost_config": dataclasses.asdict(boost_cfg),
-         "encoder_config": dataclasses.asdict(enc_cfg)},
-        [tb_path], [out, report_path],
-        {"total": t_end - t0, "load": t_load - t0, "train": t_train - t_load,
-         "save": t_end - t_train},
-    )
     return EXIT_OK
 
 
@@ -282,25 +286,23 @@ def _sniff_treebank(text: str) -> bool:
 
 
 def cmd_parse(args) -> int:
-    t0 = time.perf_counter()
+    run = _Run(args)
     if args.prefix is not None and args.prefix < 1:
         raise InvalidPrefix(f"--prefix must be >= 1, got {args.prefix}")
-    model_path = Path(args.model)
-    ensemble = boosting.load_model(model_path)
+    ensemble = boosting.load_model(args.model, run.read(args.model))
     m = args.prefix if args.prefix is not None else len(ensemble.steps)
 
-    in_path = Path(args.input)
-    text = in_path.read_text(encoding="utf-8")
+    text = run.read(args.input)
     if _sniff_treebank(text):
-        tb = treebank.load_treebank(in_path, text)
+        tb = treebank.load_treebank(args.input, text)
         docs = [doc for doc, _ in tb.entries]
         domain_tag = tb.domain_tag
     else:
         docs = _load_raw_documents(text)
         domain_tag = "raw"
     if not docs:
-        raise EmptyTreebank(f"no documents found in {in_path}")
-    t_load = time.perf_counter()
+        raise EmptyTreebank(f"no documents found in {args.input}")
+    run.lap("load")
 
     entries = []
     traces = []
@@ -308,27 +310,17 @@ def cmd_parse(args) -> int:
         tree, actions = boosting.decode(ensemble, m, doc)
         entries.append((doc, tree))
         traces.append((doc.doc_id, actions))
-    t_parse = time.perf_counter()
+    run.lap("parse")
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = run.output(args.out)
     pred = Treebank(out.stem, domain_tag, ensemble.relation_inventory, tuple(entries))
     treebank.save_treebank(pred, out)
-    outputs = [out]
     if args.trace:
-        trace_path = Path(str(out) + ".trace")
         blocks = ["\n".join([f"#doc {doc_id}"] + [str(a) for a in actions])
                   for doc_id, actions in traces]
-        _atomic_write(trace_path, "\n\n".join(blocks) + "\n")
-        outputs.append(trace_path)
-    t_end = time.perf_counter()
+        _atomic_write(run.output(str(out) + ".trace"), "\n\n".join(blocks) + "\n")
     _log(args, f"parsed {len(docs)} document(s) with prefix {m} -> {out}")
-    _write_manifest(
-        out, "parse", args,
-        {"prefix": m, "model": str(model_path)},
-        [model_path, in_path], outputs,
-        {"total": t_end - t0, "load": t_load - t0, "parse": t_parse - t_load},
-    )
+    run.write_manifest(out, {"prefix": m, "model": str(Path(args.model))})
     return EXIT_OK
 
 
@@ -337,10 +329,9 @@ def cmd_parse(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    gold_path, pred_path = Path(args.gold), Path(args.pred)
-    gold = treebank.load_treebank(gold_path)
-    pred = treebank.load_treebank(pred_path)
+    run = _Run(args)
+    gold = treebank.load_treebank(args.gold, run.read(args.gold))
+    pred = treebank.load_treebank(args.pred, run.read(args.pred))
     if len(gold) != len(pred):
         raise DocumentMismatch(
             f"gold has {len(gold)} documents but predictions have {len(pred)}"
@@ -355,20 +346,15 @@ def cmd_eval(args) -> int:
                 f"prediction {pdoc.doc_id} has {pdoc.n_edus}"
             )
     total = metrics.score_entries((gtree, ptree) for (_, gtree), (_, ptree) in pairs)
-    t_end = time.perf_counter()
 
     print(f"documents:  {len(gold)}")
     for name, (p, r, f1) in total.levels().items():
         print(f"{name:<11} P={p:.4f} R={r:.4f} F1={f1:.4f}")
     if args.csv:
-        csv_path = Path(args.csv)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        csv_path = run.output(args.csv)
         row = metrics.CurveRow(0, gold.domain_tag, len(gold), total)
         _atomic_write(csv_path, metrics.CurveTable((row,), None).to_csv())
-        _write_manifest(
-            csv_path, "eval", args, {}, [gold_path, pred_path], [csv_path],
-            {"total": t_end - t0},
-        )
+        run.write_manifest(csv_path, {})
     return EXIT_OK
 
 
@@ -377,31 +363,22 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
-    t0 = time.perf_counter()
-    model_path = Path(args.model)
-    ensemble = boosting.load_model(model_path)
-    tb_paths = [Path(p) for p in args.treebanks]
-    tbs = [treebank.load_treebank(p) for p in tb_paths]
-    t_load = time.perf_counter()
+    run = _Run(args)
+    ensemble = boosting.load_model(args.model, run.read(args.model))
+    tbs = [treebank.load_treebank(p, run.read(p)) for p in args.treebanks]
+    run.lap("load")
     table = metrics.boost_curve(ensemble, tbs)
-    t_eval = time.perf_counter()
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    run.lap("evaluate")
+    out = run.output(args.out)
     _atomic_write(out, table.to_csv())
-    t_end = time.perf_counter()
     _log(args, f"wrote {len(table.rows)}-row curve table -> {out}")
     extra = {}
     if table.gaps is not None:
         extra["span_f1_gaps"] = {str(m): round(g, 6) for m, g in table.gaps.items()}
         n = len(ensemble.steps)
         extra["gap_increased_with_steps"] = table.gaps[n] >= table.gaps[1]
-    _write_manifest(
-        out, "curve", args,
-        {"model": str(model_path), "train_domain_tag": ensemble.train_domain_tag},
-        [model_path] + tb_paths, [out],
-        {"total": t_end - t0, "load": t_load - t0, "evaluate": t_eval - t_load},
-        extra=extra,
-    )
+    run.write_manifest(out, {"model": str(Path(args.model)),
+                             "train_domain_tag": ensemble.train_domain_tag}, **extra)
     return EXIT_OK
 
 
@@ -424,9 +401,8 @@ def matched_hidden_dim(target_params: int, input_dim: int, n_relations: int) -> 
 
 
 def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    tb_path = Path(args.treebank)
-    tb = treebank.load_treebank(tb_path)
+    run = _Run(args)
+    tb = treebank.load_treebank(args.treebank, run.read(args.treebank))
     if len(tb) < 2:
         raise EmptyTreebank("compare needs at least two documents to hold out")
     enc_cfg = _encoder_config(args)
@@ -436,7 +412,7 @@ def cmd_compare(args) -> int:
     train_entries, eval_entries = boosting.split_dev(tb, args.eval_fraction, args.seed)
     train_tb = dataclasses.replace(tb, entries=train_entries)
     eval_tb = dataclasses.replace(tb, entries=eval_entries, name=tb.name + "-heldout")
-    eval_tbs = [eval_tb] + [treebank.load_treebank(Path(p)) for p in args.eval or []]
+    eval_tbs = [eval_tb] + [treebank.load_treebank(p, run.read(p)) for p in args.eval or []]
 
     def contender(name: str, hidden_dim: int, n_steps: int) -> dict:
         bc = _boost_config(args, enc_cfg, n_rel, hidden_dim, n_steps)
@@ -481,21 +457,16 @@ def cmd_compare(args) -> int:
         "match_params": matched,
         "eval_documents": {etb.name: len(etb) for etb in eval_tbs},
     }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = run.output(args.out)
     _atomic_write(out, json.dumps(report, indent=1) + "\n")
-    t_end = time.perf_counter()
     _log(args, f"params weak={weak['total_params']} strong={strong['total_params']} "
                f"({weak['training_seconds']:.1f}s vs {strong['training_seconds']:.1f}s)")
-    _write_manifest(
-        out, "compare", args,
+    run.write_manifest(
+        out,
         {"steps": args.steps, "hidden_dim": args.hidden_dim,
          "match_params": bool(args.match_params),
          "encoder_config": dataclasses.asdict(enc_cfg)},
-        [tb_path] + [Path(p) for p in args.eval or []], [out],
-        {"total": t_end - t0},
-        extra={"no_matching_width_warning":
-               bool(matched and not matched["within_5_percent"])},
+        no_matching_width_warning=bool(matched and not matched["within_5_percent"]),
     )
     return EXIT_OK
 

@@ -108,7 +108,7 @@ def _evaluate_prefixes(ensemble: BoostedEnsemble, prefixes,
         )
     decoded = decode_batch(ensemble, [doc for doc, _ in tb.entries], prefixes)
     return {
-        m: score_entries((tree, d[m][0]) for (_, tree), d in zip(tb.entries, decoded))
+        m: score_entries((tree, d[m]) for (_, tree), d in zip(tb.entries, decoded))
         for m in prefixes
     }
 

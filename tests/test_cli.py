@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import re
@@ -408,27 +409,6 @@ class TestParse:
         assert pred.entries[0][0].n_edus == 2
         assert pred.entries[1][0].n_edus == 3
 
-    @pytest.mark.parametrize("kind", ["treebank", "raw"])
-    def test_reads_the_input_text_once(self, model_path, data_dir, tmp_path, monkeypatch,
-                                       kind):
-        """The format sniff and the loader share one read of the input's text."""
-        src = data_dir / "test_news.tb"
-        if kind == "raw":
-            src = tmp_path / "raw.txt"
-            src.write_text("the cat sat\nbecause it was tired\n\nhello world\n")
-        reads = []
-        read_text = Path.read_text
-
-        def counting_read_text(path, *args, **kwargs):
-            reads.append(path)
-            return read_text(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
-        out = tmp_path / "pred.tb"
-        assert run("--quiet", "parse", model_path, src, "--out", out) == 0
-        assert reads == [model_path, src]
-        assert load_treebank(out).domain_tag == ("news" if kind == "treebank" else "raw")
-
     def test_relations_keyword_glued_to_a_label_is_data_error(self, model_path, data_dir,
                                                              tmp_path, capsys):
         """The format sniff and the loader share one header rule: ``#relations`` ends at
@@ -451,6 +431,96 @@ class TestParse:
     def test_prefix_too_large_is_usage_error(self, model_path, data_dir, tmp_path):
         assert run("--quiet", "parse", model_path, data_dir / "test_news.tb",
                    "--out", tmp_path / "x.tb", "--prefix", "99") == 1
+
+
+class TestRunRecord:
+    """Every command reads each input file once, and its manifest digests those bytes."""
+
+    MANIFEST_KEYS = ["command", "toolkit_version", "seed", "config", "inputs", "outputs",
+                     "timings_seconds"]
+    TIMINGS = {"synth": ["total", "generate_and_write"],
+               "train": ["total", "load", "train", "save"],
+               "parse": ["total", "load", "parse"], "eval": ["total"],
+               "curve": ["total", "load", "evaluate"], "compare": ["total"]}
+
+    @staticmethod
+    def command(case, model, data, tmp):
+        """The argv of ``case``, its input files in read order, and its manifest."""
+        news, chat = data / "test_news.tb", data / "test_chat.tb"
+        if case == "synth":
+            cfg = tmp / "synth.json"
+            cfg.write_text(json.dumps({"n_train": 3, "n_test": 2}))
+            return (["synth", "--config", cfg, "--out", tmp / "out"], [cfg],
+                    tmp / "out" / "synth.manifest.json")
+        if case == "train":
+            out = tmp / "m.json"
+            return (["train", news, "--out", out, "--steps", "1", *FAST_TRAIN], [news],
+                    Path(f"{out}.manifest.json"))
+        if case == "parse-raw":
+            news = tmp / "raw.txt"
+            news.write_text("the cat sat\nbecause it was tired\n\nhello world\n")
+        if case == "parse-in-place":
+            news = tmp / "x.tb"
+            news.write_bytes((data / "test_news.tb").read_bytes())
+        if case.startswith("parse"):
+            out = news if case == "parse-in-place" else tmp / "pred.tb"
+            return (["parse", model, news, "--out", out, "--trace"], [model, news],
+                    Path(f"{out}.manifest.json"))
+        if case == "eval":
+            pred = tmp / "pred.tb"
+            pred.write_bytes(news.read_bytes())
+            return (["eval", news, pred, "--csv", tmp / "e.csv"], [news, pred],
+                    tmp / "e.csv.manifest.json")
+        if case == "curve":
+            return (["curve", model, news, chat, "--out", tmp / "c.csv"], [model, news, chat],
+                    tmp / "c.csv.manifest.json")
+        return (["compare", data / "train_news.tb", "--eval", chat, "--steps", "1",
+                 "--out", tmp / "cmp.json", *FAST_TRAIN], [data / "train_news.tb", chat],
+                tmp / "cmp.json.manifest.json")
+
+    @pytest.mark.parametrize("case", ["synth", "train", "parse-treebank", "parse-raw",
+                                      "parse-in-place", "eval", "curve", "compare"])
+    def test_reads_each_input_once_and_digests_its_bytes(self, case, model_path, data_dir,
+                                                         tmp_path, monkeypatch):
+        argv, inputs, manifest_path = self.command(case, model_path, data_dir, tmp_path)
+        before = {str(p): "sha256:" + hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in inputs}
+        reads = []
+        for name in ("read_text", "read_bytes"):
+            def counting(path, *args, _read=getattr(Path, name), **kwargs):
+                reads.append(str(path))
+                return _read(path, *args, **kwargs)
+            monkeypatch.setattr(Path, name, counting)
+        assert run("--quiet", *argv) == 0
+        monkeypatch.undo()
+        assert sorted(reads) == sorted(before)
+        manifest = json.loads(manifest_path.read_text())
+        assert list(manifest)[:7] == self.MANIFEST_KEYS
+        assert list(manifest["timings_seconds"]) == self.TIMINGS[manifest["command"]]
+        assert manifest["inputs"] == before
+        if case.startswith("parse"):  # the format sniff saw the one read text
+            assert load_treebank(argv[4]).domain_tag == ("raw" if case == "parse-raw" else "news")
+        if case == "parse-in-place":  # the digest is of the input, not the prediction
+            assert "sha256:" + hashlib.sha256(inputs[1].read_bytes()).hexdigest() != before[
+                str(inputs[1])]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_newlines_load_as_lf(self, newline, model_path, data_dir, tmp_path):
+        """A treebank with CRLF or CR line ends loads to the entries of its LF copy; the
+        manifest digests the file's own bytes."""
+        lf = data_dir / "test_news.tb"
+        cr = tmp_path / "cr.tb"
+        cr.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+        digest = "sha256:" + hashlib.sha256(cr.read_bytes()).hexdigest()
+        assert run("--quiet", "eval", cr, lf, "--csv", tmp_path / "e.csv") == 0
+        assert (tmp_path / "e.csv").read_text().splitlines()[1].endswith(",1.0000" * 9)
+        for src, out in ((cr, tmp_path / "cr" / "pred.tb"), (lf, tmp_path / "lf" / "pred.tb")):
+            assert run("--quiet", "parse", model_path, src, "--out", out, "--trace") == 0
+        for name in ("pred.tb", "pred.tb.trace"):
+            assert (tmp_path / "cr" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+        for manifest in (tmp_path / "e.csv.manifest.json",
+                         tmp_path / "cr" / "pred.tb.manifest.json"):
+            assert json.loads(manifest.read_text())["inputs"][str(cr)] == digest
 
 
 class TestEval:
