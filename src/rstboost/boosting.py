@@ -11,7 +11,6 @@ from __future__ import annotations
 import base64
 import json
 import time
-import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .errors import (
     InvalidPrefix,
     MalformedSyntax,
     RelationInventoryMismatch,
-    json_typed,
+    config_from_json,
 )
 from .transition import (
     Action,
@@ -558,32 +557,22 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _config_from_json(cls, values: dict):
-    """``cls(**values)`` once each value has its field's type (``json_typed``)."""
-    kinds = typing.get_type_hints(cls)
-    for name, value in values.items():
-        if name in kinds and not json_typed(value, kinds[name]):
-            raise InvalidConfig(f"{cls.__name__}.{name} must be {kinds[name].__name__}, "
-                                f"got {value!r}")
-    return cls(**values)
-
-
 def model_from_json(text: str) -> BoostedEnsemble:
-    """Parse a model; undecodable JSON, missing keys, bad types (a config value must
-    have its field's ``json_typed`` type), an invalid or unsupported config, a
-    relation label outside ``[a-z_-]+``, no steps, undecodable or non-finite
-    parameters, and a learner config or parameter shapes that do not match the
-    encoder width and the relation inventory raise MalformedSyntax."""
+    """Parse a model; undecodable JSON, missing keys, a config that ``config_from_json``
+    refuses, an invalid or unsupported config, a relation label outside ``[a-z_-]+``, no
+    steps, undecodable or non-finite parameters, and a learner config or parameter
+    shapes that do not match the encoder width and the relation inventory raise
+    MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
                 f"unsupported model format_version {doc.get('format_version')!r} "
                 f"(this version reads {FORMAT_VERSION}); retrain with `rstboost train`")
-        enc_cfg = _config_from_json(EncoderConfig, doc["encoder_config"])
+        enc_cfg = config_from_json(EncoderConfig, doc["encoder_config"])
         bc = dict(doc["boost_config"])
-        lc = _config_from_json(LearnerConfig, bc.pop("learner"))
-        boost_cfg = _config_from_json(BoostConfig, {**bc, "learner": lc})
+        lc = config_from_json(LearnerConfig, bc.pop("learner"))
+        boost_cfg = config_from_json(BoostConfig, {**bc, "learner": lc})
         inventory = tuple(doc["relation_inventory"])
         for rel in inventory:
             if not _RELATION_RE.match(rel):

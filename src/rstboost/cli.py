@@ -23,9 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from . import boosting, metrics, treebank
+from .boosting import BoostConfig
 from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
-                     InvalidPrefix, MalformedSyntax, UsageError, json_typed)
+                     MalformedSyntax, UsageError, config_from_json)
 from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
 from .weak_learner import LearnerConfig, param_count, param_shapes
 
@@ -33,16 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_SHARED_RELATIONS = (
-    "attribution", "background", "cause", "contrast", "elaboration", "joint",
-)
-DEFAULT_DOMAIN_A = "news"
-DEFAULT_DOMAIN_B = "chat"
-DEFAULT_DOMAIN_RELATIONS = {
-    DEFAULT_DOMAIN_A: ("condition", "evidence"),
-    DEFAULT_DOMAIN_B: ("restatement", "temporal"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,19 +53,23 @@ class _Run:
     def __init__(self, args) -> None:
         self.args = args
         self.inputs: dict[str, str] = {}
+        self._texts: dict[str, str] = {}
         self.outputs: list[str] = []
         self.timings: dict[str, float] = {}
         self._start = self._lap = time.perf_counter()
 
     def read(self, path) -> str:
-        """The UTF-8 text of ``path`` with ``read_text``'s newline translation.  The
-        digest is of these bytes, so an output written over the input later does not
-        change it."""
-        path = Path(path)
-        data = path.read_bytes()
-        self.inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8")
-        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        """The UTF-8 text of ``path`` with ``read_text``'s newline translation, read once
+        per run.  The digest is of these bytes, so an output written over the input
+        later does not change it."""
+        key = str(Path(path))
+        if key not in self._texts:
+            data = Path(path).read_bytes()
+            self.inputs[key] = "sha256:" + hashlib.sha256(data).hexdigest()
+            text = data.decode("utf-8")
+            self._texts[key] = (text.replace("\r\n", "\n").replace("\r", "\n")
+                                if "\r" in text else text)
+        return self._texts[key]
 
     def output(self, path) -> Path:
         """Record ``path`` as an output and make its parent directory."""
@@ -108,69 +103,50 @@ class _Run:
 # synth
 # ---------------------------------------------------------------------------
 
-def _default_synth_config() -> dict:
-    return {
-        "n_train": 200,
-        "n_test": 100,
-        "edu_range": [2, 10],
-        "shared_vocab": 120,
-        "domain_vocab": 40,
-        "p_domain": 0.5,
-        "domain_a": DEFAULT_DOMAIN_A,
-        "domain_b": DEFAULT_DOMAIN_B,
-        "shared_relations": list(DEFAULT_SHARED_RELATIONS),
-        "domain_relations_a": list(DEFAULT_DOMAIN_RELATIONS[DEFAULT_DOMAIN_A]),
-        "domain_relations_b": list(DEFAULT_DOMAIN_RELATIONS[DEFAULT_DOMAIN_B]),
-    }
+@dataclasses.dataclass(frozen=True)
+class SynthSettings:
+    """``synth``'s settings: the README's defaults, each overridable by ``--config``."""
 
-
-def _read_synth_config(path: str, text: str, defaults: dict) -> dict:
-    """The JSON object in ``text``, read from ``path``; each value must have its default's
-    JSON type."""
-    try:
-        user = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"synth config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user, dict):
-        raise InvalidConfig(f"synth config {path} must hold a JSON object")
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise InvalidConfig(f"unknown synth config keys: {sorted(unknown)}")
-    for key, value in user.items():
-        default = defaults[key]
-        ok = json_typed(value, type(default))
-        if ok and isinstance(default, list):
-            ok = all(json_typed(item, type(default[0])) for item in value)
-        if not ok:
-            raise InvalidConfig(
-                f"synth config {key!r} must be like {default!r}, got {value!r}")
-    return user
+    n_train: int = 200
+    n_test: int = 100
+    edu_range: tuple[int, ...] = (2, 10)
+    shared_vocab: int = 120
+    domain_vocab: int = 40
+    p_domain: float = 0.5
+    domain_a: str = "news"
+    domain_b: str = "chat"
+    shared_relations: tuple[str, ...] = (
+        "attribution", "background", "cause", "contrast", "elaboration", "joint")
+    domain_relations_a: tuple[str, ...] = ("condition", "evidence")
+    domain_relations_b: tuple[str, ...] = ("restatement", "temporal")
 
 
 def cmd_synth(args) -> int:
     run = _Run(args)
-    cfg = _default_synth_config()
+    user = {}
     if args.config:
-        cfg.update(_read_synth_config(args.config, run.read(args.config), cfg))
-    if cfg["domain_a"] == cfg["domain_b"]:  # the two test sets would share one file
-        raise InvalidConfig(f"domain_a and domain_b are both {cfg['domain_a']!r}")
-
-    shared = tuple(cfg["shared_relations"])
-    dom_a, dom_b = cfg["domain_a"], cfg["domain_b"]
-    rel_a = tuple(cfg["domain_relations_a"])
-    rel_b = tuple(cfg["domain_relations_b"])
-    full_inventory = tuple(sorted(set(shared) | set(rel_a) | set(rel_b)))
+        try:
+            user = json.loads(run.read(args.config))
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"synth config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise InvalidConfig(f"synth config {args.config} must hold a JSON object")
+    cfg = config_from_json(SynthSettings, user)
+    if cfg.domain_a == cfg.domain_b:  # the two test sets would share one file
+        raise InvalidConfig(f"domain_a and domain_b are both {cfg.domain_a!r}")
+    full_inventory = tuple(sorted({*cfg.shared_relations, *cfg.domain_relations_a,
+                                   *cfg.domain_relations_b}))
 
     def build(name: str, n: int, tag: str, rels: tuple, seed: int) -> Treebank:
         sc = SynthConfig(
             n_docs=n,
-            edu_range=tuple(cfg["edu_range"]),
-            shared_vocab=cfg["shared_vocab"],
-            domain_vocab=cfg["domain_vocab"],
+            edu_range=cfg.edu_range,
+            shared_vocab=cfg.shared_vocab,
+            domain_vocab=cfg.domain_vocab,
             domain_tag=tag,
-            shared_relations=shared,
+            shared_relations=cfg.shared_relations,
             domain_relations=rels,
-            p_domain=cfg["p_domain"],
+            p_domain=cfg.p_domain,
             name=name,
         )
         tb = treebank.synthesize_treebank(sc, seed)
@@ -180,9 +156,9 @@ def cmd_synth(args) -> int:
 
     # Every treebank is built, so every config is checked, before the first write.
     tbs = [build(*spec) for spec in (
-        (f"train_{dom_a}", cfg["n_train"], dom_a, rel_a, args.seed),
-        (f"test_{dom_a}", cfg["n_test"], dom_a, rel_a, args.seed + 1),
-        (f"test_{dom_b}", cfg["n_test"], dom_b, rel_b, args.seed + 2),
+        (f"train_{cfg.domain_a}", cfg.n_train, cfg.domain_a, cfg.domain_relations_a, args.seed),
+        (f"test_{cfg.domain_a}", cfg.n_test, cfg.domain_a, cfg.domain_relations_a, args.seed + 1),
+        (f"test_{cfg.domain_b}", cfg.n_test, cfg.domain_b, cfg.domain_relations_b, args.seed + 2),
     )]
     out_dir = Path(args.out)
     for tb in tbs:
@@ -190,7 +166,7 @@ def cmd_synth(args) -> int:
         treebank.save_treebank(tb, path)
         _log(args, f"wrote {path} ({len(tb)} docs, domain {tb.domain_tag})")
     run.lap("generate_and_write")
-    run.write_manifest(out_dir / "synth", cfg)
+    run.write_manifest(out_dir / "synth", dataclasses.asdict(cfg))
     return EXIT_OK
 
 
@@ -208,13 +184,13 @@ def _encoder_config(args) -> EncoderConfig:
 
 
 def _boost_config(args, enc_cfg: EncoderConfig, n_relations: int, hidden_dim: int,
-                  n_steps: int) -> boosting.BoostConfig:
+                  n_steps: int) -> BoostConfig:
     """The training flags as a boosting config."""
     learner = LearnerConfig(
         input_dim=enc_cfg.width, n_relations=n_relations, hidden_dim=hidden_dim,
         init_scale=args.init_scale, learning_rate=args.lr, l2_penalty=args.l2,
     )
-    return boosting.BoostConfig(
+    return BoostConfig(
         learner=learner, n_steps=n_steps, epochs_max=args.epochs_max,
         patience=args.patience, dev_fraction=args.dev_fraction, seed=args.seed,
     )
@@ -223,7 +199,7 @@ def _boost_config(args, enc_cfg: EncoderConfig, n_relations: int, hidden_dim: in
 def cmd_train(args) -> int:
     run = _Run(args)
     tb = treebank.load_treebank(args.treebank, run.read(args.treebank))
-    if len(tb) == 0:
+    if len(tb) == 0:  # else its empty inventory fails LearnerConfig first, as a usage error
         raise EmptyTreebank(f"treebank {args.treebank} has no documents")
     run.lap("load")
     enc_cfg = _encoder_config(args)
@@ -287,8 +263,6 @@ def _sniff_treebank(text: str) -> bool:
 
 def cmd_parse(args) -> int:
     run = _Run(args)
-    if args.prefix is not None and args.prefix < 1:
-        raise InvalidPrefix(f"--prefix must be >= 1, got {args.prefix}")
     ensemble = boosting.load_model(args.model, run.read(args.model))
     m = args.prefix if args.prefix is not None else len(ensemble.steps)
 
@@ -476,20 +450,21 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden-dim", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--init-scale", type=float, default=1.0)
-    p.add_argument("--epochs-max", type=int, default=30)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--dev-fraction", type=float, default=0.1)
-    p.add_argument("--hash-dim", type=int, default=1024,
+    p.add_argument("--hidden-dim", type=int, default=LearnerConfig.hidden_dim)
+    p.add_argument("--lr", type=float, default=LearnerConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=LearnerConfig.l2_penalty)
+    p.add_argument("--init-scale", type=float, default=LearnerConfig.init_scale)
+    p.add_argument("--epochs-max", type=int, default=BoostConfig.epochs_max)
+    p.add_argument("--patience", type=int, default=BoostConfig.patience)
+    p.add_argument("--dev-fraction", type=float, default=BoostConfig.dev_fraction)
+    p.add_argument("--hash-dim", type=int, default=EncoderConfig.hash_dim,
                    help="hashed bag-of-words buckets per block")
-    p.add_argument("--span-tokens", type=int, default=8,
+    p.add_argument("--span-tokens", type=int, default=EncoderConfig.max_span_tokens,
                    help="maximum tokens kept per span representation")
-    p.add_argument("--strategy", choices=[CENTER, NUCLEUS], default=NUCLEUS,
+    p.add_argument("--strategy", choices=[CENTER, NUCLEUS],
+                   default=EncoderConfig.truncation_strategy,
                    help="span truncation strategy")
-    p.add_argument("--hash-seed", type=int, default=0)
+    p.add_argument("--hash-seed", type=int, default=EncoderConfig.hash_seed)
 
 
 def build_parser() -> _Parser:
@@ -507,7 +482,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a boosted ensemble")
     p.add_argument("treebank", help="training treebank file")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--steps", type=int, default=5, help="number of boosting steps")
+    p.add_argument("--steps", type=int, default=BoostConfig.n_steps,
+                   help="number of boosting steps")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -536,7 +512,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare",
                        help="boosted weak ensemble vs single strong classifier")
     p.add_argument("treebank", help="treebank to train and evaluate on")
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--steps", type=int, default=BoostConfig.n_steps)
     p.add_argument("--match-params", action="store_true",
                    help="width-match the single classifier to the ensemble total")
     p.add_argument("--eval", nargs="*", help="additional evaluation treebanks")

@@ -2,14 +2,34 @@
 
 The class of an error fixes the command line's exit status: a ``UsageError``
 exits 1, a ``DataError`` exits 2, and any other error is an internal fault
-(exit 3).  ``json_typed`` is the one type rule for settings read from JSON.
+(exit 3).  ``config_from_json`` reads every config from JSON (the model file's three
+and ``synth --config``), with ``json_typed`` as the one type rule.
 """
 
+import typing
 
-def json_typed(value, kind: type) -> bool:
+
+def json_typed(value, kind) -> bool:
     """Whether a JSON value has a setting's type ``kind``: a float setting also takes an
-    int, and a bool is not an int."""
+    int, a bool is not an int, and a ``tuple[T, ...]`` setting takes a list of ``T``."""
+    if typing.get_origin(kind) is tuple:
+        return type(value) is list and all(json_typed(v, typing.get_args(kind)[0]) for v in value)
     return type(value) is kind or (kind, type(value)) == (float, int)
+
+
+def config_from_json(cls, values: dict):
+    """The dataclass ``cls`` built from the JSON object ``values``: every key must name a
+    field and every value must have its field's ``json_typed`` type; lists become tuples."""
+    kinds = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise InvalidConfig(f"unknown {cls.__name__} keys: {unknown}")
+    for name, value in values.items():
+        kind = kinds[name]
+        if not json_typed(value, kind):
+            shown = kind if typing.get_origin(kind) else kind.__name__
+            raise InvalidConfig(f"{cls.__name__}.{name} must be {shown}, got {value!r}")
+    return cls(**{k: tuple(v) if type(v) is list else v for k, v in values.items()})
 
 
 class RstBoostError(Exception):

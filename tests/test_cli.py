@@ -4,7 +4,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -109,6 +109,12 @@ class TestSynth:
         cfg = tmp_path / "ok.json"
         cfg.write_text(json.dumps({"n_train": 3, "n_test": 2, "p_domain": 1}))
         assert run("--quiet", "synth", "--config", cfg, "--out", tmp_path) == 0
+
+    def test_readme_defaults_are_the_settings_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Synthetic treebanks.*?```json\n(.*?)```", readme, re.S)
+        defaults = json.loads(json.dumps(asdict(cli.SynthSettings())))  # tuples as lists
+        assert list(json.loads(block.group(1)).items()) == list(defaults.items())
 
 
 class TestUndecodableInput:
@@ -342,6 +348,11 @@ class TestMalformedModel:
         assert f".{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "pred.tb").exists()
 
+    def test_unknown_config_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys):
+        model_doc["encoder_config"]["hash_bits"] = 10
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "unknown EncoderConfig keys: ['hash_bits']" in capsys.readouterr().err
+
     def test_float_config_value_takes_an_int(self, model_doc, data_dir, tmp_path):
         model_doc["boost_config"]["learner"]["init_scale"] = 2
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 0
@@ -471,15 +482,22 @@ class TestRunRecord:
             pred.write_bytes(news.read_bytes())
             return (["eval", news, pred, "--csv", tmp / "e.csv"], [news, pred],
                     tmp / "e.csv.manifest.json")
+        if case == "eval-same":  # a file given twice is read once
+            return (["eval", news, news, "--csv", tmp / "e.csv"], [news],
+                    tmp / "e.csv.manifest.json")
         if case == "curve":
             return (["curve", model, news, chat, "--out", tmp / "c.csv"], [model, news, chat],
+                    tmp / "c.csv.manifest.json")
+        if case == "curve-same":
+            return (["curve", model, news, news, "--out", tmp / "c.csv"], [model, news],
                     tmp / "c.csv.manifest.json")
         return (["compare", data / "train_news.tb", "--eval", chat, "--steps", "1",
                  "--out", tmp / "cmp.json", *FAST_TRAIN], [data / "train_news.tb", chat],
                 tmp / "cmp.json.manifest.json")
 
     @pytest.mark.parametrize("case", ["synth", "train", "parse-treebank", "parse-raw",
-                                      "parse-in-place", "eval", "curve", "compare"])
+                                      "parse-in-place", "eval", "eval-same", "curve",
+                                      "curve-same", "compare"])
     def test_reads_each_input_once_and_digests_its_bytes(self, case, model_path, data_dir,
                                                          tmp_path, monkeypatch):
         argv, inputs, manifest_path = self.command(case, model_path, data_dir, tmp_path)
@@ -613,7 +631,8 @@ class TestCompare:
     def test_matched_hidden_dim_inverts_the_parameter_count(self):
         # README dimensions: the default encoder width and the news inventory
         input_dim = EncoderConfig().width
-        n_rel = len(cli.DEFAULT_SHARED_RELATIONS) + len(cli.DEFAULT_DOMAIN_RELATIONS["news"])
+        settings = cli.SynthSettings()
+        n_rel = len(settings.shared_relations) + len(settings.domain_relations_a)
         for h in range(1, 41):
             count = wl.param_count(wl.zeros(wl.LearnerConfig(input_dim, n_rel, h)))
             assert cli.matched_hidden_dim(count, input_dim, n_rel) == h
