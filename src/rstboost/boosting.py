@@ -215,13 +215,25 @@ def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
 # SGD inner loop
 # ---------------------------------------------------------------------------
 
+# Below this running scale an epoch folds it into the input-wide arrays, so that the
+# step ``lr / s`` on the stored values stays bounded.
+_SCALE_FLOOR = 1e-3
+
+
 def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
     """Per-instance SGD of ``learner``'s own arrays against ``inst``'s frozen sums, over
     ``order``, touching only each row's nonzero columns.
 
     With ``l2_penalty`` > 0 every update first decays all parameters by
-    ``1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
-    taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.
+    ``decay = 1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
+    taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.  The
+    input-wide arrays (``w_hidden``, or both heads without a hidden layer) decay
+    lazily (Bottou 2012, *Stochastic Gradient Descent Tricks*, 5.1): they hold
+    ``v = w / s`` for one running scale ``s``, an update reads its row as
+    ``x * s``, sets ``s *= decay`` and subtracts ``(lr / s) * grad`` from the
+    row's columns.  The scale is folded into the arrays whenever it falls below
+    ``_SCALE_FLOOR`` and before returning, so the learner always ends an epoch with
+    its true parameters.  At ``l2_penalty`` 0 the scale stays exactly 1.0.
     """
     lr = learner.cfg.learning_rate
     decay = 1.0 - 2.0 * lr * learner.cfg.l2_penalty
@@ -230,6 +242,15 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
     hidden = w1 is not None
     ws, bs = p["w_structure"], p["b_structure"]
     wr, br = p["w_relation"], p["b_relation"]
+    wide_names = ("w_hidden",) if hidden else ("w_structure", "w_relation")
+    wide = [p[name] for name in wide_names]
+    small = [arr for name, arr in p.items() if name not in wide_names]
+    s = 1.0
+
+    def fold(scale: float) -> None:
+        for arr in wide:
+            arr *= scale
+
     indptr, indices, data = inst.rows
     bounds = indptr.tolist()
     gold_s, gold_r = inst.gold_structure.tolist(), inst.gold_relation.tolist()
@@ -237,8 +258,9 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
     base_s, frozen_r = np.where(inst.mask, inst.frozen_s, -np.inf), inst.frozen_r
     for i in order.tolist():
         idx, xv = indices[bounds[i]:bounds[i + 1]], data[bounds[i]:bounds[i + 1]]
+        xs = xv * s  # the row against the stored values
         # The heads read the hidden layer, or the row's nonzero inputs.
-        h = np.tanh(w1[:, idx] @ xv + b1) if hidden else xv
+        h = np.tanh(w1[:, idx] @ xs + b1) if hidden else xs
         zs = base_s[i] + (ws @ h if hidden else ws[:, idx] @ h) + bs
         e = np.exp(zs - zs.max())
         dz_s = e / e.sum()
@@ -258,9 +280,11 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
             if dz_r is not None:
                 dh += wr.T @ dz_r
             dpre = dh * (1.0 - h * h)
-        if decay != 1.0:
-            for arr in p.values():
+        if decay != 1.0:  # the small arrays decay eagerly
+            for arr in small:
                 arr *= decay
+        s *= decay
+        step = lr / s  # the step on the stored input-wide values
         bs -= lr * dz_s
         if dz_r is not None:
             br -= lr * dz_r
@@ -268,12 +292,16 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
             ws -= lr * (dz_s[:, None] * h)
             if dz_r is not None:
                 wr -= lr * (dz_r[:, None] * h)
-            w1[:, idx] -= lr * (dpre[:, None] * xv)
+            w1[:, idx] -= step * (dpre[:, None] * xv)
             b1 -= lr * dpre
         else:
-            ws[:, idx] -= lr * (dz_s[:, None] * h)
+            ws[:, idx] -= step * (dz_s[:, None] * xv)
             if dz_r is not None:
-                wr[:, idx] -= lr * (dz_r[:, None] * h)
+                wr[:, idx] -= step * (dz_r[:, None] * xv)
+        if s < _SCALE_FLOOR:
+            fold(s)
+            s = 1.0
+    fold(s)
 
 
 def _child_seed(seed: int, *path: int) -> np.random.SeedSequence:

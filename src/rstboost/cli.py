@@ -196,11 +196,19 @@ def _boost_config(args, enc_cfg: EncoderConfig, n_relations: int, hidden_dim: in
     )
 
 
+def _training_treebank(run: _Run, path) -> Treebank:
+    """The treebank at ``path``, refused as a data error if it declares no relations
+    (an empty file declares none): a learner's relation head needs at least one."""
+    tb = treebank.load_treebank(path, run.read(path))
+    if not tb.relation_inventory:
+        raise EmptyTreebank(f"treebank {path} declares no relations (no #relations "
+                            "header and no labelled node); training needs at least one")
+    return tb
+
+
 def cmd_train(args) -> int:
     run = _Run(args)
-    tb = treebank.load_treebank(args.treebank, run.read(args.treebank))
-    if len(tb) == 0:  # else its empty inventory fails LearnerConfig first, as a usage error
-        raise EmptyTreebank(f"treebank {args.treebank} has no documents")
+    tb = _training_treebank(run, args.treebank)
     run.lap("load")
     enc_cfg = _encoder_config(args)
     boost_cfg = _boost_config(args, enc_cfg, len(tb.relation_inventory), args.hidden_dim,
@@ -376,7 +384,7 @@ def matched_hidden_dim(target_params: int, input_dim: int, n_relations: int) -> 
 
 def cmd_compare(args) -> int:
     run = _Run(args)
-    tb = treebank.load_treebank(args.treebank, run.read(args.treebank))
+    tb = _training_treebank(run, args.treebank)
     if len(tb) < 2:
         raise EmptyTreebank("compare needs at least two documents to hold out")
     enc_cfg = _encoder_config(args)

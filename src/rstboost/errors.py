@@ -77,7 +77,8 @@ class InvalidPrefix(UsageError):
 
 
 class EmptyTreebank(DataError):
-    """An operation that needs at least one treebank entry got none."""
+    """An operation that needs at least one treebank entry, or one declared relation,
+    got none."""
 
 
 class DocumentMismatch(DataError):

@@ -43,6 +43,10 @@ class LearnerConfig:
             raise InvalidConfig("init_scale must be positive and finite")
         if not (0 <= self.learning_rate < math.inf and 0 <= self.l2_penalty < math.inf):
             raise InvalidConfig("learning_rate and l2_penalty must be finite and >= 0")
+        if 2.0 * self.learning_rate * self.l2_penalty >= 1.0:
+            raise InvalidConfig(
+                "2 * learning_rate * l2_penalty must be < 1: each update shrinks every "
+                "parameter by 1 - 2 * learning_rate * l2_penalty, which must be positive")
 
 
 @dataclass(frozen=True, eq=False)

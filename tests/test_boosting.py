@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import functools
 import json
+import math
 import struct
 import tracemalloc
 
@@ -386,29 +387,78 @@ def reference_run_epoch(params, cfg, inst, frozen_s, frozen_r, order):
             b1 -= lr * dpre
 
 
+def epochs_against_reference(hidden_dim, l2_penalty, n_docs=6, n_epochs=1):
+    """``_run_epoch`` and ``reference_run_epoch`` from the same start, ``n_epochs``
+    times each over random frozen sums and one fixed order: the learner, the
+    reference's arrays after each epoch and the instance set."""
+    tb = small_treebank(n_docs=n_docs)
+    inst = oracle_instances(tb)
+    cfg = LearnerConfig(
+        input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+        hidden_dim=hidden_dim, learning_rate=0.05, l2_penalty=l2_penalty)
+    rng = np.random.default_rng(hidden_dim)
+    inst.frozen_s = rng.normal(size=(len(inst), 4))
+    inst.frozen_r = rng.normal(size=(len(inst), cfg.n_relations))
+    order = rng.permutation(len(inst))
+
+    fast = wl.init(cfg, 7)
+    ref = {name: arr.copy() for name, arr in fast.param_items()}
+    after = []
+    for _ in range(n_epochs):
+        _run_epoch(fast, inst, order)
+        reference_run_epoch(ref, cfg, inst, inst.frozen_s, inst.frozen_r, order)
+        after.append(({name: arr.copy() for name, arr in fast.param_items()},
+                      {name: arr.copy() for name, arr in ref.items()}))
+    return fast, after, inst
+
+
+def assert_params_close(got, ref):
+    """The lazily decayed arrays round differently from the eager reference's; the
+    tolerance is that of the gradient tests."""
+    assert list(got) == list(ref)
+    for name, arr in ref.items():
+        assert np.allclose(got[name], arr, rtol=1e-10, atol=1e-12), name
+
+
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("hidden_dim", [0, 3])
     @pytest.mark.parametrize("l2_penalty", [0.0, 0.01])
     def test_epoch_bitwise_equals_reference_loop(self, hidden_dim, l2_penalty):
-        tb = small_treebank(n_docs=6)
-        inst = oracle_instances(tb)
-        cfg = LearnerConfig(
-            input_dim=ENC.width, n_relations=len(tb.relation_inventory),
-            hidden_dim=hidden_dim, learning_rate=0.05, l2_penalty=l2_penalty)
-        rng = np.random.default_rng(hidden_dim)
-        inst.frozen_s = rng.normal(size=(len(inst), 4))
-        inst.frozen_r = rng.normal(size=(len(inst), cfg.n_relations))
-        order = rng.permutation(len(inst))
-
-        fast = wl.init(cfg, 7)
-        _run_epoch(fast, inst, order)
-        ref = {name: arr.copy() for name, arr in wl.init(cfg, 7).param_items()}
-        reference_run_epoch(ref, cfg, inst, inst.frozen_s, inst.frozen_r, order)
-        got = dict(fast.param_items())
-        assert list(got) == list(ref)
+        """Bitwise without L2, where the running scale stays exactly 1.0; with L2 the
+        input-wide arrays decay through the scale, within the gradient tests' tolerance."""
+        fast, [(got, ref)], _ = epochs_against_reference(hidden_dim, l2_penalty)
+        cfg = fast.cfg
+        if l2_penalty:
+            assert_params_close(got, ref)
+        else:
+            assert list(got) == list(ref)
+            for name, arr in ref.items():
+                assert np.array_equal(got[name], arr), name
         for name, arr in ref.items():
-            assert np.array_equal(got[name], arr), name
             assert not np.array_equal(arr, getattr(wl.init(cfg, 7), name)), name
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    @pytest.mark.parametrize("decay", [0.6, 1e-3])
+    def test_scale_folded_below_floor_matches_reference(self, hidden_dim, decay):
+        """Decay strong enough that the running scale falls below the floor many times
+        in one epoch.  At 1e-3 an unfolded scale would underflow to 0 in ~110 updates."""
+        lr = 0.05
+        fast, [(got, ref)], inst = epochs_against_reference(
+            hidden_dim, (1.0 - decay) / (2.0 * lr), n_docs=20)
+        assert fast.cfg.learning_rate == lr
+        updates_per_fold = math.floor(math.log(boosting._SCALE_FLOOR) / math.log(decay)) + 1
+        assert len(inst) >= 3 * updates_per_fold and len(inst) > 110
+        assert_params_close(got, ref)
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_epoch_ends_with_true_parameters(self, hidden_dim):
+        """Each epoch folds the running scale into the arrays before it returns, so the
+        next epoch, ``mean_ce`` and a snapshot all read the true parameters."""
+        fast, after, inst = epochs_against_reference(hidden_dim, 0.01, n_epochs=2)
+        for got, ref in after:
+            assert_params_close(got, ref)
+        reference = wl.WeakLearner.from_params(fast.cfg, after[-1][1])
+        assert math.isclose(inst.mean_ce(fast), inst.mean_ce(reference), rel_tol=1e-10)
 
     def test_sparse_epoch_matches_reference_updates(self):
         tb = small_treebank(n_docs=6)

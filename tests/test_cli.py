@@ -241,6 +241,27 @@ class TestTrain:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("l2", ["0.5", "2"])
+    def test_non_positive_shrink_factor_is_usage_error(self, data_dir, tmp_path, capsys, l2):
+        """At lr 1 an l2 of 0.5 would erase every parameter on each update, and one of 2
+        would flip its sign."""
+        out = tmp_path / "m.json"
+        assert run("--quiet", "train", data_dir / "train_news.tb", "--out", out,
+                   "--steps", "1", *FAST_TRAIN, "--lr", "1", "--l2", l2) == 1
+        assert "2 * learning_rate * l2_penalty must be < 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_treebank_without_relations_is_data_error(self, tmp_path, capsys, command):
+        flat = tmp_path / "flat.tb"
+        flat.write_text("".join(f'#doc d{i} news\n(leaf "hello world")\n\n'
+                                for i in range(3)))
+        assert len(load_treebank(flat)) == 3
+        out = tmp_path / "out.json"
+        assert run("--quiet", command, flat, "--out", out, "--steps", "1", *FAST_TRAIN) == 2
+        assert f"treebank {flat} declares no relations" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMalformedModel:
     @pytest.fixture()
@@ -347,6 +368,13 @@ class TestMalformedModel:
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert f".{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "pred.tb").exists()
+
+    def test_non_positive_shrink_factor_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                     capsys):
+        learner = model_doc["boost_config"]["learner"]
+        learner["l2_penalty"] = 0.5 / learner["learning_rate"]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert "2 * learning_rate * l2_penalty must be < 1" in capsys.readouterr().err
 
     def test_unknown_config_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys):
         model_doc["encoder_config"]["hash_bits"] = 10

@@ -170,6 +170,10 @@ class TestInit:
             LearnerConfig(input_dim=4, n_relations=3, hidden_dim=-1)
         with pytest.raises(InvalidConfig):
             LearnerConfig(input_dim=4, n_relations=3, learning_rate=-0.1)
+        for lr, l2 in [(1.0, 0.5), (1.0, 2.0), (0.25, 2.0)]:  # shrink 1 - 2 lr l2 <= 0
+            with pytest.raises(InvalidConfig, match="l2_penalty must be < 1"):
+                LearnerConfig(input_dim=4, n_relations=3, learning_rate=lr, l2_penalty=l2)
+        LearnerConfig(input_dim=4, n_relations=3, learning_rate=1.0, l2_penalty=0.499)
 
 
 class TestForward:
