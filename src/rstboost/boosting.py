@@ -12,6 +12,7 @@ import base64
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -138,10 +139,23 @@ class _Instances:
         return len(self.rows[0]) - 1
 
     def add(self, step: WeakLearner) -> None:
-        """Add ``step``'s logits to the frozen sums, in place."""
+        """Add ``step``'s logits to the frozen sums, in place, and drop ``per_state``."""
         out = wl.forward(step, self.rows)
         self.frozen_s += out.structure
         self.frozen_r += out.relation
+        self.__dict__.pop("per_state", None)
+
+    @cached_property
+    def per_state(self) -> list[tuple]:
+        """What an SGD update reads of each state, in index order: its row's
+        ``(indices, values)`` views, its frozen structure sums with the illegal classes
+        at -inf (softmax weight 0), its frozen relation sums and its two gold classes.
+        Built on first use; ``add``, the one writer of the frozen sums, drops it."""
+        indptr, indices, data = self.rows
+        spans = list(zip(indptr.tolist(), indptr[1:].tolist()))
+        return list(zip([indices[a:b] for a, b in spans], [data[a:b] for a, b in spans],
+                        np.where(self.mask, self.frozen_s, -np.inf), self.frozen_r,
+                        self.gold_structure.tolist(), self.gold_relation.tolist()))
 
     def mean_ce(self, step: WeakLearner | None = None) -> float:
         """Mean per-instance cross-entropy of the frozen sums plus ``step``'s logits
@@ -234,6 +248,14 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
     row's columns.  The scale is folded into the arrays whenever it falls below
     ``_SCALE_FLOOR`` and before returning, so the learner always ends an epoch with
     its true parameters.  At ``l2_penalty`` 0 the scale stays exactly 1.0.
+
+    Each update makes few numpy calls, and every parameter stays bitwise equal to the
+    plain loop's: a row's columns are gathered once by fancy indexing (``w[:, idx]``,
+    F-ordered), updated in place and written back; every matrix-vector product is
+    ``np.dot``, the BLAS call ``@`` makes; softmax maxima come from Python floats and
+    sums from ``np.add.reduce``.  ``w.take(idx, 1)`` (a C-ordered copy, which BLAS sums
+    in another order), one ``np.dot`` over both heads stacked, or a Python ``sum``
+    would each change the bits.
     """
     lr = learner.cfg.learning_rate
     decay = 1.0 - 2.0 * lr * learner.cfg.l2_penalty
@@ -242,43 +264,47 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
     hidden = w1 is not None
     ws, bs = p["w_structure"], p["b_structure"]
     wr, br = p["w_relation"], p["b_relation"]
+    ws_t, wr_t = ws.T, wr.T
     wide_names = ("w_hidden",) if hidden else ("w_structure", "w_relation")
     wide = [p[name] for name in wide_names]
     small = [arr for name, arr in p.items() if name not in wide_names]
     s = 1.0
+    dot, total, exp = np.dot, np.add.reduce, np.exp
 
     def fold(scale: float) -> None:
         for arr in wide:
             arr *= scale
 
-    indptr, indices, data = inst.rows
-    bounds = indptr.tolist()
-    gold_s, gold_r = inst.gold_structure.tolist(), inst.gold_relation.tolist()
-    # Illegal structure classes start at -inf, so their softmax weight is 0.
-    base_s, frozen_r = np.where(inst.mask, inst.frozen_s, -np.inf), inst.frozen_r
+    per_state = inst.per_state
     for i in order.tolist():
-        idx, xv = indices[bounds[i]:bounds[i + 1]], data[bounds[i]:bounds[i + 1]]
-        xs = xv * s  # the row against the stored values
-        # The heads read the hidden layer, or the row's nonzero inputs.
-        h = np.tanh(w1[:, idx] @ xs + b1) if hidden else xs
-        zs = base_s[i] + (ws @ h if hidden else ws[:, idx] @ h) + bs
-        e = np.exp(zs - zs.max())
-        dz_s = e / e.sum()
-        dz_s[gold_s[i]] -= 1.0
+        idx, xv, base_s, frozen_r, gold_s, g_rel = per_state[i]
+        xs = xv if s == 1.0 else xv * s  # the row against the stored values
+        # The heads read the hidden layer, or the row's nonzero inputs through their
+        # gathered columns; ``hs`` and ``hr`` are the heads' weights over ``h``.
+        if hidden:
+            g1 = w1[:, idx]
+            h, hs, hr = np.tanh(dot(g1, xs) + b1), ws, wr
+        else:
+            h, hs = xs, ws[:, idx]
+        zs = base_s + dot(hs, h) + bs
+        e = exp(zs - max(zs.tolist()))
+        dz_s = e / total(e)
+        dz_s[gold_s] -= 1.0
 
-        g_rel = gold_r[i]
         if g_rel >= 0:
-            zr = frozen_r[i] + (wr @ h if hidden else wr[:, idx] @ h) + br
-            e = np.exp(zr - zr.max())
-            dz_r = e / e.sum()
+            if not hidden:
+                hr = wr[:, idx]
+            zr = frozen_r + dot(hr, h) + br
+            e = exp(zr - max(zr.tolist()))
+            dz_r = e / total(e)
             dz_r[g_rel] -= 1.0
         else:
             dz_r = None
 
         if hidden:
-            dh = ws.T @ dz_s
+            dh = dot(ws_t, dz_s)
             if dz_r is not None:
-                dh += wr.T @ dz_r
+                dh += dot(wr_t, dz_r)
             dpre = dh * (1.0 - h * h)
         if decay != 1.0:  # the small arrays decay eagerly
             for arr in small:
@@ -288,16 +314,18 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
         bs -= lr * dz_s
         if dz_r is not None:
             br -= lr * dz_r
+        head_step, head_in = (lr, h) if hidden else (step, xv)
+        hs -= head_step * (dz_s[:, None] * head_in)
+        if dz_r is not None:
+            hr -= head_step * (dz_r[:, None] * head_in)
         if hidden:
-            ws -= lr * (dz_s[:, None] * h)
-            if dz_r is not None:
-                wr -= lr * (dz_r[:, None] * h)
-            w1[:, idx] -= step * (dpre[:, None] * xv)
+            g1 -= step * (dpre[:, None] * xv)
+            w1[:, idx] = g1
             b1 -= lr * dpre
         else:
-            ws[:, idx] -= step * (dz_s[:, None] * xv)
+            ws[:, idx] = hs
             if dz_r is not None:
-                wr[:, idx] -= step * (dz_r[:, None] * xv)
+                wr[:, idx] = hr
         if s < _SCALE_FLOOR:
             fold(s)
             s = 1.0

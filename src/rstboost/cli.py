@@ -16,10 +16,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from . import boosting, metrics, treebank
@@ -28,7 +28,7 @@ from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
                      MalformedSyntax, UsageError, config_from_json)
 from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
-from .weak_learner import LearnerConfig, param_count, param_shapes
+from .weak_learner import LearnerConfig, n_params, param_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -373,9 +373,9 @@ def matched_hidden_dim(target_params: int, input_dim: int, n_relations: int) -> 
 
     The count is linear in the width, so widths 1 and 2 fix its slope and base.
     """
-    def count(hidden_dim: int) -> int:
-        cfg = LearnerConfig(input_dim, n_relations, hidden_dim)
-        return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    def count(hidden_dim: int) -> int:  # unchecked: width 2 may be over the limit
+        return n_params(SimpleNamespace(input_dim=input_dim, n_relations=n_relations,
+                                        hidden_dim=hidden_dim))
 
     per_unit = count(2) - count(1)
     base = count(1) - per_unit
@@ -396,8 +396,15 @@ def cmd_compare(args) -> int:
     eval_tb = dataclasses.replace(tb, entries=eval_entries, name=tb.name + "-heldout")
     eval_tbs = [eval_tb] + [treebank.load_treebank(p, run.read(p)) for p in args.eval or []]
 
-    def contender(name: str, hidden_dim: int, n_steps: int) -> dict:
-        bc = _boost_config(args, enc_cfg, n_rel, hidden_dim, n_steps)
+    # Both contenders' configs are built, and so checked, before either trains.
+    weak_cfg = _boost_config(args, enc_cfg, n_rel, args.hidden_dim, args.steps)
+    strong_hidden = args.hidden_dim
+    if args.match_params:  # every step has the weak learner's shapes
+        strong_hidden = matched_hidden_dim(args.steps * n_params(weak_cfg.learner),
+                                           enc_cfg.width, n_rel)
+    strong_cfg = _boost_config(args, enc_cfg, n_rel, strong_hidden, 1)
+
+    def contender(name: str, bc: BoostConfig) -> dict:
         t_start = time.perf_counter()
         ensemble, report = boosting.train(train_tb, bc, enc_cfg)
         seconds = time.perf_counter() - t_start
@@ -407,20 +414,17 @@ def cmd_compare(args) -> int:
         }
         return {
             "name": name,
-            "n_steps": n_steps,
-            "hidden_dim": hidden_dim,
+            "n_steps": bc.n_steps,
+            "hidden_dim": bc.learner.hidden_dim,
             "total_params": sum(param_count(s) for s in ensemble.steps),
             "training_seconds": seconds,
             "epochs_per_step": [s.epochs_run for s in report.steps],
             "scores": scores,
         }
 
-    weak = contender("boosted-weak", args.hidden_dim, args.steps)
-    strong_hidden = args.hidden_dim
+    weak = contender("boosted-weak", weak_cfg)
+    strong = contender("single-strong", strong_cfg)
     matched = None
-    if args.match_params:
-        strong_hidden = matched_hidden_dim(weak["total_params"], enc_cfg.width, n_rel)
-    strong = contender("single-strong", strong_hidden, 1)
     if args.match_params:
         delta = abs(strong["total_params"] - weak["total_params"]) / weak["total_params"]
         matched = {

@@ -21,6 +21,10 @@ from .errors import DimensionMismatch, IllegalGold, InvalidConfig, InvalidInput
 
 N_STRUCTURE = 4  # shift, reduce-NN, reduce-NS, reduce-SN
 SHIFT_CLASS = 0
+# The most parameters one learner may have, 80 MB of float64: training holds a
+# learner and up to two snapshots of it at once.  The README's defaults use about
+# 49,500 per learner, and its `compare` about 247,000 in all.
+MAX_PARAMS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,11 @@ class LearnerConfig:
             raise InvalidConfig(
                 "2 * learning_rate * l2_penalty must be < 1: each update shrinks every "
                 "parameter by 1 - 2 * learning_rate * l2_penalty, which must be positive")
+        if (count := n_params(self)) > MAX_PARAMS:
+            raise InvalidConfig(
+                f"a learner of input_dim {self.input_dim}, hidden_dim {self.hidden_dim} "
+                f"and {self.n_relations} relations has {count:,} parameters; "
+                f"the limit is {MAX_PARAMS:,}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +97,13 @@ def param_shapes(cfg: LearnerConfig) -> dict[str, tuple[int, ...]]:
               if cfg.hidden_dim else {})
     return hidden | {"w_structure": (N_STRUCTURE, fan_in), "b_structure": (N_STRUCTURE,),
                      "w_relation": (cfg.n_relations, fan_in), "b_relation": (cfg.n_relations,)}
+
+
+def n_params(sizes) -> int:
+    """The parameter count of a learner of ``sizes``' ``input_dim``, ``n_relations`` and
+    ``hidden_dim``: a ``LearnerConfig``, or any object with the three, which may
+    describe a learner over ``MAX_PARAMS``."""
+    return sum(math.prod(shape) for shape in param_shapes(sizes).values())
 
 
 def init(cfg: LearnerConfig, seed: int) -> WeakLearner:

@@ -252,6 +252,19 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("flag", ["--hash-dim", "--hidden-dim"])
+    def test_learner_too_large_to_build_is_usage_error(self, data_dir, tmp_path, capsys,
+                                                       command, flag):
+        """No machine could allocate a learner sized 10^15, so it fails at once even
+        where it is not refused.  A size between the limit and 10^15 would really be
+        allocated, so no test uses one."""
+        out = tmp_path / "out.json"
+        assert run("--quiet", command, data_dir / "train_news.tb", "--out", out,
+                   "--steps", "1", *FAST_TRAIN, flag, 10**15) == 1
+        assert f"the limit is {wl.MAX_PARAMS:,}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
     def test_treebank_without_relations_is_data_error(self, tmp_path, capsys, command):
         flat = tmp_path / "flat.tb"
         flat.write_text("".join(f'#doc d{i} news\n(leaf "hello world")\n\n'
@@ -375,6 +388,18 @@ class TestMalformedModel:
         learner["l2_penalty"] = 0.5 / learner["learning_rate"]
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "2 * learning_rate * l2_penalty must be < 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["hash_dim", "hidden_dim"])
+    def test_learner_too_large_to_build_is_data_error(self, model_doc, data_dir, tmp_path,
+                                                      capsys, key):
+        learner = model_doc["boost_config"]["learner"]
+        if key == "hash_dim":
+            model_doc["encoder_config"]["hash_dim"] = 10**15
+            learner["input_dim"] = EncoderConfig(hash_dim=10**15).width
+        else:
+            learner["hidden_dim"] = 10**15
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert f"the limit is {wl.MAX_PARAMS:,}" in capsys.readouterr().err
 
     def test_unknown_config_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys):
         model_doc["encoder_config"]["hash_bits"] = 10
@@ -664,6 +689,33 @@ class TestCompare:
         for h in range(1, 41):
             count = wl.param_count(wl.zeros(wl.LearnerConfig(input_dim, n_rel, h)))
             assert cli.matched_hidden_dim(count, input_dim, n_rel) == h
+
+    def test_matched_width_too_large_is_refused_before_training(self, data_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        """The single learner matched to three boosted steps goes through the size check,
+        before either contender trains."""
+        n_rel = len(load_treebank(data_dir / "train_news.tb").relation_inventory)
+        weak = wl.LearnerConfig(EncoderConfig(hash_dim=256).width, n_rel, hidden_dim=16)
+        monkeypatch.setattr(wl, "MAX_PARAMS", 2 * wl.n_params(weak))
+        monkeypatch.setattr(cli.boosting, "train", None)  # a call would exit 3
+        out = tmp_path / "cmp.json"
+        assert run("--quiet", "compare", data_dir / "train_news.tb", "--steps", "3",
+                   "--match-params", "--out", out, *FAST_TRAIN) == 1
+        assert f"the limit is {2 * wl.n_params(weak):,}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matched_width_counts_widths_over_the_limit(self, data_dir, tmp_path,
+                                                        monkeypatch):
+        """Width 1 at the limit still matches one step of width 1, although the width 2
+        that the closed form counts is over the limit."""
+        n_rel = len(load_treebank(data_dir / "train_news.tb").relation_inventory)
+        weak = wl.LearnerConfig(EncoderConfig(hash_dim=256).width, n_rel, hidden_dim=1)
+        monkeypatch.setattr(wl, "MAX_PARAMS", wl.n_params(weak))
+        out = tmp_path / "cmp.json"
+        assert run("--quiet", "compare", data_dir / "train_news.tb", "--steps", "1",
+                   "--match-params", "--out", out, *FAST_TRAIN, "--hidden-dim", "1") == 0
+        weak_report, strong_report = json.loads(out.read_text())["contenders"]
+        assert weak_report["hidden_dim"] == strong_report["hidden_dim"] == 1
 
     @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1", "2", "-1"])
     def test_eval_fraction_outside_open_unit_interval_is_usage_error(

@@ -138,6 +138,9 @@ def test_every_loaded_mutant_is_valid(valid, tmp_path):
 
 # No value above 2, so that no flag sizes a large allocation.
 FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2")
+# And for the learner's sizes, one that could never be allocated, so that it fails at
+# once, refused or not: the learner it sizes must be refused as a usage error.
+SIZE_VALUES = {"--hash-dim": ("1000000000000000",), "--hidden-dim": ("1000000000000000",)}
 TINY_TRAIN = {"--steps": "1", "--epochs-max": "1", "--hash-dim": "16", "--hidden-dim": "2"}
 FLAG_COMMANDS = {
     "train": (["train", "{gold}", "--out", "{out}/m.json"], TINY_TRAIN),
@@ -163,7 +166,7 @@ def test_numeric_flag_values_never_exit_internal(valid, tmp_path, command):
     assert "--seed" in flags and len(flags) > 1
     bad = []
     for flag in flags:
-        for value in FLAG_VALUES:
+        for value in FLAG_VALUES + SIZE_VALUES.get(flag, ()):
             options = {**settings, flag: value}
             # "--flag=value", so that argparse does not read "-inf" as an option.
             opts = [f"{k}={v}" for k, v in options.items() if k != "--seed"]

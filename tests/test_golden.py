@@ -8,7 +8,9 @@ every step is kept on dev CE, the curve moves between m = 1 and m = 5 and
 the prefixes of most test documents decode to different action sequences,
 so that it covers the frozen logits of steps k >= 2 and the decoder's group
 splits.  The same pipelines run with one and with two BLAS threads must give
-the same outputs.  A third pin runs README quick-start steps 1-5 as written.
+the same outputs.  A third pin runs README quick-start steps 1-5 as written,
+and a fourth trains without a hidden layer (``LINEAR_TRAIN``), where the SGD
+epoch gathers and writes back both heads' columns.
 """
 
 import hashlib
@@ -63,6 +65,14 @@ m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
 4,chat,10,0.8056,0.8056,0.8056,0.3889,0.3889,0.3889,0.0000,0.0000,0.0000
 5,chat,10,0.7778,0.7778,0.7778,0.3056,0.3056,0.3056,0.0000,0.0000,0.0000
 """
+
+LINEAR_TRAIN = ["--hidden-dim", "0"]
+
+# The model digest and the curve CSV's digest.
+LINEAR_SHA256 = {
+    "model.json": "eb6ed1b4dbcf9596f884701421a6c2dc9d3b7a7c63db42ef81062e749aace2c7",
+    "curve.csv": "f29b2169dc8f5ba6662447d351517d2b8c6eace498bbbbf9735542ffb4cf4720",
+}
 
 # README quick-start steps 1-5 at seed 1, in the README's own paths and sizes.
 README_STEPS = [
@@ -135,6 +145,13 @@ def test_seed1_pipeline_matches_golden_pin(tmp_path):
 
 def test_seed1_weak_pipeline_matches_golden_pin(tmp_path):
     assert_matches_pin(run_pipeline(tmp_path, WEAK_TRAIN), WEAK_SHA256, WEAK_CURVE)
+
+
+def test_seed1_linear_pipeline_matches_golden_pin(tmp_path):
+    got = run_pipeline(tmp_path, LINEAR_TRAIN)
+    assert got["model.json"] == LINEAR_SHA256["model.json"], REGENERATE.format(name="model.json")
+    curve = hashlib.sha256(got["curve.csv"].encode()).hexdigest()
+    assert curve == LINEAR_SHA256["curve.csv"], REGENERATE.format(name="curve.csv")
 
 
 def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):

@@ -11,11 +11,13 @@ from rstboost.errors import (
 )
 from rstboost.weak_learner import (
     LearnerConfig,
+    MAX_PARAMS,
     LogitPair,
     WeakLearner,
     boosted_loss_and_grad,
     forward,
     init,
+    n_params,
     param_count,
     param_shapes,
     sgd_step,
@@ -174,6 +176,18 @@ class TestInit:
             with pytest.raises(InvalidConfig, match="l2_penalty must be < 1"):
                 LearnerConfig(input_dim=4, n_relations=3, learning_rate=lr, l2_penalty=l2)
         LearnerConfig(input_dim=4, n_relations=3, learning_rate=1.0, l2_penalty=0.499)
+
+    def test_parameter_count_limit(self):
+        """Checked on the config, so no array is built.  Without a hidden layer and with
+        one relation a learner has 5 * (input_dim + 1) parameters."""
+        assert MAX_PARAMS % 5 == 0
+        at_limit = LearnerConfig(input_dim=MAX_PARAMS // 5 - 1, n_relations=1, hidden_dim=0)
+        assert n_params(at_limit) == MAX_PARAMS
+        with pytest.raises(InvalidConfig, match=f"the limit is {MAX_PARAMS:,}"):
+            LearnerConfig(input_dim=MAX_PARAMS // 5, n_relations=1, hidden_dim=0)
+        # The README's compare matches a single learner to five boosted steps.
+        readme = LearnerConfig(input_dim=3076, n_relations=8)
+        assert 240_000 < 5 * n_params(readme) < MAX_PARAMS // 40
 
 
 class TestForward:
