@@ -58,8 +58,8 @@ def structure_mask(state: ParserState) -> np.ndarray:
 
 def _decision(mask: np.ndarray, structure: np.ndarray,
               relation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy rule as class indices, for one state or per row: masked
-    structure argmax (ties to the lowest index) and relation argmax."""
+    """The greedy rule as class indices, for one state, per row or per (row, prefix):
+    masked structure argmax (ties to the lowest index) and relation argmax."""
     return np.where(mask, structure, -np.inf).argmax(axis=-1), relation.argmax(axis=-1)
 
 
@@ -95,6 +95,11 @@ class BoostedEnsemble:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def stacked(self) -> tuple:
+        """``wl.stack_steps`` of all steps, built on first use; it dies with this ensemble."""
+        return wl.stack_steps(self.steps)
 
 
 @dataclass
@@ -504,24 +509,19 @@ def predict_action(ensemble: BoostedEnsemble, groups, rows,
                    masks: np.ndarray) -> list[dict[Action, list[int]]]:
     """One step of every frontier state: the greedy action of each prefix of its group,
     the masked argmax of its logit sum (ties to the lowest index), as {action: [prefixes
-    choosing it]} in order of first choice.  ``rows`` (a CSR batch, or one sparse row)
-    is checked once and each step runs once over it, into one running sum per state in
-    ``_Instances.add``'s order.  Prefixes must lie in 1..n_steps; ``decode_batch`` checks them."""
+    choosing it]} in ascending prefix order.  One ``wl.forward_steps`` over ``ensemble.stacked``
+    gives every step's logits for ``rows`` (a CSR batch, or one sparse row, checked once);
+    ``cumsum`` sums them as ``_Instances.add`` does.  ``decode_batch`` checks the prefixes."""
     checked = wl._csr(ensemble.steps[0], rows)
-    s = np.zeros((len(groups), wl.N_STRUCTURE))
-    r = np.zeros((len(groups), len(ensemble.relation_inventory)))
+    _, zs, zr = wl.forward_steps(ensemble.stacked, checked, max(map(max, groups)))
+    cls, rel = (x.tolist() for x in _decision(masks[:, None], zs.cumsum(1), zr.cumsum(1)))
     chosen: list[dict[Action, list[int]]] = [{} for _ in groups]
-    for k, step in enumerate(ensemble.steps[:max(map(max, groups))], 1):
-        _, zs, zr = wl._forward(step, *checked)
-        s += zs
-        r += zr
-        want = [i for i, group in enumerate(groups) if k in group]
-        if want:
-            cls, rel = (x.tolist() for x in _decision(masks, s, r))
-        for i in want:
-            action = SHIFT if cls[i] == wl.SHIFT_CLASS else Reduce(
-                NUCLEARITIES[cls[i] - 1], ensemble.relation_inventory[rel[i]])
-            chosen[i].setdefault(action, []).append(k)
+    for choice, group, row_cls, row_rel in zip(chosen, groups, cls, rel):
+        for m in sorted(group):
+            c = row_cls[m - 1]
+            action = SHIFT if c == wl.SHIFT_CLASS else Reduce(
+                NUCLEARITIES[c - 1], ensemble.relation_inventory[row_rel[m - 1]])
+            choice.setdefault(action, []).append(m)
     return chosen
 
 

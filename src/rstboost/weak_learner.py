@@ -127,13 +127,13 @@ def zeros(cfg: LearnerConfig) -> WeakLearner:
 
 
 def _csr(w: WeakLearner, rows, batch: bool = True):
-    """Checked ``(indptr, indices, data)`` of one sparse row ``(indices, values)``
-    (``indptr`` None) or, if ``batch``, of a CSR batch ``(indptr, indices, data)``."""
+    """Checked ``(indptr, indices, data)`` of one sparse row ``(indices, values)``, as a
+    batch of one, or, if ``batch``, of a CSR batch ``(indptr, indices, data)``."""
     if len(rows) != 2 and not (batch and len(rows) == 3):
         raise DimensionMismatch("expected (indices, values) or (indptr, indices, data)")
     *ptr, indices, data = rows
     indices, data, d = np.asarray(indices), np.asarray(data, dtype=np.float64), w.cfg.input_dim
-    indptr = np.asarray(ptr[0]) if ptr else None
+    indptr = np.asarray(ptr[0]) if ptr else np.array([0, indices.size])
     # Viewed as unsigned, a negative index is out of range too.
     if (indices.ndim != 1 or data.shape != indices.shape or indices.size and (
             indices.dtype.kind not in "iu"
@@ -144,43 +144,52 @@ def _csr(w: WeakLearner, rows, batch: bool = True):
     return indptr, indices.astype(np.int64, copy=False), data
 
 
-def _dot_rows(weights: np.ndarray, indptr: np.ndarray | None, indices: np.ndarray,
+def _dot_rows(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
               data: np.ndarray) -> np.ndarray:
-    """Each row's dot product with every row of ``weights``: (N, len(weights)), or
-    (len(weights),) for one row.  ``np.add.reduceat`` sums a row's products in
-    the row's own order, so that a row's result depends neither on the other
-    rows nor on the BLAS thread count.  It would give an empty row the next
-    row's first term, so empty rows are left out of it and give 0."""
-    if indptr is None:
-        return (np.add.reduceat(weights[:, indices] * data, [0], axis=1)[:, 0]
-                if indices.size else np.zeros(len(weights)))
+    """Each row's dot product with every row of ``weights``, (N, len(weights)), from
+    products gathered C-ordered and scaled in place.  ``np.add.reduceat`` sums each row's
+    products in its own order, whatever the other rows of either operand and the BLAS
+    thread count; empty rows, which it would give the next row's first term, give 0."""
     full = indptr[1:] > indptr[:-1]
     out = np.zeros((full.size, len(weights)))
-    out[full] = np.add.reduceat(weights[:, indices] * data, indptr[:-1][full], axis=1).T
+    products = weights.take(indices, axis=1)
+    products *= data
+    out[full] = np.add.reduceat(products, indptr[:-1][full], axis=1).T
     return out
 
 
-def _forward(w: WeakLearner, indptr: np.ndarray | None, indices: np.ndarray,
-             data: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Hidden activations (None without a hidden layer) and both heads' logits."""
-    if w.w_hidden is None:
-        return (None, _dot_rows(w.w_structure, indptr, indices, data) + w.b_structure,
-                _dot_rows(w.w_relation, indptr, indices, data) + w.b_relation)
-    h = np.tanh(_dot_rows(w.w_hidden, indptr, indices, data) + w.b_hidden)
-    if indptr is None:
-        return h, h @ w.w_structure.T + w.b_structure, h @ w.w_relation.T + w.b_relation
-    # numpy multiplies a stack of rows one row at a time, exactly as it
-    # multiplies one row, so a row's logits do not depend on its batch.
-    stack = h[:, None, :]
-    return (h, (stack @ w.w_structure.T)[:, 0] + w.b_structure,
-            (stack @ w.w_relation.T)[:, 0] + w.b_relation)
+def stack_steps(steps) -> tuple:
+    """The parameters of ``steps``, learners of one config, in layout order, each stacked
+    on a leading step axis for ``forward_steps``; one step's are views of its own.  Without
+    a hidden layer both heads read the input, so their weights, and biases, are joined."""
+    arrays = [group[0][None] if len(steps) == 1 else np.stack(group)
+              for group in zip(*([arr for _, arr in step.param_items()] for step in steps))]
+    if steps[0].w_hidden is None:  # (w_structure, w_relation), (b_structure, b_relation)
+        return tuple(np.concatenate(pair, 1) for pair in (arrays[0::2], arrays[1::2]))
+    return tuple(arrays)
+
+
+def forward_steps(stack: tuple, rows, top: int) -> tuple[np.ndarray | None, ...]:
+    """Hidden activations (N, top, H), None without a hidden layer, and the structure and
+    relation logits (N, top, 4) and (N, top, R) of ``stack``'s steps 1..top for a checked
+    CSR batch ``rows``, from one ``_dot_rows``, one ``tanh`` and one product per head.  numpy
+    multiplies a stack of matrices one at a time, so each is bitwise the one-step value."""
+    w_in, b_in, *heads = (a[:top] for a in stack)
+    z = _dot_rows(w_in.reshape(-1, w_in.shape[2]), *rows).reshape(-1, *w_in.shape[:2]) + b_in
+    if not heads:
+        return None, z[..., :N_STRUCTURE], z[..., N_STRUCTURE:]
+    h = np.tanh(z)
+    return h, *((h[:, :, None] @ w.transpose(0, 2, 1))[:, :, 0] + b
+                for w, b in (heads[:2], heads[2:]))
 
 
 def forward(w: WeakLearner, rows) -> LogitPair:
-    """Logits of both heads for one sparse row ``(indices, values)``, shaped
-    (4,) and (R,), or for a CSR batch ``(indptr, indices, data)``, shaped
-    (N, 4) and (N, R).  A row's logits do not depend on its batch."""
-    return LogitPair(*_forward(w, *_csr(w, rows))[1:])
+    """Logits of both heads for one sparse row ``(indices, values)``, shaped (4,) and
+    (R,), or for a CSR batch ``(indptr, indices, data)``, shaped (N, 4) and (N, R): the
+    one-step ``forward_steps``.  A row's logits do not depend on its batch."""
+    _, structure, relation = forward_steps(stack_steps([w]), _csr(w, rows), 1)
+    lead = slice(None) if len(rows) == 3 else 0  # one row has no batch axis
+    return LogitPair(structure[lead, 0], relation[lead, 0])
 
 
 def param_count(w: WeakLearner) -> int:
@@ -214,7 +223,7 @@ def boosted_loss_and_grad(
     all of this learner's parameters is added when ``cfg.l2_penalty > 0``.
     The frozen logits are treated as constants.
     """
-    _, idx, xv = _csr(w, row, batch=False)
+    _, idx, xv = checked = _csr(w, row, batch=False)
     mask = np.asarray(legal_mask, dtype=bool)
     if mask.shape != (N_STRUCTURE,):
         raise DimensionMismatch(f"legal_mask has shape {mask.shape}, expected (4,)")
@@ -230,7 +239,8 @@ def boosted_loss_and_grad(
     ):
         raise DimensionMismatch("frozen logits do not match the learner's heads")
 
-    h, logits_s, logits_r = _forward(w, None, idx, xv)
+    h, logits_s, logits_r = (x if x is None else x[0, 0]
+                             for x in forward_steps(stack_steps([w]), checked, 1))
     p_s, logp_s = _masked_log_softmax(frozen.structure + logits_s, mask)
     loss = -logp_s[gold_structure]
     dz_s = p_s.copy()

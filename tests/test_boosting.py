@@ -1,10 +1,12 @@
 import base64
 import dataclasses
 import functools
+import gc
 import json
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -779,6 +781,52 @@ class TestDecodeBatch:
         for (state, doc, prefixes), choice in zip(frontier, got):
             want = reference_predict_action(ens, prefixes, state, doc)
             assert list(choice.items()) == list(want.items())
+
+    def test_out_of_order_groups_match_per_state_reference(self):
+        """Each group's {action: [prefixes]} items come in ascending prefix order, however
+        the group is ordered."""
+        tb = small_treebank(n_docs=4, seed=71, edu_range=(3, 9))
+        ens = self.random_ensemble(tb, 4, NUCLEUS)
+        frontier = []
+        for (doc, tree), prefixes in zip(tb.entries, ([3, 1, 2], [4, 2], [2, 4, 1, 3], [3, 1])):
+            state = initial_state(doc.n_edus)
+            for action in oracle(tree)[:-1]:
+                frontier.append((state, doc, prefixes))
+                state = apply(state, action)
+        rows = [encode_state(state, doc, ens.encoder_config) for state, doc, _ in frontier]
+        got = predict_action(ens, [prefixes for *_, prefixes in frontier], _stack_rows(rows),
+                             np.array([structure_mask(state) for state, *_ in frontier]))
+        for (state, doc, prefixes), choice in zip(frontier, got):
+            assert list(choice.items()) == list(
+                reference_predict_action(ens, prefixes, state, doc).items())
+        # Some state's prefixes disagree, where the order of the items shows.
+        assert any(len(choice) > 1 for choice in got)
+
+    def test_replaced_steps_decode_as_a_model_read_from_json(self):
+        """``stacked`` belongs to one ensemble: one made by ``replace`` from an ensemble
+        that has decoded decodes as the same steps read from a model file."""
+        tb = small_treebank(n_docs=8, seed=67, edu_range=(2, 10))
+        docs = [doc for doc, _ in tb.entries]
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+                            hidden_dim=4)
+        ens = BoostedEnsemble(ENC, tb.relation_inventory,
+                              tuple(wl.init(cfg, seed) for seed in range(4)),
+                              BoostConfig(learner=cfg))
+        full = decode_batch(ens, docs, [1, 2])
+        for kept in (ens.steps[:2], ens.steps[2:]):
+            short = dataclasses.replace(ens, steps=kept)
+            got = decode_batch(short, docs, [1, 2])
+            assert got == decode_batch(model_from_json(model_to_json(short)), docs, [1, 2])
+            assert (got == full) == (kept == ens.steps[:2])
+
+    def test_stack_is_freed_with_its_ensemble(self):
+        tb = small_treebank(n_docs=2, seed=73, edu_range=(2, 4))
+        ens = self.random_ensemble(tb, 4, NUCLEUS)
+        decode_batch(ens, [doc for doc, _ in tb.entries], [1, 4])
+        stacked = weakref.ref(ens.stacked[0])
+        del ens
+        gc.collect()
+        assert stacked() is None
 
     def test_rows_are_checked_once_per_iteration(self, monkeypatch):
         tb = small_treebank(n_docs=4, seed=53, edu_range=(2, 6))

@@ -14,13 +14,16 @@ from rstboost.weak_learner import (
     MAX_PARAMS,
     LogitPair,
     WeakLearner,
+    _csr,
     boosted_loss_and_grad,
     forward,
+    forward_steps,
     init,
     n_params,
     param_count,
     param_shapes,
     sgd_step,
+    stack_steps,
     zeros,
 )
 
@@ -286,6 +289,80 @@ class TestSparseRows:
         with pytest.raises(DimensionMismatch):
             boosted_loss_and_grad(learner, batch, LogitPair.zeros(5), 0, None, ALL_LEGAL)
 
+
+
+def bits(a):
+    """An array's shape and bytes: equal only for bit-for-bit equal values, signed
+    zeros included."""
+    a = np.ascontiguousarray(a)
+    return a.shape, a.tobytes()
+
+
+def reference_forward(w, row):
+    """One learner's (structure, relation) logits for one sparse row, in the arithmetic
+    of the forward that ran each step alone: an F-ordered gather of the row's columns,
+    ``np.add.reduceat`` (0 for an empty row), then ``h @ W.T`` with a hidden layer."""
+    indices, values = row
+
+    def dot(weights):
+        if not len(indices):
+            return np.zeros(len(weights))
+        return np.add.reduceat(weights[:, indices] * values, [0], axis=1)[:, 0]
+
+    if w.w_hidden is None:
+        return dot(w.w_structure) + w.b_structure, dot(w.w_relation) + w.b_relation
+    h = np.tanh(dot(w.w_hidden) + w.b_hidden)
+    return h @ w.w_structure.T + w.b_structure, h @ w.w_relation.T + w.b_relation
+
+
+class TestForwardSteps:
+    """One pass over a stack of steps against one ``forward`` per step, bit for bit."""
+    # Rows of these many nonzeros; 128 is numpy's pairwise-summation block.
+    NONZEROS = (0, 1, 8, 128, 129, 300)
+
+    @pytest.mark.parametrize("n_relations", [1, 10])
+    @pytest.mark.parametrize("hidden_dim", [0, 3, 16])
+    def test_each_step_equals_its_own_forward(self, hidden_dim, n_relations):
+        rng = np.random.default_rng(10 * hidden_dim + n_relations)
+        cfg = small_cfg(hidden_dim=hidden_dim, input_dim=400, n_relations=n_relations)
+        steps = [init(cfg, seed) for seed in range(5)]
+        for step in steps:
+            for _, arr in step.param_items():
+                if arr.ndim == 1:  # nonzero biases
+                    arr[...] = rng.normal(size=arr.size)
+        rows = [(np.sort(rng.choice(400, n, replace=False)), rng.normal(size=n))
+                for n in self.NONZEROS]
+        batch = (np.cumsum((0,) + self.NONZEROS), np.concatenate([i for i, _ in rows]),
+                 np.concatenate([v for _, v in rows]))
+        stack = stack_steps(steps)
+        for top in (1, 3, 5):
+            _, zs, zr = forward_steps(stack, _csr(steps[0], batch), top)
+            assert zs.shape == (len(rows), top, 4) and zr.shape == (len(rows), top, n_relations)
+            alone = [forward_steps(stack, _csr(steps[0], row), top) for row in rows]
+            for k, step in enumerate(steps[:top]):
+                want = forward(step, batch)
+                assert bits(zs[:, k]) == bits(want.structure)
+                assert bits(zr[:, k]) == bits(want.relation)
+                for i, row in enumerate(rows):
+                    one = forward(step, row)
+                    assert bits(one.structure) == bits(zs[i, k]) == bits(alone[i][1][0, k])
+                    assert bits(one.relation) == bits(zr[i, k]) == bits(alone[i][2][0, k])
+                    ref_s, ref_r = reference_forward(step, row)
+                    assert bits(one.structure) == bits(ref_s)
+                    assert bits(one.relation) == bits(ref_r)
+
+    def test_one_step_stack_follows_in_place_updates(self):
+        """With a hidden layer, one step's stack is views of its arrays."""
+        learner = init(small_cfg(hidden_dim=3), 0)
+        stack = stack_steps([learner])
+        row = _csr(learner, sparse(np.arange(7.0)))
+        before = forward(learner, row)
+        for _, arr in learner.param_items():
+            arr += 1.0
+        _, zs, zr = forward_steps(stack, row, 1)
+        after = forward(learner, row)
+        assert bits(zs[:, 0]) == bits(after.structure) and bits(zr[:, 0]) == bits(after.relation)
+        assert not np.array_equal(after.structure, before.structure)
 
 class TestParamCount:
     def test_linear_case(self):
