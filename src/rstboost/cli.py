@@ -27,7 +27,7 @@ from .boosting import BoostConfig
 from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
                      MalformedSyntax, UsageError, config_from_json)
-from .treebank import Document, SynthConfig, Treebank, _atomic_write, tokenize_text
+from .treebank import Document, SynthSettings, Treebank, _atomic_write, tokenize_text
 from .weak_learner import LearnerConfig, n_params, param_count
 
 EXIT_OK = 0
@@ -103,24 +103,6 @@ class _Run:
 # synth
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class SynthSettings:
-    """``synth``'s settings: the README's defaults, each overridable by ``--config``."""
-
-    n_train: int = 200
-    n_test: int = 100
-    edu_range: tuple[int, ...] = (2, 10)
-    shared_vocab: int = 120
-    domain_vocab: int = 40
-    p_domain: float = 0.5
-    domain_a: str = "news"
-    domain_b: str = "chat"
-    shared_relations: tuple[str, ...] = (
-        "attribution", "background", "cause", "contrast", "elaboration", "joint")
-    domain_relations_a: tuple[str, ...] = ("condition", "evidence")
-    domain_relations_b: tuple[str, ...] = ("restatement", "temporal")
-
-
 def cmd_synth(args) -> int:
     run = _Run(args)
     user = {}
@@ -132,33 +114,11 @@ def cmd_synth(args) -> int:
         if not isinstance(user, dict):
             raise InvalidConfig(f"synth config {args.config} must hold a JSON object")
     cfg = config_from_json(SynthSettings, user)
-    if cfg.domain_a == cfg.domain_b:  # the two test sets would share one file
-        raise InvalidConfig(f"domain_a and domain_b are both {cfg.domain_a!r}")
-    full_inventory = tuple(sorted({*cfg.shared_relations, *cfg.domain_relations_a,
-                                   *cfg.domain_relations_b}))
-
-    def build(name: str, n: int, tag: str, rels: tuple, seed: int) -> Treebank:
-        sc = SynthConfig(
-            n_docs=n,
-            edu_range=cfg.edu_range,
-            shared_vocab=cfg.shared_vocab,
-            domain_vocab=cfg.domain_vocab,
-            domain_tag=tag,
-            shared_relations=cfg.shared_relations,
-            domain_relations=rels,
-            p_domain=cfg.p_domain,
-            name=name,
-        )
-        tb = treebank.synthesize_treebank(sc, seed)
-        # Declare the full cross-domain inventory so that models trained on
-        # one domain can be evaluated on the other.
-        return dataclasses.replace(tb, relation_inventory=full_inventory)
-
-    # Every treebank is built, so every config is checked, before the first write.
-    tbs = [build(*spec) for spec in (
-        (f"train_{cfg.domain_a}", cfg.n_train, cfg.domain_a, cfg.domain_relations_a, args.seed),
-        (f"test_{cfg.domain_a}", cfg.n_test, cfg.domain_a, cfg.domain_relations_a, args.seed + 1),
-        (f"test_{cfg.domain_b}", cfg.n_test, cfg.domain_b, cfg.domain_relations_b, args.seed + 2),
+    # Every treebank is built before the first write.
+    tbs = [treebank.synthesize_treebank(cfg, *spec) for spec in (
+        ("a", cfg.n_train, f"train_{cfg.domain_a}", args.seed),
+        ("a", cfg.n_test, f"test_{cfg.domain_a}", args.seed + 1),
+        ("b", cfg.n_test, f"test_{cfg.domain_b}", args.seed + 2),
     )]
     out_dir = Path(args.out)
     for tb in tbs:

@@ -1,4 +1,5 @@
-"""Discourse treebank data model, bracketed serialization, and synthesis.
+"""Discourse treebank data model, bracketed serialization, and synthesis; the
+generator's one settings type, ``SynthSettings``, holds every rule on its values.
 
 A treebank is a list of (document, tree) pairs.  Documents are sequences of
 EDUs (elementary discourse units); trees are strictly binary, with a
@@ -416,25 +417,62 @@ def save_treebank(tb: Treebank, path: str | Path) -> None:
 # Synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for the synthetic treebank generator.
+# The most EDUs one ``synth`` run may generate: about 1 GB and 13 s of generation.
+MAX_SYNTH_EDUS = 1_000_000
 
-    ``p_domain`` is the probability that a domain-specific generation rule
-    fires: per internal node it switches the relation draw to the
-    domain-specific relation set, and per filler token it switches the
-    lexicon to the domain-specific one.
+
+@dataclass(frozen=True)
+class SynthSettings:
+    """The synthetic generator's settings, with the README's defaults.
+
+    ``synth`` writes ``n_train`` training and ``n_test`` test documents of domain a and
+    ``n_test`` test documents of domain b.  ``p_domain`` is the probability that a
+    domain-specific rule fires: per internal node it draws the relation from the
+    domain's relation set, and per filler token it draws from the domain's lexicon.
     """
 
-    n_docs: int = 100
-    edu_range: tuple[int, int] = (2, 10)
+    n_train: int = 200
+    n_test: int = 100
+    edu_range: tuple[int, ...] = (2, 10)
     shared_vocab: int = 120
     domain_vocab: int = 40
-    domain_tag: str = "news"
-    shared_relations: tuple[str, ...] = ()
-    domain_relations: tuple[str, ...] = ()
-    p_domain: float = 0.25
-    name: str = "synth"
+    p_domain: float = 0.5
+    domain_a: str = "news"
+    domain_b: str = "chat"
+    shared_relations: tuple[str, ...] = (
+        "attribution", "background", "cause", "contrast", "elaboration", "joint")
+    domain_relations_a: tuple[str, ...] = ("condition", "evidence")
+    domain_relations_b: tuple[str, ...] = ("restatement", "temporal")
+
+    def __post_init__(self) -> None:
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be >= 0")
+        if len(self.edu_range) != 2 or not 1 <= self.edu_range[0] <= self.edu_range[1]:
+            raise InvalidConfig(f"edu_range {list(self.edu_range)} is a bad EDU range; "
+                                "need 1 <= min <= max")
+        if (edus := (self.n_train + 2 * self.n_test) * self.edu_range[1]) > MAX_SYNTH_EDUS:
+            raise InvalidConfig(f"synth would make up to {edus:,} EDUs ((n_train + 2 * n_test) "
+                                f"* edu_range[1]); the limit is {MAX_SYNTH_EDUS:,}")
+        if self.shared_vocab < 1:
+            raise InvalidConfig("shared_vocab must be >= 1")
+        if not 0.0 <= self.p_domain <= 1.0:
+            raise InvalidConfig("p_domain must lie in [0, 1]")
+        if self.p_domain > 0 and self.domain_vocab < 1:
+            raise InvalidConfig("domain_vocab must be >= 1 when p_domain > 0")
+        if self.domain_a == self.domain_b:  # the two test sets would share one file
+            raise InvalidConfig(f"domain_a and domain_b are both {self.domain_a!r}")
+        if not self.shared_relations:
+            raise InvalidConfig("shared_relations must be non-empty")
+        for side in "ab":
+            if not re.fullmatch(r"[\w.-]+", tag := getattr(self, f"domain_{side}")):
+                raise InvalidConfig(f"domain_{side}: domain tag {tag!r} must match [\\w.-]+")
+            if self.p_domain > 0 and not getattr(self, f"domain_relations_{side}"):
+                raise InvalidConfig(f"domain_relations_{side} is empty but p_domain > 0")
+        for name in ("shared_relations", "domain_relations_a", "domain_relations_b"):
+            for rel in getattr(self, name):
+                if not _RELATION_RE.match(rel):
+                    raise InvalidConfig(f"{name}: relation label {rel!r} must match [a-z_-]+")
 
 
 def nuclearity_for_relation(relation: str) -> str:
@@ -447,29 +485,8 @@ def nuclearity_for_relation(relation: str) -> str:
     return ("NS", "SN", "NN")[int.from_bytes(h, "little") % 3]
 
 
-def _check_synth_config(cfg: SynthConfig) -> None:
-    if cfg.n_docs < 0:
-        raise InvalidConfig("n_docs must be >= 0")
-    if len(cfg.edu_range) != 2 or not 1 <= cfg.edu_range[0] <= cfg.edu_range[1]:
-        raise InvalidConfig(f"bad EDU range {cfg.edu_range}; need 1 <= min <= max")
-    if not re.fullmatch(r"[\w.-]+", cfg.domain_tag):
-        raise InvalidConfig(f"domain tag {cfg.domain_tag!r} must match [\\w.-]+")
-    if not cfg.shared_relations:
-        raise InvalidConfig("shared relation set must be non-empty")
-    if not 0.0 <= cfg.p_domain <= 1.0:
-        raise InvalidConfig("p_domain must lie in [0, 1]")
-    if cfg.p_domain > 0 and not cfg.domain_relations:
-        raise InvalidConfig("domain relation set empty but p_domain > 0")
-    if cfg.shared_vocab < 1:
-        raise InvalidConfig("shared_vocab must be >= 1")
-    if cfg.p_domain > 0 and cfg.domain_vocab < 1:
-        raise InvalidConfig("domain_vocab must be >= 1 when p_domain > 0")
-    for rel in cfg.shared_relations + cfg.domain_relations:
-        if not _RELATION_RE.match(rel):
-            raise InvalidConfig(f"relation label {rel!r} must match [a-z_-]+")
-
-
-def _gen_structure(rng: Random, lo: int, hi: int, cfg: SynthConfig) -> DiscourseNode:
+def _gen_structure(rng: Random, lo: int, hi: int, cfg: SynthSettings,
+                   domain_relations: tuple[str, ...]) -> DiscourseNode:
     """End-splitting of [lo, hi]; each node's relation draw fixes its split side.
 
     Relations whose nuclearity is NS or NN peel the leftmost EDU as the
@@ -480,7 +497,7 @@ def _gen_structure(rng: Random, lo: int, hi: int, cfg: SynthConfig) -> Discourse
     """
     peeled: list[tuple[str, str, int]] = []
     while lo < hi:
-        active = cfg.domain_relations if rng.random() < cfg.p_domain else cfg.shared_relations
+        active = domain_relations if rng.random() < cfg.p_domain else cfg.shared_relations
         relation = active[rng.randrange(len(active))]
         nuc = nuclearity_for_relation(relation)
         peeled.append((nuc, relation, hi if nuc == "SN" else lo))
@@ -531,19 +548,20 @@ def _inject_cues(tree: DiscourseNode, cues: dict[int, dict]) -> None:
         cues[satellite.head]["marker"] = relation_markers(node.relation)
 
 
-def _fillers(rng: Random, cfg: SynthConfig) -> list[str]:
+def _fillers(rng: Random, cfg: SynthSettings, tag: str) -> list[str]:
     out = []
     for _ in range(rng.randint(1, 2)):
         if rng.random() < cfg.p_domain:
-            out.append(f"d{cfg.domain_tag}{rng.randrange(cfg.domain_vocab)}")
+            out.append(f"d{tag}{rng.randrange(cfg.domain_vocab)}")
         else:
             out.append(f"w{rng.randrange(cfg.shared_vocab)}")
     return out
 
 
-def _gen_document(rng: Random, doc_id: str, cfg: SynthConfig) -> tuple[Document, DiscourseNode]:
+def _gen_document(rng: Random, doc_id: str, cfg: SynthSettings, tag: str,
+                  domain_relations: tuple[str, ...]) -> tuple[Document, DiscourseNode]:
     n = rng.randint(*cfg.edu_range)
-    tree = _gen_structure(rng, 1, n, cfg)
+    tree = _gen_structure(rng, 1, n, cfg, domain_relations)
     cues: dict[int, dict] = {i: {} for i in range(1, n + 1)}
     _inject_cues(tree, cues)
     edus = []
@@ -551,20 +569,25 @@ def _gen_document(rng: Random, doc_id: str, cfg: SynthConfig) -> tuple[Document,
         # Cues at the edges, fillers in the middle: the cues survive center
         # truncation as well.
         edus.append(EDU(i, (*cue.get("kind", ()), *cue.get("cont", ()),
-                            *_fillers(rng, cfg), *cue.get("marker", ()))))
+                            *_fillers(rng, cfg, tag), *cue.get("marker", ()))))
     return Document(doc_id, tuple(edus)), tree
 
 
-def synthesize_treebank(cfg: SynthConfig, seed: int) -> Treebank:
-    """Deterministically generate a treebank whose labels are cued in the text.
+def synthesize_treebank(cfg: SynthSettings, side: str, n_docs: int, name: str,
+                        seed: int) -> Treebank:
+    """Deterministically generate ``n_docs`` documents of domain ``side`` ("a" or "b")
+    whose labels are cued in the text.
 
     Every relation owns a marker token injected into the head EDU of its
     satellite (or second-nucleus) constituent, and every EDU carries an
     attachment cue, so both tree shape and labels are recoverable from
-    bag-of-words features over parser states.
+    bag-of-words features over parser states.  The treebank declares both
+    domains' relations, so that a model trained on one domain can be
+    evaluated on the other.
     """
-    _check_synth_config(cfg)
-    entries = [_gen_document(Random(seed * 1_000_003 + d), f"{cfg.name}-{d:04d}", cfg)
-               for d in range(cfg.n_docs)]  # one random stream per document
-    inventory = tuple(sorted(set(cfg.shared_relations) | set(cfg.domain_relations)))
-    return Treebank(cfg.name, cfg.domain_tag, inventory, tuple(entries))
+    tag, relations = getattr(cfg, f"domain_{side}"), getattr(cfg, f"domain_relations_{side}")
+    entries = [_gen_document(Random(seed * 1_000_003 + d), f"{name}-{d:04d}", cfg, tag, relations)
+               for d in range(n_docs)]  # one random stream per document
+    inventory = tuple(sorted({*cfg.shared_relations, *cfg.domain_relations_a,
+                              *cfg.domain_relations_b}))
+    return Treebank(name, tag, inventory, tuple(entries))

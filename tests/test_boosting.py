@@ -43,7 +43,7 @@ from rstboost.treebank import (
     EDU,
     Internal,
     Leaf,
-    SynthConfig,
+    SynthSettings,
     postorder,
     synthesize_treebank,
     validate,
@@ -78,20 +78,16 @@ def oracle_instances(tb):
 
 def small_treebank(n_docs=30, seed=1, edu_range=(2, 6), relations=(SHARED, DOMAIN)):
     """A synthetic news treebank; ``relations`` is its (shared, domain) relation sets."""
-    return synthesize_treebank(
-        SynthConfig(
-            n_docs=n_docs,
-            edu_range=edu_range,
-            shared_vocab=30,
-            domain_vocab=10,
-            domain_tag="news",
-            shared_relations=relations[0],
-            domain_relations=relations[1],
-            p_domain=0.3,
-            name="unit",
-        ),
-        seed,
+    settings = SynthSettings(
+        edu_range=edu_range,
+        shared_vocab=30,
+        domain_vocab=10,
+        shared_relations=relations[0],
+        domain_relations_a=relations[1],
+        domain_relations_b=relations[1],
+        p_domain=0.3,
     )
+    return synthesize_treebank(settings, "a", n_docs, "unit", seed)
 
 
 def boost_cfg(tb, n_steps=2, **kw):

@@ -84,6 +84,9 @@ class TestSynth:
         ('{"n_test": true}', "n_test"),
         ('{"shared_relations": ["cause", 3]}', "shared_relations"),
         ('{"domain_a": "two words"}', "domain tag"),
+        ('{"n_train": -1}', "n_train"),
+        ('{"n_test": -2}', "n_test"),
+        ('{"p_domain": 0.5, "domain_relations_b": []}', "domain_relations_b"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
         cfg = tmp_path / "bad.json"
@@ -95,12 +98,18 @@ class TestSynth:
         ({"domain_a": "x", "domain_b": "x"}, "domain_a and domain_b"),
         ({"domain_b": "two words"}, "domain tag"),
         ({"domain_relations_b": ["Two Words"]}, "relation label"),
-    ], ids=["equal-domains", "domain-b-tag", "domain-b-relation"])
+        ({"n_train": 10**15}, "the limit is 1,000,000"),
+        ({"n_test": 10**15}, "the limit is 1,000,000"),
+        ({"edu_range": [1, 10**15]}, "the limit is 1,000,000"),
+    ], ids=["equal-domains", "domain-b-tag", "domain-b-relation", "n_train-too-large",
+            "n_test-too-large", "edu_range-too-large"])
     def test_bad_domain_config_is_usage_error_and_writes_nothing(self, tmp_path, capsys,
-                                                                 bad, needle):
+                                                                 monkeypatch, bad, needle):
+        """Every rule is checked when the settings are read, before any generation."""
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"n_train": 3, "n_test": 2, **bad}))
         out = tmp_path / "data"
+        monkeypatch.setattr(cli.treebank, "synthesize_treebank", None)  # a call would exit 3
         assert run("synth", "--config", cfg, "--out", out) == 1
         assert needle in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.tb"))

@@ -13,11 +13,11 @@ from rstboost.treebank import (
     Document,
     Internal,
     Leaf,
-    SynthConfig,
     iter_internal,
     parse_bracketed,
     postorder,
     serialize_bracketed,
+    SynthSettings,
     synthesize_treebank,
     validate,
 )
@@ -141,9 +141,9 @@ def test_constituents(deep):
 
 
 def test_synthesize_deep_document():
-    cfg = SynthConfig(n_docs=1, edu_range=(DEPTH, DEPTH), shared_relations=("cause", "joint"),
-                      domain_relations=("evidence",), p_domain=0.3)
-    (doc, tree), = synthesize_treebank(cfg, seed=4).entries
+    cfg = SynthSettings(n_train=1, n_test=0, edu_range=(DEPTH, DEPTH), p_domain=0.3,
+                        shared_relations=("cause", "joint"), domain_relations_a=("evidence",))
+    (doc, tree), = synthesize_treebank(cfg, "a", 1, "synth", seed=4).entries
     assert doc.n_edus == DEPTH
     assert validate(doc, tree) == []
 

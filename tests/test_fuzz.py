@@ -149,6 +149,21 @@ FLAG_COMMANDS = {
 }
 
 
+# Synth settings that size the generated treebanks, each at a size that could never be
+# built; ``synthesize_treebank`` is replaced, so a config that got past the check exits 3.
+SYNTH_SIZES = {"n_train": 10**15, "n_test": 10**15, "edu_range": [1, 10**15]}
+
+
+@pytest.mark.parametrize("key", sorted(SYNTH_SIZES))
+def test_synth_size_too_large_exits_usage(valid, tmp_path, monkeypatch, key):
+    config = {**json.loads((valid / "synth.json").read_text()), key: SYNTH_SIZES[key]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr("rstboost.treebank.synthesize_treebank", None)
+    assert main(["--quiet", "synth", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("*.tb"))
+
+
 def numeric_flags(command: str) -> list[str]:
     """The int and float options that ``command`` reads, the global ones included."""
     parser = build_parser()

@@ -10,7 +10,9 @@ so that it covers the frozen logits of steps k >= 2 and the decoder's group
 splits.  The same pipelines run with one and with two BLAS threads must give
 the same outputs.  A third pin runs README quick-start steps 1-5 as written,
 and a fourth trains without a hidden layer (``LINEAR_TRAIN``), where the SGD
-epoch gathers and writes back both heads' columns.
+epoch gathers and writes back both heads' columns.  The ``synth`` pins
+(``SYNTH_PINS``) cover settings other than the defaults: the benchmark's two
+configs and a config with the domains swapped and no domain rules.
 """
 
 import hashlib
@@ -98,6 +100,37 @@ README_SHA256 = {
     "runs/curve.csv": "a396b384a268eef2b3d7f21aafbf172ad4f644aefd80f6875a36193d90e36645",
 }
 
+# The README synth defaults, in field order, as ``synth`` records them in its manifest.
+SYNTH_DEFAULTS = {
+    "n_train": 200, "n_test": 100, "edu_range": [2, 10],
+    "shared_vocab": 120, "domain_vocab": 40, "p_domain": 0.5,
+    "domain_a": "news", "domain_b": "chat",
+    "shared_relations": ["attribution", "background", "cause", "contrast", "elaboration", "joint"],
+    "domain_relations_a": ["condition", "evidence"],
+    "domain_relations_b": ["restatement", "temporal"],
+}
+
+# (seed, config, {file: digest}) for each pinned synth run.
+SYNTH_PINS = [
+    (3, {"n_train": 50, "n_test": 25, "edu_range": [6, 6]}, {
+        "train_news.tb": "7b5139c3054c4994cd7e904ef0d56f5e4e09f929e1141a8ebc91afa9457adea5",
+        "test_news.tb": "cee438b296b1071e3b89f1e86aadbd8de3e2047117c0a80ceeb99f5a950ab47b",
+        "test_chat.tb": "812bfdcdb1012d5e2a83a75cd32a479bafb263e6beeeef053053ba2d9b7468d9",
+    }),
+    (4, {"n_train": 16, "n_test": 20, "edu_range": [6, 6]}, {
+        "train_news.tb": "9f1e412b769827ea7bef470e9389b23edf96489b63b4d435b4a62f82592a3aeb",
+        "test_news.tb": "b8a6b3faa048cb1087edfca6dd87621563411ada3e5a012ffc6bb032f3e48cf6",
+        "test_chat.tb": "190fd971f643da5c0b90a1ddcf902053ffe8789edda7533962c2cb2550f85fa9",
+    }),
+    (2, {"n_train": 7, "n_test": 5, "edu_range": [1, 3], "p_domain": 0,
+         "domain_relations_a": [], "domain_relations_b": [],
+         "domain_a": "chat", "domain_b": "news"}, {
+        "train_chat.tb": "e5f14d75431ec3f8056297e8d3ab0d79f903b3896bb40bc9f02c255ed0c90c05",
+        "test_chat.tb": "0fa4bf421ef3fe8807b7985150555ee9e11c53ea3547e4d51649d34382bb7b83",
+        "test_news.tb": "8bd1a43cfce3a745d89c6d87ae11c959a020d4c340fbbf4810373c4f959cfb59",
+    }),
+]
+
 REGENERATE = (
     "{name} differs from the golden pin. A numpy, Python or CPU change can move "
     "these digests, because training sums floating-point products. If the change "
@@ -160,6 +193,20 @@ def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):
         assert main(["--quiet", *argv]) == 0, argv
     for name, want in README_SHA256.items():
         assert _sha256(tmp_path / name) == want, REGENERATE.format(name=name)
+
+
+def test_synth_at_other_settings_matches_pin(tmp_path):
+    for k, (seed, config, digests) in enumerate(SYNTH_PINS):
+        cfg, out = tmp_path / f"synth{k}.json", tmp_path / f"data{k}"
+        cfg.write_text(json.dumps(config))
+        assert main(["--seed", str(seed), "--quiet", "synth", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.tb")) == sorted(digests)
+        for name, want in digests.items():
+            assert _sha256(out / name) == want, REGENERATE.format(name=name)
+        # Field order and JSON types too: p_domain 0 stays an int.
+        manifest = json.loads((out / "synth.manifest.json").read_text())
+        assert json.dumps(manifest["config"]) == json.dumps({**SYNTH_DEFAULTS, **config})
 
 
 def assert_same_under_one_and_two_threads(tmp_path, train_flags):

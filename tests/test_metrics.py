@@ -22,7 +22,7 @@ from rstboost.metrics import (
     score_entries,
 )
 from rstboost.transition import oracle
-from rstboost.treebank import Internal, Leaf, SynthConfig, synthesize_treebank
+from rstboost.treebank import Internal, Leaf, SynthSettings, synthesize_treebank
 from rstboost.weak_learner import LearnerConfig
 
 from conftest import (
@@ -40,20 +40,17 @@ ENC = EncoderConfig(hash_dim=64)
 
 
 def mk_tb(n_docs=12, seed=1, tag="news", name="unit"):
-    return synthesize_treebank(
-        SynthConfig(
-            n_docs=n_docs,
-            edu_range=(2, 6),
-            shared_vocab=30,
-            domain_vocab=10,
-            domain_tag=tag,
-            shared_relations=SHARED,
-            domain_relations=DOMAIN,
-            p_domain=0.3,
-            name=name,
-        ),
-        seed,
+    """A synthetic treebank of domain ``tag``, news or chat; both draw from ``DOMAIN``."""
+    settings = SynthSettings(
+        edu_range=(2, 6),
+        shared_vocab=30,
+        domain_vocab=10,
+        shared_relations=SHARED,
+        domain_relations_a=DOMAIN,
+        domain_relations_b=DOMAIN,
+        p_domain=0.3,
     )
+    return synthesize_treebank(settings, {"news": "a", "chat": "b"}[tag], n_docs, name, seed)
 
 
 def quick_ensemble(tb, n_steps=2):

@@ -3,16 +3,17 @@ import pytest
 from rstboost.errors import InvalidConfig, InvalidTree, MalformedSyntax
 from rstboost.treebank import (
     EDU,
+    MAX_SYNTH_EDUS,
     Document,
     Internal,
     Leaf,
-    SynthConfig,
     iter_internal,
     load_treebank,
     postorder,
     parse_bracketed,
     save_treebank,
     serialize_bracketed,
+    SynthSettings,
     synthesize_treebank,
     validate,
 )
@@ -24,19 +25,23 @@ DOMAIN = ("condition", "evidence")
 
 
 def synth_cfg(**kw):
+    """Settings whose two domains, news and chat, both draw from ``DOMAIN``."""
     base = dict(
-        n_docs=20,
         edu_range=(2, 8),
         shared_vocab=50,
         domain_vocab=20,
-        domain_tag="news",
         shared_relations=SHARED,
-        domain_relations=DOMAIN,
+        domain_relations_a=DOMAIN,
+        domain_relations_b=DOMAIN,
         p_domain=0.3,
-        name="synth",
     )
     base.update(kw)
-    return SynthConfig(**base)
+    return SynthSettings(**base)
+
+
+def synth(seed, n_docs=20, side="a", **kw):
+    """``n_docs`` documents of ``synth_cfg(**kw)``'s domain ``side``."""
+    return synthesize_treebank(synth_cfg(**kw), side, n_docs, "synth", seed)
 
 
 class TestParseBracketed:
@@ -101,7 +106,7 @@ class TestSerializeBracketed:
         assert doc2 == doc and tree2 == tree
 
     def test_round_trip_on_generated_treebank(self):
-        tb = synthesize_treebank(synth_cfg(n_docs=30), seed=5)
+        tb = synth(5, n_docs=30)
         for doc, tree in tb.entries:
             text = serialize_bracketed(doc, tree)
             doc2, tree2 = parse_bracketed(text, doc_id=doc.doc_id)
@@ -213,7 +218,7 @@ class TestFileIO:
         assert load_treebank(path).relation_inventory == inventory
 
     def test_save_load_round_trip(self, tmp_path):
-        tb = synthesize_treebank(synth_cfg(n_docs=12), seed=3)
+        tb = synth(3, n_docs=12)
         path = tmp_path / "rt.tb"
         save_treebank(tb, path)
         tb2 = load_treebank(path)
@@ -239,58 +244,62 @@ class TestFileIO:
 
 class TestSynthesize:
     def test_deterministic(self):
-        a = synthesize_treebank(synth_cfg(), seed=7)
-        b = synthesize_treebank(synth_cfg(), seed=7)
+        a = synth(7)
+        b = synth(7)
         assert a == b
 
     def test_seed_changes_output(self):
-        a = synthesize_treebank(synth_cfg(), seed=7)
-        b = synthesize_treebank(synth_cfg(), seed=8)
+        a = synth(7)
+        b = synth(8)
         assert a != b
 
     def test_p_domain_zero_ignores_domain_tag(self):
-        a = synthesize_treebank(synth_cfg(p_domain=0.0, domain_tag="news"), seed=4)
-        b = synthesize_treebank(synth_cfg(p_domain=0.0, domain_tag="chat"), seed=4)
+        a = synth(4, side="a", p_domain=0.0)
+        b = synth(4, side="b", p_domain=0.0)
         assert a.entries == b.entries
         assert a.domain_tag == "news" and b.domain_tag == "chat"
 
     def test_generated_set_validates(self):
         # full-set validator sweep at the documented desk-scale size
-        tb = synthesize_treebank(synth_cfg(n_docs=100, edu_range=(2, 12)), seed=11)
+        tb = synth(11, n_docs=100, edu_range=(2, 12))
         assert validate_treebank(tb) == []
 
     def test_internal_node_count_identity(self):
-        tb = synthesize_treebank(synth_cfg(n_docs=40), seed=2)
+        tb = synth(2, n_docs=40)
         for doc, tree in tb.entries:
             n_internal = sum(1 for _ in iter_internal(tree))
             assert n_internal == doc.n_edus - 1
 
     def test_leaves_cover_document(self):
-        tb = synthesize_treebank(synth_cfg(n_docs=25), seed=9)
+        tb = synth(9, n_docs=25)
         for doc, tree in tb.entries:
             ids = [n.edu_id for n in postorder(tree) if isinstance(n, Leaf)]
             assert ids == list(range(1, doc.n_edus + 1))
 
     def test_relations_drawn_from_inventory(self):
-        tb = synthesize_treebank(synth_cfg(n_docs=40, p_domain=0.5), seed=13)
+        tb = synth(13, n_docs=40, p_domain=0.5)
         used = {n.relation for _, t in tb.entries for n in iter_internal(t)}
         assert used <= set(tb.relation_inventory)
         assert tb.relation_inventory == tuple(sorted(set(SHARED) | set(DOMAIN)))
 
     def test_invalid_configs(self):
-        with pytest.raises(InvalidConfig):
-            synthesize_treebank(synth_cfg(shared_relations=()), seed=1)
-        with pytest.raises(InvalidConfig):
-            synthesize_treebank(synth_cfg(edu_range=(0, 4)), seed=1)
-        with pytest.raises(InvalidConfig):
-            synthesize_treebank(synth_cfg(edu_range=(5, 4)), seed=1)
-        with pytest.raises(InvalidConfig):
-            synthesize_treebank(synth_cfg(p_domain=1.5), seed=1)
-        with pytest.raises(InvalidConfig):
-            synthesize_treebank(synth_cfg(p_domain=0.5, domain_relations=()), seed=1)
+        for bad in (dict(shared_relations=()), dict(edu_range=(0, 4)), dict(edu_range=(5, 4)),
+                    dict(p_domain=1.5), dict(p_domain=0.5, domain_relations_a=()),
+                    dict(p_domain=0.5, domain_relations_b=()), dict(n_train=-1),
+                    dict(n_test=-1), dict(domain_b="news"), dict(shared_vocab=0)):
+            with pytest.raises(InvalidConfig):
+                synth_cfg(**bad)
+
+    def test_size_limit(self):
+        """``n_train + 2 * n_test`` documents of up to ``edu_range[1]`` EDUs, checked
+        when the settings are made."""
+        at_limit = dict(n_train=MAX_SYNTH_EDUS // 10 - 2, n_test=1, edu_range=(1, 10))
+        synth_cfg(**at_limit)
+        with pytest.raises(InvalidConfig, match=f"the limit is {MAX_SYNTH_EDUS:,}"):
+            synth_cfg(**{**at_limit, "n_test": 2})
 
     def test_single_edu_documents_allowed(self):
-        tb = synthesize_treebank(synth_cfg(edu_range=(1, 1), n_docs=5), seed=6)
+        tb = synth(6, n_docs=5, edu_range=(1, 1))
         for doc, tree in tb.entries:
             assert doc.n_edus == 1
             assert tree == Leaf(1)
