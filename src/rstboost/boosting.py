@@ -27,6 +27,7 @@ from .errors import (
     MalformedSyntax,
     RelationInventoryMismatch,
     config_from_json,
+    json_typed,
 )
 from .transition import (
     Action,
@@ -132,8 +133,7 @@ def _check_prefix(ensemble: BoostedEnsemble, m: int) -> None:
 class _Instances:
     """The gold oracle states of some entries, with the summed logits of the steps
     added so far: what the next step is fit against."""
-    # CSR (indptr, indices, data): state i's row is indices/data[indptr[i]:indptr[i + 1]]
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rows: wl.Rows               # one row per state, checked once by ``wl.stack_rows``
     gold_structure: np.ndarray  # (N,) int64
     gold_relation: np.ndarray   # (N,) int64; -1 for shift
     mask: np.ndarray            # (N, 4) bool
@@ -141,7 +141,7 @@ class _Instances:
     frozen_r: np.ndarray        # (N, R) summed relation logits
 
     def __len__(self) -> int:
-        return len(self.rows[0]) - 1
+        return len(self.rows.indptr) - 1
 
     def add(self, step: WeakLearner) -> None:
         """Add ``step``'s logits to the frozen sums, in place, and drop ``per_state``."""
@@ -183,13 +183,6 @@ class _Instances:
         return float(ce.mean())
 
 
-def _stack_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse rows ``(indices, values)`` as one CSR batch ``(indptr, indices, data)``."""
-    return (np.cumsum([0] + [len(idx) for idx, _ in rows], dtype=np.int64),
-            np.concatenate([np.zeros(0, np.int64)] + [idx for idx, _ in rows]),
-            np.concatenate([np.zeros(0)] + [values for _, values in rows]))
-
-
 def _build_instances(entries, ensemble: BoostedEnsemble, m: int | None = None) -> _Instances:
     """The oracle instances of ``entries`` with the first m steps added (all if None)."""
     inventory = ensemble.relation_inventory
@@ -212,7 +205,7 @@ def _build_instances(entries, ensemble: BoostedEnsemble, m: int | None = None) -
             masks.append(structure_mask(state))
             state = apply(state, action)
     inst = _Instances(
-        rows=_stack_rows(rows),
+        rows=wl.stack_rows(ensemble.encoder_config.width, rows),
         gold_structure=np.asarray(gs, dtype=np.int64),
         gold_relation=np.asarray(gr, dtype=np.int64),
         mask=np.asarray(masks, dtype=bool),
@@ -416,7 +409,7 @@ def _train_one_step(cfg: BoostConfig, step_no: int, seed: int, train_inst: _Inst
         dev_losses=dev_curve,
         epochs_run=len(dev_curve),
         seconds=time.perf_counter() - t0,
-        param_count=wl.param_count(chosen),
+        param_count=wl.n_params(cfg.learner),
         selection=selection,
     )
     return chosen, report
@@ -510,10 +503,9 @@ def predict_action(ensemble: BoostedEnsemble, groups, rows,
     """One step of every frontier state: the greedy action of each prefix of its group,
     the masked argmax of its logit sum (ties to the lowest index), as {action: [prefixes
     choosing it]} in ascending prefix order.  One ``wl.forward_steps`` over ``ensemble.stacked``
-    gives every step's logits for ``rows`` (a CSR batch, or one sparse row, checked once);
-    ``cumsum`` sums them as ``_Instances.add`` does.  ``decode_batch`` checks the prefixes."""
-    checked = wl._csr(ensemble.steps[0], rows)
-    _, zs, zr = wl.forward_steps(ensemble.stacked, checked, max(map(max, groups)))
+    gives every step's logits for ``rows``, a ``wl.Rows`` batch; ``cumsum`` sums them as
+    ``_Instances.add`` does.  ``decode_batch`` checks the prefixes."""
+    _, zs, zr = wl.forward_steps(ensemble.stacked, rows, max(map(max, groups)))
     cls, rel = (x.tolist() for x in _decision(masks[:, None], zs.cumsum(1), zr.cumsum(1)))
     chosen: list[dict[Action, list[int]]] = [{} for _ in groups]
     for choice, group, row_cls, row_rel in zip(chosen, groups, cls, rel):
@@ -556,7 +548,7 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
             rows = [encode_state(es[0][1], docs[es[0][0]], cfg, bags.setdefault(es[0][0], {}))
                     for es in shared]
             chosen = predict_action(ensemble, [[m for *_, g in es for m in g] for es in shared],
-                                    rows[0] if len(rows) == 1 else _stack_rows(rows),
+                                    wl.stack_rows(cfg.width, rows),
                                     np.array([structure_mask(es[0][1]) for es in shared]))
             for es, choice in zip(shared, chosen):
                 for i, state, group in es:
@@ -615,10 +607,10 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
 
 def model_from_json(text: str) -> BoostedEnsemble:
     """Parse a model; undecodable JSON, missing keys, a config that ``config_from_json``
-    refuses, an invalid or unsupported config, a relation label outside ``[a-z_-]+``, no
-    steps, undecodable or non-finite parameters, and a learner config or parameter
-    shapes that do not match the encoder width and the relation inventory raise
-    MalformedSyntax."""
+    refuses, an invalid or unsupported config, a relation inventory that is not a list of
+    distinct labels in ``[a-z_-]+``, a train domain tag that is not a string, no steps,
+    undecodable or non-finite parameters, and a learner config or parameter shapes that do
+    not match the encoder width and the relation inventory raise MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
@@ -629,7 +621,11 @@ def model_from_json(text: str) -> BoostedEnsemble:
         bc = dict(doc["boost_config"])
         lc = config_from_json(LearnerConfig, bc.pop("learner"))
         boost_cfg = config_from_json(BoostConfig, {**bc, "learner": lc})
-        inventory = tuple(doc["relation_inventory"])
+        inventory, tag = doc["relation_inventory"], doc.get("train_domain_tag", "")
+        if not json_typed(inventory, tuple[str, ...]) or len(set(inventory)) < len(inventory):
+            raise MalformedSyntax("relation_inventory must be a list of distinct labels")
+        if not json_typed(tag, str):
+            raise MalformedSyntax(f"train_domain_tag must be a string, got {tag!r}")
         for rel in inventory:
             if not _RELATION_RE.match(rel):
                 raise MalformedSyntax(f"bad relation label {rel!r} (expected [a-z_-]+)")
@@ -640,10 +636,10 @@ def model_from_json(text: str) -> BoostedEnsemble:
             raise MalformedSyntax("model has no steps")
         return BoostedEnsemble(
             encoder_config=enc_cfg,
-            relation_inventory=inventory,
+            relation_inventory=tuple(inventory),
             steps=steps,
             boost_config=boost_cfg,
-            train_domain_tag=doc.get("train_domain_tag", ""),
+            train_domain_tag=tag,
         )
     except (ValueError, KeyError, TypeError, AttributeError, DimensionMismatch,
             InvalidConfig) as exc:

@@ -28,7 +28,7 @@ from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
                      MalformedSyntax, UsageError, config_from_json)
 from .treebank import Document, SynthSettings, Treebank, _atomic_write, tokenize_text
-from .weak_learner import LearnerConfig, n_params, param_count
+from .weak_learner import LearnerConfig, n_params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -376,7 +376,7 @@ def cmd_compare(args) -> int:
             "name": name,
             "n_steps": bc.n_steps,
             "hidden_dim": bc.learner.hidden_dim,
-            "total_params": sum(param_count(s) for s in ensemble.steps),
+            "total_params": len(ensemble.steps) * n_params(bc.learner),
             "training_seconds": seconds,
             "epochs_per_step": [s.epochs_run for s in report.steps],
             "scores": scores,

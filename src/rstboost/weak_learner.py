@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,22 +127,31 @@ def zeros(cfg: LearnerConfig) -> WeakLearner:
         cfg, {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()})
 
 
-def _csr(w: WeakLearner, rows, batch: bool = True):
-    """Checked ``(indptr, indices, data)`` of one sparse row ``(indices, values)``, as a
-    batch of one, or, if ``batch``, of a CSR batch ``(indptr, indices, data)``."""
-    if len(rows) != 2 and not (batch and len(rows) == 3):
-        raise DimensionMismatch("expected (indices, values) or (indptr, indices, data)")
-    *ptr, indices, data = rows
-    indices, data, d = np.asarray(indices), np.asarray(data, dtype=np.float64), w.cfg.input_dim
-    indptr = np.asarray(ptr[0]) if ptr else np.array([0, indices.size])
-    # Viewed as unsigned, a negative index is out of range too.
-    if (indices.ndim != 1 or data.shape != indices.shape or indices.size and (
-            indices.dtype.kind not in "iu"
-            or indices.astype(np.int64, copy=False).view(np.uint64).max() >= d)
-            or ptr and (indptr.ndim != 1 or indptr[:1].tolist() != [0]
-                        or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any())):
-        raise DimensionMismatch(f"feature rows must be CSR arrays with indices in [0, {d})")
-    return indptr, indices.astype(np.int64, copy=False), data
+class Rows(NamedTuple):
+    """A checked CSR batch from ``stack_rows``: row i is at ``indptr[i]:indptr[i + 1]``."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def stack_rows(input_dim: int, rows) -> Rows:
+    """One or more sparse rows ``(indices, values)``, as ``encode_state`` returns them, as
+    one checked ``Rows`` batch.  A row that is not two 1-d sequences of one length, or an
+    index that is not an integer in [0, ``input_dim``), raises DimensionMismatch."""
+    try:
+        lengths = [len(indices) for indices, _ in rows]
+        indices = np.concatenate([indices for indices, _ in rows])
+        data = np.concatenate([values for _, values in rows], dtype=np.float64)
+        # Viewed as unsigned, a negative index is out of range too.
+        if (indices.ndim == 1 and data.shape == indices.shape
+                and [len(values) for _, values in rows] == lengths
+                and (not indices.size or indices.dtype.kind in "iu" and indices.astype(
+                    np.int64, copy=False).view(np.uint64).max() < input_dim)):
+            return Rows(np.add.accumulate([0] + lengths, dtype=np.int64),
+                        indices.astype(np.int64, copy=False), data)
+    except (TypeError, ValueError):  # not pairs of 1-d sequences
+        pass
+    raise DimensionMismatch(f"rows must be (indices, values) with indices in [0, {input_dim})")
 
 
 def _dot_rows(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
@@ -169,11 +179,13 @@ def stack_steps(steps) -> tuple:
     return tuple(arrays)
 
 
-def forward_steps(stack: tuple, rows, top: int) -> tuple[np.ndarray | None, ...]:
+def forward_steps(stack: tuple, rows: Rows, top: int) -> tuple[np.ndarray | None, ...]:
     """Hidden activations (N, top, H), None without a hidden layer, and the structure and
-    relation logits (N, top, 4) and (N, top, R) of ``stack``'s steps 1..top for a checked
-    CSR batch ``rows``, from one ``_dot_rows``, one ``tanh`` and one product per head.  numpy
-    multiplies a stack of matrices one at a time, so each is bitwise the one-step value."""
+    relation logits (N, top, 4) and (N, top, R) of ``stack``'s steps 1..top for ``rows``,
+    from one ``_dot_rows``, one ``tanh`` and one product per head.  numpy multiplies a
+    stack of matrices one at a time, so each is bitwise the one-step value."""
+    if not isinstance(rows, Rows):  # unchecked indices would wrap or fail inside ``take``
+        raise DimensionMismatch("rows must be a Rows batch from stack_rows")
     w_in, b_in, *heads = (a[:top] for a in stack)
     z = _dot_rows(w_in.reshape(-1, w_in.shape[2]), *rows).reshape(-1, *w_in.shape[:2]) + b_in
     if not heads:
@@ -183,17 +195,11 @@ def forward_steps(stack: tuple, rows, top: int) -> tuple[np.ndarray | None, ...]
                 for w, b in (heads[:2], heads[2:]))
 
 
-def forward(w: WeakLearner, rows) -> LogitPair:
-    """Logits of both heads for one sparse row ``(indices, values)``, shaped (4,) and
-    (R,), or for a CSR batch ``(indptr, indices, data)``, shaped (N, 4) and (N, R): the
-    one-step ``forward_steps``.  A row's logits do not depend on its batch."""
-    _, structure, relation = forward_steps(stack_steps([w]), _csr(w, rows), 1)
-    lead = slice(None) if len(rows) == 3 else 0  # one row has no batch axis
-    return LogitPair(structure[lead, 0], relation[lead, 0])
-
-
-def param_count(w: WeakLearner) -> int:
-    return sum(arr.size for _, arr in w.param_items())
+def forward(w: WeakLearner, rows: Rows) -> LogitPair:
+    """Logits of both heads for ``rows``, shaped (N, 4) and (N, R): the one-step
+    ``forward_steps``.  A row's logits do not depend on its batch."""
+    _, structure, relation = forward_steps(stack_steps([w]), rows, 1)
+    return LogitPair(structure[:, 0], relation[:, 0])
 
 
 def _masked_log_softmax(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +229,7 @@ def boosted_loss_and_grad(
     all of this learner's parameters is added when ``cfg.l2_penalty > 0``.
     The frozen logits are treated as constants.
     """
-    _, idx, xv = checked = _csr(w, row, batch=False)
+    _, idx, xv = checked = stack_rows(w.cfg.input_dim, [row])
     mask = np.asarray(legal_mask, dtype=bool)
     if mask.shape != (N_STRUCTURE,):
         raise DimensionMismatch(f"legal_mask has shape {mask.shape}, expected (4,)")
@@ -234,9 +240,7 @@ def boosted_loss_and_grad(
         raise InvalidInput("gold_relation required for a reduce gold action")
     if not is_reduce and gold_relation is not None:
         raise InvalidInput("gold_relation must be None for a shift gold action")
-    if frozen.structure.shape != (N_STRUCTURE,) or frozen.relation.shape != (
-        w.cfg.n_relations,
-    ):
+    if (frozen.structure.shape, frozen.relation.shape) != ((N_STRUCTURE,), (w.cfg.n_relations,)):
         raise DimensionMismatch("frozen logits do not match the learner's heads")
 
     h, logits_s, logits_r = (x if x is None else x[0, 0]

@@ -102,11 +102,10 @@ def dense(row, width):
 
 
 def reference_logit_sum(ensemble, m, rows):
-    """Summed (structure, relation) logits of the first m steps (m = 0 gives zeros)
-    on one sparse row or a CSR batch, one ``wl.forward`` per step in step order."""
-    lead = (len(rows[0]) - 1,) if len(rows) == 3 else ()
-    s = np.zeros(lead + (wl.N_STRUCTURE,))
-    r = np.zeros(lead + (len(ensemble.relation_inventory),))
+    """Summed (structure, relation) logits, (N, 4) and (N, R), of the first m steps
+    (m = 0 gives zeros) on a ``wl.Rows`` batch, one ``wl.forward`` per step in step order."""
+    s = np.zeros((len(rows.indptr) - 1, wl.N_STRUCTURE))
+    r = np.zeros((len(rows.indptr) - 1, len(ensemble.relation_inventory)))
     for step in ensemble.steps[:m]:
         out = wl.forward(step, rows)
         s += out.structure
@@ -121,7 +120,8 @@ def reference_decode(ens, m, doc):
     actions = []
     while not state.is_terminal:
         row = encode_state(state, doc, ens.encoder_config)
-        cls, rel = _decision(structure_mask(state), *reference_logit_sum(ens, m, row))
+        s, r = reference_logit_sum(ens, m, wl.stack_rows(ens.encoder_config.width, [row]))
+        cls, rel = _decision(structure_mask(state), s[0], r[0])
         action = SHIFT if cls == 0 else Reduce(NUCLEARITIES[cls - 1],
                                                ens.relation_inventory[rel])
         actions.append(action)
@@ -137,17 +137,17 @@ def reference_predict_action(ens, prefixes, state, doc):
     """The per-state decode step that the frontier step ``predict_action`` replaced,
     kept as its reference: each prefix's greedy action at ``state`` as
     {action: [prefixes choosing it]} in order of first choice, from one encoding
-    and one single-row ``wl.forward`` per step into one running sum."""
+    and one ``wl.forward`` of its one-row batch per step into one running sum."""
     if state.is_terminal:
         raise TerminalState("no action to predict in a terminal state")
-    row = encode_state(state, doc, ens.encoder_config)
+    row = wl.stack_rows(ens.encoder_config.width, [encode_state(state, doc, ens.encoder_config)])
     mask = structure_mask(state)
     s, r = np.zeros(wl.N_STRUCTURE), np.zeros(len(ens.relation_inventory))
     chosen = {}
     for k, step in enumerate(ens.steps[:max(prefixes)], 1):
         out = wl.forward(step, row)
-        s += out.structure
-        r += out.relation
+        s += out.structure[0]
+        r += out.relation[0]
         if k in prefixes:
             cls, rel = _decision(mask, s, r)
             action = SHIFT if cls == wl.SHIFT_CLASS else Reduce(

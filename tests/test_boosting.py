@@ -19,7 +19,6 @@ from rstboost.boosting import (
     BoostedEnsemble,
     _build_instances,
     _run_epoch,
-    _stack_rows,
     action_to_class,
     decode,
     decode_batch,
@@ -133,8 +132,8 @@ def format2_reference(ens):
 def frontier_step(ens, prefixes, state, doc):
     """``predict_action`` on a one-state frontier, checked against the per-state
     reference step."""
-    got, = predict_action(ens, [sorted(prefixes)], encode_state(state, doc, ens.encoder_config),
-                          structure_mask(state)[None])
+    rows = wl.stack_rows(ens.encoder_config.width, [encode_state(state, doc, ens.encoder_config)])
+    got, = predict_action(ens, [sorted(prefixes)], rows, structure_mask(state)[None])
     assert list(got.items()) == list(reference_predict_action(ens, prefixes, state, doc).items())
     return got
 
@@ -227,9 +226,10 @@ class TestAggregate:
             losses = []
             for i in range(len(inst)):
                 gr = int(inst.gold_relation[i])
+                row = row_of(inst, i)
+                s, r = reference_logit_sum(ens, m - 1, wl.stack_rows(ENC.width, [row]))
                 loss, _ = wl.boosted_loss_and_grad(
-                    steps[m - 1], row_of(inst, i),
-                    LogitPair(*reference_logit_sum(ens, m - 1, row_of(inst, i))),
+                    steps[m - 1], row, LogitPair(s[0], r[0]),
                     int(inst.gold_structure[i]), gr if gr >= 0 else None, inst.mask[i])
                 losses.append(loss)
             assert np.isclose(mean_oracle_ce(ens, m, self.TB.entries), np.mean(losses),
@@ -265,6 +265,23 @@ class TestTraining:
             assert s.seconds >= 0
             assert len(s.dev_losses) == s.epochs_run
 
+    @pytest.mark.parametrize("n_steps,epochs_max", [(1, 1), (3, 4)])
+    def test_rows_are_checked_once_per_instance_set(self, monkeypatch, n_steps, epochs_max):
+        """The train and dev rows are stacked and checked once each, whatever the steps
+        and epochs: every forward, CE and update reads the checked batch."""
+        tb = small_treebank()
+        calls, forwards, stack_rows, forward = [], [], wl.stack_rows, wl.forward
+        monkeypatch.setattr(wl, "stack_rows",
+                            lambda *args: calls.append(len(args[1])) or stack_rows(*args))
+        monkeypatch.setattr(wl, "forward", lambda *args: forwards.append(1) or forward(*args))
+        cfg = boost_cfg(tb, n_steps=n_steps, epochs_max=epochs_max)
+        _, report = train(tb, cfg, ENC)
+        # A train and a dev CE forward per epoch, and one add per set per step.
+        assert len(forwards) == 2 * sum(s.epochs_run for s in report.steps) + 2 * n_steps
+        train_entries, dev_entries = split_dev(tb, cfg.dev_fraction, cfg.seed)
+        assert sorted(calls) == sorted(sum(2 * doc.n_edus - 1 for doc, _ in entries)
+                                       for entries in (train_entries, dev_entries))
+
     def test_single_step_train(self):
         tb = small_treebank()
         ens, report = train(tb, boost_cfg(tb, n_steps=1), ENC)
@@ -288,7 +305,7 @@ class TestTraining:
         assert len(ens2.steps) == 3
         after = [model_to_json(manual_ensemble([s], 8)) for s in ens2.steps[:2]]
         assert before == after
-        assert report.param_count == wl.param_count(ens2.steps[-1])
+        assert report.param_count == wl.n_params(ens2.steps[-1].cfg)
 
     def test_train_step_deterministic(self):
         tb = small_treebank()
@@ -772,7 +789,8 @@ class TestDecodeBatch:
                 frontier.append((state, doc, prefixes))
                 state = apply(state, action)
         rows = [encode_state(state, doc, ens.encoder_config) for state, doc, _ in frontier]
-        got = predict_action(ens, [prefixes for *_, prefixes in frontier], _stack_rows(rows),
+        got = predict_action(ens, [prefixes for *_, prefixes in frontier],
+                             wl.stack_rows(ens.encoder_config.width, rows),
                              np.array([structure_mask(state) for state, *_ in frontier]))
         for (state, doc, prefixes), choice in zip(frontier, got):
             want = reference_predict_action(ens, prefixes, state, doc)
@@ -790,7 +808,8 @@ class TestDecodeBatch:
                 frontier.append((state, doc, prefixes))
                 state = apply(state, action)
         rows = [encode_state(state, doc, ens.encoder_config) for state, doc, _ in frontier]
-        got = predict_action(ens, [prefixes for *_, prefixes in frontier], _stack_rows(rows),
+        got = predict_action(ens, [prefixes for *_, prefixes in frontier],
+                             wl.stack_rows(ens.encoder_config.width, rows),
                              np.array([structure_mask(state) for state, *_ in frontier]))
         for (state, doc, prefixes), choice in zip(frontier, got):
             assert list(choice.items()) == list(
@@ -835,7 +854,7 @@ class TestDecodeBatch:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(wl, "_csr", counting("check", wl._csr))
+        monkeypatch.setattr(wl, "stack_rows", counting("check", wl.stack_rows))
         monkeypatch.setattr(boosting, "predict_action", counting("step", predict_action))
         decode_batch(ens, [doc for doc, _ in tb.entries], range(1, 5))
         # All documents move in lockstep, one frontier per action of the longest.

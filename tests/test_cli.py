@@ -363,6 +363,23 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert "format_version 1" in err and "retrain with `rstboost train`" in err
 
+    @pytest.mark.parametrize("key,value,needle", [
+        ("relation_inventory", "as-a-string", "relation_inventory must be a list"),
+        ("relation_inventory", "repeated", "relation_inventory must be a list"),
+        ("train_domain_tag", 5, "train_domain_tag must be a string"),
+        ("train_domain_tag", None, "train_domain_tag must be a string"),
+    ])
+    def test_top_level_value_of_the_wrong_json_type_is_data_error(
+            self, model_doc, data_dir, tmp_path, capsys, key, value, needle):
+        """An inventory string of the right length would load as one-letter labels, and a
+        repeated label or a non-string domain tag would be written on into outputs."""
+        inventory = model_doc["relation_inventory"]
+        model_doc[key] = {"as-a-string": "abcdefghijklmnopqrstuvwxyz"[:len(inventory)],
+                          "repeated": inventory[:-1] + inventory[:1]}.get(value, value)
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
+
     def test_invalid_encoder_config_is_data_error(self, model_doc, data_dir, tmp_path,
                                                   capsys):
         model_doc["encoder_config"]["hash_dim"] = 4
@@ -696,7 +713,7 @@ class TestCompare:
         settings = cli.SynthSettings()
         n_rel = len(settings.shared_relations) + len(settings.domain_relations_a)
         for h in range(1, 41):
-            count = wl.param_count(wl.zeros(wl.LearnerConfig(input_dim, n_rel, h)))
+            count = wl.n_params(wl.LearnerConfig(input_dim, n_rel, h))
             assert cli.matched_hidden_dim(count, input_dim, n_rel) == h
 
     def test_matched_width_too_large_is_refused_before_training(self, data_dir, tmp_path,

@@ -13,16 +13,16 @@ from rstboost.weak_learner import (
     LearnerConfig,
     MAX_PARAMS,
     LogitPair,
+    Rows,
     WeakLearner,
-    _csr,
     boosted_loss_and_grad,
     forward,
     forward_steps,
     init,
     n_params,
-    param_count,
     param_shapes,
     sgd_step,
+    stack_rows,
     stack_steps,
     zeros,
 )
@@ -30,6 +30,11 @@ from rstboost.weak_learner import (
 from conftest import sparse
 
 ALL_LEGAL = (True, True, True, True)
+
+
+def one_row(row, input_dim=7):
+    """One sparse row ``(indices, values)`` as a checked batch of one."""
+    return stack_rows(input_dim, [row])
 
 
 def small_cfg(hidden_dim=3, input_dim=7, n_relations=5, l2=0.0):
@@ -196,25 +201,25 @@ class TestInit:
 class TestForward:
     def test_zero_learner_gives_zero_logits(self):
         learner = zeros(small_cfg())
-        out = forward(learner, sparse(np.ones(7)))
+        out = forward(learner, one_row(sparse(np.ones(7))))
         assert not out.structure.any() and not out.relation.any()
 
     def test_linear_identity_rows(self):
         learner = zeros(small_cfg(hidden_dim=0))
         learner.w_structure[...] = np.eye(4, 7)
         x = np.arange(7.0)
-        out = forward(learner, sparse(x))
-        assert np.array_equal(out.structure, x[:4])
+        out = forward(learner, one_row(sparse(x)))
+        assert np.array_equal(out.structure[0], x[:4])
 
     def test_output_shapes(self):
+        """Logits are always batched, a batch of one included."""
         learner = init(small_cfg(hidden_dim=5, n_relations=9), 0)
-        out = forward(learner, sparse(np.zeros(7)))
-        assert out.structure.shape == (4,) and out.relation.shape == (9,)
+        out = forward(learner, one_row(sparse(np.zeros(7))))
+        assert out.structure.shape == (1, 4) and out.relation.shape == (1, 9)
 
     def test_dimension_mismatch(self):
-        learner = init(small_cfg(), 0)
         with pytest.raises(DimensionMismatch):
-            forward(learner, (np.array([7]), np.array([1.0])))
+            stack_rows(7, [(np.array([7]), np.array([1.0]))])
 
 
 class TestSparseRows:
@@ -223,9 +228,7 @@ class TestSparseRows:
     def random_batch(self, rng, n_rows=40, dim=7):
         rows = [sparse(rng.normal(size=dim) * (rng.random(dim) < 0.5)) for _ in range(n_rows)]
         rows[3] = rows[-1] = (np.zeros(0, np.int64), np.zeros(0))  # empty rows
-        indptr = np.cumsum([0] + [len(i) for i, _ in rows])
-        return rows, (indptr, np.concatenate([i for i, _ in rows]),
-                      np.concatenate([v for _, v in rows]))
+        return rows, stack_rows(dim, rows)
 
     @pytest.mark.parametrize("hidden_dim", [0, 3, 16])
     def test_batch_rows_match_single_rows_bitwise(self, hidden_dim):
@@ -235,14 +238,12 @@ class TestSparseRows:
         rows, batch = self.random_batch(rng)
         out = forward(learner, batch)
         assert out.structure.shape == (len(rows), 4) and out.relation.shape == (len(rows), 5)
-        for i, row in enumerate(rows):
-            one = forward(learner, row)
-            assert np.array_equal(one.structure, out.structure[i])
-            assert np.array_equal(one.relation, out.relation[i])
+        for i, row in enumerate(rows):  # each row alone, as a batch of one
+            one = forward(learner, one_row(row))
+            assert np.array_equal(one.structure, out.structure[i:i + 1])
+            assert np.array_equal(one.relation, out.relation[i:i + 1])
         # the same rows in a smaller batch, with different neighbours
-        part = forward(learner, (np.concatenate([[0], np.cumsum([len(i) for i, _ in rows[5:15]])]),
-                                 np.concatenate([i for i, _ in rows[5:15]]),
-                                 np.concatenate([v for _, v in rows[5:15]])))
+        part = forward(learner, stack_rows(7, rows[5:15]))
         assert np.array_equal(part.structure, out.structure[5:15])
         assert np.array_equal(part.relation, out.relation[5:15])
 
@@ -253,7 +254,7 @@ class TestSparseRows:
         for _ in range(10):
             x = rng.normal(size=7) * (rng.random(7) < 0.6)
             h = x if hidden_dim == 0 else np.tanh(learner.w_hidden @ x + learner.b_hidden)
-            out = forward(learner, sparse(x))
+            out = forward(learner, one_row(sparse(x)))
             assert np.allclose(out.structure, learner.w_structure @ h + learner.b_structure)
             assert np.allclose(out.relation, learner.w_relation @ h + learner.b_relation)
 
@@ -264,8 +265,9 @@ class TestSparseRows:
             if arr.ndim == 1:
                 arr[...] = np.arange(arr.size) + 0.5
         h = np.tanh(learner.b_hidden) if hidden_dim else np.zeros(7)
-        for empty in (([], []), (np.array([0, 0]), np.zeros(0, np.int64), np.zeros(0))):
-            out = forward(learner, empty)
+        for empty in (([], []), (np.zeros(0, np.int64), np.zeros(0))):
+            out = forward(learner, one_row(empty))
+            assert out.structure.shape == (1, 4)
             assert np.allclose(out.structure, learner.w_structure @ h + learner.b_structure)
             assert np.allclose(out.relation, learner.w_relation @ h + learner.b_relation)
 
@@ -274,14 +276,49 @@ class TestSparseRows:
         (np.array([-1]), np.array([1.0])),           # negative index
         (np.array([1.0]), np.array([1.0])),          # non-integer index
         (np.array([1, 2]), np.array([1.0])),         # lengths differ
+        (np.array([1]), np.array(["x"])),            # non-numeric value
         (np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0])),   # indptr too short
         (np.array([0, 2, 1, 2]), np.array([1, 2]), np.array([1.0, 1.0])),  # decreasing
         (np.array([1]),),
     ])
     def test_outside_input_is_checked(self, rows):
+        """A pair, or a tuple of another length, is one row for ``stack_rows`` to check; an
+        ``(indptr, indices, data)`` triple made by hand never reaches ``forward``'s gather."""
         learner = init(small_cfg(), 0)
         with pytest.raises(DimensionMismatch):
+            forward(learner, rows if len(rows) == 3 else one_row(rows))
+
+    def test_each_row_is_checked(self):
+        """Each row's values match its own indices, not only the batch's totals; an index
+        array of two dimensions is refused even where the values match it."""
+        with pytest.raises(DimensionMismatch):
+            stack_rows(7, [(np.array([1, 2]), np.array([1.0])),
+                           (np.array([3]), np.array([1.0, 2.0]))])
+        with pytest.raises(DimensionMismatch):
+            stack_rows(7, [(np.array([[1, 2]]), np.array([[1.0, 2.0]]))])
+        with pytest.raises(DimensionMismatch):
+            stack_rows(7, [(np.array(1), np.array(1.0))])
+
+    def test_stack_rows_builds_one_csr_batch(self):
+        rows = [(np.array([4, 1], np.int32), [0.5, 2]), (np.zeros(0, np.int8), []),
+                (np.array([6]), [1.0])]
+        got = stack_rows(7, rows)
+        assert isinstance(got, Rows)
+        assert got.indptr.tolist() == [0, 2, 2, 3] and got.indptr.dtype == np.int64
+        assert got.indices.tolist() == [4, 1, 6] and got.indices.dtype == np.int64
+        assert got.data.tolist() == [0.5, 2.0, 1.0] and got.data.dtype == np.float64
+
+    @pytest.mark.parametrize("rows", [
+        (np.array([0, 1]), np.array([2]), np.array([1.0])),  # a well-formed CSR triple
+        (np.array([2]), np.array([1.0])),                    # a bare sparse row
+        tuple(one_row((np.array([2]), np.array([1.0])))),    # a batch's arrays, retyped
+    ])
+    def test_forward_takes_only_checked_rows(self, rows):
+        learner = init(small_cfg(hidden_dim=0), 0)
+        with pytest.raises(DimensionMismatch, match="stack_rows"):
             forward(learner, rows)
+        with pytest.raises(DimensionMismatch, match="stack_rows"):
+            forward_steps(stack_steps([learner]), rows, 1)
 
     def test_loss_takes_one_row_only(self):
         learner = init(small_cfg(), 0)
@@ -332,30 +369,29 @@ class TestForwardSteps:
                     arr[...] = rng.normal(size=arr.size)
         rows = [(np.sort(rng.choice(400, n, replace=False)), rng.normal(size=n))
                 for n in self.NONZEROS]
-        batch = (np.cumsum((0,) + self.NONZEROS), np.concatenate([i for i, _ in rows]),
-                 np.concatenate([v for _, v in rows]))
+        batch = stack_rows(400, rows)
         stack = stack_steps(steps)
         for top in (1, 3, 5):
-            _, zs, zr = forward_steps(stack, _csr(steps[0], batch), top)
+            _, zs, zr = forward_steps(stack, batch, top)
             assert zs.shape == (len(rows), top, 4) and zr.shape == (len(rows), top, n_relations)
-            alone = [forward_steps(stack, _csr(steps[0], row), top) for row in rows]
+            alone = [forward_steps(stack, one_row(row, 400), top) for row in rows]
             for k, step in enumerate(steps[:top]):
                 want = forward(step, batch)
                 assert bits(zs[:, k]) == bits(want.structure)
                 assert bits(zr[:, k]) == bits(want.relation)
                 for i, row in enumerate(rows):
-                    one = forward(step, row)
-                    assert bits(one.structure) == bits(zs[i, k]) == bits(alone[i][1][0, k])
-                    assert bits(one.relation) == bits(zr[i, k]) == bits(alone[i][2][0, k])
+                    one = forward(step, one_row(row, 400))
+                    assert bits(one.structure[0]) == bits(zs[i, k]) == bits(alone[i][1][0, k])
+                    assert bits(one.relation[0]) == bits(zr[i, k]) == bits(alone[i][2][0, k])
                     ref_s, ref_r = reference_forward(step, row)
-                    assert bits(one.structure) == bits(ref_s)
-                    assert bits(one.relation) == bits(ref_r)
+                    assert bits(one.structure[0]) == bits(ref_s)
+                    assert bits(one.relation[0]) == bits(ref_r)
 
     def test_one_step_stack_follows_in_place_updates(self):
         """With a hidden layer, one step's stack is views of its arrays."""
         learner = init(small_cfg(hidden_dim=3), 0)
         stack = stack_steps([learner])
-        row = _csr(learner, sparse(np.arange(7.0)))
+        row = one_row(sparse(np.arange(7.0)))
         before = forward(learner, row)
         for _, arr in learner.param_items():
             arr += 1.0
@@ -364,20 +400,26 @@ class TestForwardSteps:
         assert bits(zs[:, 0]) == bits(after.structure) and bits(zr[:, 0]) == bits(after.relation)
         assert not np.array_equal(after.structure, before.structure)
 
+def array_size(cfg):
+    """The parameters of the arrays ``init`` builds, counted without ``param_shapes``."""
+    return sum(arr.size for _, arr in init(cfg, 0).param_items())
+
+
 class TestParamCount:
+    """``n_params`` counts from the shape table; the arrays have as many entries."""
     def test_linear_case(self):
         cfg = LearnerConfig(input_dim=3076, n_relations=8, hidden_dim=0)
-        assert param_count(init(cfg, 0)) == 3076 * 12 + 12 == 36924
+        assert n_params(cfg) == array_size(cfg) == 3076 * 12 + 12 == 36924
 
     def test_hidden_case(self):
         # stated closed form: d*H + H + H*4 + 4 + H*R + R
         cfg = LearnerConfig(input_dim=3076, n_relations=8, hidden_dim=16)
         expected = 3076 * 16 + 16 + 16 * 4 + 4 + 16 * 8 + 8
-        assert param_count(init(cfg, 0)) == expected == 49436
+        assert n_params(cfg) == array_size(cfg) == expected == 49436
 
     def test_doubling_hidden_roughly_doubles(self):
-        small = param_count(init(small_cfg(hidden_dim=8, input_dim=100), 0))
-        big = param_count(init(small_cfg(hidden_dim=16, input_dim=100), 0))
+        small = n_params(small_cfg(hidden_dim=8, input_dim=100))
+        big = n_params(small_cfg(hidden_dim=16, input_dim=100))
         assert abs(big - 2 * small) < small * 0.2
 
 
@@ -389,10 +431,10 @@ class TestBoostedLoss:
         x = sparse(rng.normal(size=7))
         frozen = LogitPair.zeros(5)
         loss, _ = boosted_loss_and_grad(learner, x, frozen, 2, 1, ALL_LEGAL)
-        out = forward(learner, x)
-        z = out.structure - out.structure.max()
+        out = forward(learner, one_row(x))
+        z = out.structure[0] - out.structure.max()
         ce_s = -(z[2] - np.log(np.exp(z).sum()))
-        zr = out.relation - out.relation.max()
+        zr = out.relation[0] - out.relation.max()
         ce_r = -(zr[1] - np.log(np.exp(zr).sum()))
         assert loss == pytest.approx(ce_s + ce_r, rel=1e-12)
 
