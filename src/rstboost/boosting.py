@@ -11,8 +11,9 @@ from __future__ import annotations
 import base64
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     RelationInventoryMismatch,
     config_from_json,
     json_typed,
+    refuse_unknown_keys,
 )
 from .transition import (
     Action,
@@ -116,8 +118,8 @@ class StepReport:
 
 @dataclass
 class TrainReport:
-    steps: list[StepReport] = field(default_factory=list)
-    cumulative_params: list[int] = field(default_factory=list)
+    steps: list[StepReport]
+    cumulative_params: list[int]
 
 
 def _check_prefix(ensemble: BoostedEnsemble, m: int) -> None:
@@ -144,18 +146,15 @@ class _Instances:
         return len(self.rows.indptr) - 1
 
     def add(self, step: WeakLearner) -> None:
-        """Add ``step``'s logits to the frozen sums, in place, and drop ``per_state``."""
+        """Add ``step``'s logits to the frozen sums, in place."""
         out = wl.forward(step, self.rows)
         self.frozen_s += out.structure
         self.frozen_r += out.relation
-        self.__dict__.pop("per_state", None)
 
-    @cached_property
     def per_state(self) -> list[tuple]:
         """What an SGD update reads of each state, in index order: its row's
         ``(indices, values)`` views, its frozen structure sums with the illegal classes
-        at -inf (softmax weight 0), its frozen relation sums and its two gold classes.
-        Built on first use; ``add``, the one writer of the frozen sums, drops it."""
+        at -inf (softmax weight 0), its frozen relation sums and its two gold classes."""
         indptr, indices, data = self.rows
         spans = list(zip(indptr.tolist(), indptr[1:].tolist()))
         return list(zip([indices[a:b] for a, b in spans], [data[a:b] for a, b in spans],
@@ -232,9 +231,10 @@ def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
 _SCALE_FLOOR = 1e-3
 
 
-def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
-    """Per-instance SGD of ``learner``'s own arrays against ``inst``'s frozen sums, over
-    ``order``, touching only each row's nonzero columns.
+def _run_epoch(learner: WeakLearner, per_state: list[tuple], order) -> None:
+    """Per-instance SGD of ``learner``'s own arrays over ``order``, touching only each
+    row's nonzero columns; ``per_state`` is ``_Instances.per_state()`` of the instance
+    set, which reads its frozen sums at the time it was built.
 
     With ``l2_penalty`` > 0 every update first decays all parameters by
     ``decay = 1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
@@ -273,7 +273,6 @@ def _run_epoch(learner: WeakLearner, inst: _Instances, order) -> None:
         for arr in wide:
             arr *= scale
 
-    per_state = inst.per_state
     for i in order.tolist():
         idx, xv, base_s, frozen_r, gold_s, g_rel = per_state[i]
         xs = xv if s == 1.0 else xv * s  # the row against the stored values
@@ -368,51 +367,43 @@ def _train_one_step(cfg: BoostConfig, step_no: int, seed: int, train_inst: _Inst
             learner.cfg, {name: arr.copy() for name, arr in learner.param_items()})
 
     baseline_train = train_inst.mean_ce()
+    per_state = train_inst.per_state()
 
-    best_dev = best_dev_train = float("inf")
-    best_dev_params = None
-    best_train = float("inf")
-    best_train_params = None
+    # (train CE, parameters) of the best-dev and of the best-train epoch; an epoch that
+    # improves either is snapshot once.
+    dev_pick = train_pick = (float("inf"), None)
+    best_dev = float("inf")
     dev_curve: list[float] = []
     bad = 0
     n = len(train_inst)
     for _ in range(cfg.epochs_max):
         order = shuffle_rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
-        _run_epoch(learner, train_inst, order)
+        _run_epoch(learner, per_state, order)
         t = train_inst.mean_ce(learner)
         d = dev_inst.mean_ce(learner) if dev_inst else t  # None or empty
         dev_curve.append(d)
-        if t < best_train:
-            best_train, best_train_params = t, snapshot()
+        pick = (t, snapshot()) if t < train_pick[0] or d < best_dev else None
+        if t < train_pick[0]:
+            train_pick = pick
         if d < best_dev:
-            best_dev, best_dev_train, best_dev_params = d, t, snapshot()
-            bad = 0
+            best_dev, dev_pick, bad = d, pick, 0
         else:
             bad += 1
             if bad >= cfg.patience:
                 break
 
-    # Never append a step that degrades the combined training loss: fall
-    # back to the best-train epoch, then to an inert all-zero learner.  A
-    # step whose dev CE was never finite has no dev pick and falls back too.
-    selection, chosen, final_ce = "dev", best_dev_params, best_dev_train
-    if not final_ce <= baseline_train:
-        if best_train_params is not None and best_train <= baseline_train:
-            selection, chosen, final_ce = "train", best_train_params, best_train
-        else:
-            selection, chosen = "zero", wl.zeros(cfg.learner)
-            final_ce = baseline_train
+    # Never append a step that degrades the combined training loss: the dev pick, else
+    # the best-train epoch, else an inert all-zero learner.  A step whose dev CE was
+    # never finite has no dev pick.
+    selection, final_ce, chosen = next(
+        ((name, ce, params) for name, (ce, params) in (("dev", dev_pick), ("train", train_pick))
+         if params is not None and ce <= baseline_train),
+        ("zero", baseline_train, None))
 
-    report = StepReport(
-        step=step_no,
-        final_train_loss=final_ce,
-        dev_losses=dev_curve,
-        epochs_run=len(dev_curve),
-        seconds=time.perf_counter() - t0,
-        param_count=wl.n_params(cfg.learner),
-        selection=selection,
-    )
-    return chosen, report
+    report = StepReport(step=step_no, final_train_loss=final_ce, dev_losses=dev_curve,
+                        epochs_run=len(dev_curve), seconds=time.perf_counter() - t0,
+                        param_count=wl.n_params(cfg.learner), selection=selection)
+    return chosen or wl.zeros(cfg.learner), report
 
 
 def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig, inventory: tuple[str, ...]) -> None:
@@ -427,67 +418,55 @@ def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig, inventory: tuple[str, 
         )
 
 
-def _instance_sets(ensemble: BoostedEnsemble, treebank: Treebank, seed: int,
-                   dev_entries: tuple | None = None) -> tuple[_Instances, _Instances | None]:
-    """The train and dev instance sets (dev None when there are no dev entries) that
-    the next step of ``ensemble`` is fit and selected on, each holding the summed
-    logits of all its steps.  Without ``dev_entries``, a dev_fraction split of
-    ``treebank`` is drawn with ``seed``; with them, all of ``treebank`` trains."""
-    if len(treebank.entries) == 0:
+def _instance_sets(ensemble: BoostedEnsemble, train_entries,
+                   dev_entries) -> tuple[_Instances, _Instances | None]:
+    """The instance sets of ``train_entries`` and ``dev_entries`` (dev None when there are
+    none) that the next step of ``ensemble`` is fit and selected on, each holding the
+    summed logits of all its steps."""
+    if not train_entries:
         raise EmptyTreebank("cannot train on an empty treebank")
-    cfg = ensemble.boost_config
-    _check_dims(cfg, ensemble.encoder_config, ensemble.relation_inventory)
-    if dev_entries is None:
-        train_entries, dev_entries = split_dev(treebank, cfg.dev_fraction, seed)
-    else:
-        train_entries = treebank.entries
+    _check_dims(ensemble.boost_config, ensemble.encoder_config, ensemble.relation_inventory)
     return (_build_instances(train_entries, ensemble),
             _build_instances(dev_entries, ensemble) if dev_entries else None)
 
 
-def train_step(
-    ensemble: BoostedEnsemble,
-    treebank: Treebank,
-    seed: int,
-    dev_entries: tuple | None = None,
-) -> tuple[BoostedEnsemble, StepReport]:
-    """Train and append one frozen step against the current ensemble sum.
-
-    ``dev_entries`` pins the early-stopping split; when omitted, a
-    dev_fraction split of ``treebank`` is drawn here with ``seed``.
-    """
-    learner, report = _train_one_step(ensemble.boost_config, len(ensemble.steps) + 1, seed,
-                                      *_instance_sets(ensemble, treebank, seed, dev_entries))
+def _append_step(ensemble: BoostedEnsemble, seed: int, train_inst: _Instances,
+                 dev_inst: _Instances | None) -> tuple[BoostedEnsemble, StepReport]:
+    """Fit the next step of ``ensemble`` against the instance sets' frozen sums, add its
+    logits to both sets, and append it, frozen."""
+    learner, report = _train_one_step(ensemble.boost_config, ensemble.n_steps + 1, seed,
+                                      train_inst, dev_inst)
+    for inst in (train_inst, dev_inst):
+        if inst is not None:
+            inst.add(learner)
     return replace(ensemble, steps=ensemble.steps + (learner,)), report
 
 
-def train(
-    treebank: Treebank,
-    cfg: BoostConfig,
-    enc_cfg: EncoderConfig,
-) -> tuple[BoostedEnsemble, TrainReport]:
+def train_step(ensemble: BoostedEnsemble, treebank: Treebank, seed: int,
+               dev_entries: tuple | None = None) -> tuple[BoostedEnsemble, StepReport]:
+    """Train and append one frozen step against the current ensemble sum, through the
+    routine ``train`` runs for each step.
+
+    ``dev_entries`` pins the early-stopping split, and all of ``treebank`` trains; when
+    omitted, a dev_fraction split of ``treebank`` is drawn here with ``seed``.
+    """
+    split = (split_dev(treebank, ensemble.boost_config.dev_fraction, seed)
+             if dev_entries is None else (treebank.entries, dev_entries))
+    return _append_step(ensemble, seed, *_instance_sets(ensemble, *split))
+
+
+def train(treebank: Treebank, cfg: BoostConfig,
+          enc_cfg: EncoderConfig) -> tuple[BoostedEnsemble, TrainReport]:
     """Run the full staged procedure: n_steps weak learners, dev split fixed once."""
     ensemble = BoostedEnsemble(
-        encoder_config=enc_cfg,
-        relation_inventory=treebank.relation_inventory,
-        steps=(),
-        boost_config=cfg,
-        train_domain_tag=treebank.domain_tag,
-    )
-    train_inst, dev_inst = _instance_sets(ensemble, treebank, cfg.seed)
-
-    report = TrainReport()
-    total_params = 0
-    for k in range(1, cfg.n_steps + 1):
-        learner, step_report = _train_one_step(cfg, k, cfg.seed, train_inst, dev_inst)
-        ensemble = replace(ensemble, steps=ensemble.steps + (learner,))
-        for inst in (train_inst, dev_inst):
-            if inst is not None:
-                inst.add(learner)
-        total_params += step_report.param_count
-        report.steps.append(step_report)
-        report.cumulative_params.append(total_params)
-    return ensemble, report
+        encoder_config=enc_cfg, relation_inventory=treebank.relation_inventory, steps=(),
+        boost_config=cfg, train_domain_tag=treebank.domain_tag)
+    instances = _instance_sets(ensemble, *split_dev(treebank, cfg.dev_fraction, cfg.seed))
+    steps = []
+    for _ in range(cfg.n_steps):
+        ensemble, step_report = _append_step(ensemble, cfg.seed, *instances)
+        steps.append(step_report)
+    return ensemble, TrainReport(steps, list(accumulate(s.param_count for s in steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +551,11 @@ FORMAT_VERSION = 2
 
 
 def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLearner:
+    refuse_unknown_keys("step", blob, shapes)
     params = {}
     for name, shape in shapes.items():
         spec = blob[name]
+        refuse_unknown_keys(f"parameter {name}", spec, ("shape", "f64le"))
         if tuple(spec["shape"]) != shape:
             raise MalformedSyntax(
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
@@ -606,17 +587,19 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
 
 
 def model_from_json(text: str) -> BoostedEnsemble:
-    """Parse a model; undecodable JSON, missing keys, a config that ``config_from_json``
-    refuses, an invalid or unsupported config, a relation inventory that is not a list of
-    distinct labels in ``[a-z_-]+``, a train domain tag that is not a string, no steps,
-    undecodable or non-finite parameters, and a learner config or parameter shapes that do
-    not match the encoder width and the relation inventory raise MalformedSyntax."""
+    """Parse a model; undecodable JSON, a missing or unknown key at any level, a config
+    that ``config_from_json`` refuses, an unsupported format, a relation inventory that is
+    not a list of distinct labels in ``[a-z_-]+``, a domain tag that is not a string, no
+    steps, undecodable or non-finite parameters, and a learner config or parameter shapes
+    that do not fit the encoder width and inventory raise MalformedSyntax."""
     try:
         doc = json.loads(text)
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
                 f"unsupported model format_version {doc.get('format_version')!r} "
                 f"(this version reads {FORMAT_VERSION}); retrain with `rstboost train`")
+        # The file holds its format version and each field of the ensemble.
+        refuse_unknown_keys("model", doc, {"format_version", *BoostedEnsemble.__dataclass_fields__})
         enc_cfg = config_from_json(EncoderConfig, doc["encoder_config"])
         bc = dict(doc["boost_config"])
         lc = config_from_json(LearnerConfig, bc.pop("learner"))

@@ -3,7 +3,9 @@
 The class of an error fixes the command line's exit status: a ``UsageError``
 exits 1, a ``DataError`` exits 2, and any other error is an internal fault
 (exit 3).  ``config_from_json`` reads every config from JSON (the model file's three
-and ``synth --config``), with ``json_typed`` as the one type rule.
+and ``synth --config``), with ``json_typed`` as the one type rule and
+``refuse_unknown_keys`` as the one key rule, which the model file's other
+objects follow too.
 """
 
 import typing
@@ -17,13 +19,17 @@ def json_typed(value, kind) -> bool:
     return type(value) is kind or (kind, type(value)) == (float, int)
 
 
+def refuse_unknown_keys(what: str, values: dict, known) -> None:
+    """Refuse (InvalidConfig) the JSON object ``values`` if it has a key not in ``known``."""
+    if unknown := sorted(set(values) - set(known)):
+        raise InvalidConfig(f"unknown {what} keys: {unknown}")
+
+
 def config_from_json(cls, values: dict):
     """The dataclass ``cls`` built from the JSON object ``values``: every key must name a
     field and every value must have its field's ``json_typed`` type; lists become tuples."""
     kinds = typing.get_type_hints(cls)
-    unknown = sorted(set(values) - set(kinds))
-    if unknown:
-        raise InvalidConfig(f"unknown {cls.__name__} keys: {unknown}")
+    refuse_unknown_keys(cls.__name__, values, kinds)
     for name, value in values.items():
         kind = kinds[name]
         if not json_typed(value, kind):

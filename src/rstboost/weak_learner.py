@@ -140,7 +140,8 @@ def stack_rows(input_dim: int, rows) -> Rows:
     index that is not an integer in [0, ``input_dim``), raises DimensionMismatch."""
     try:
         lengths = [len(indices) for indices, _ in rows]
-        indices = np.concatenate([indices for indices, _ in rows])
+        # Empty rows stay out, as an empty list would make the indices float64.
+        indices = np.concatenate([ix for ix, _ in rows if len(ix)] or [ix for ix, _ in rows])
         data = np.concatenate([values for _, values in rows], dtype=np.float64)
         # Viewed as unsigned, a negative index is out of range too.
         if (indices.ndim == 1 and data.shape == indices.shape

@@ -352,6 +352,83 @@ class TestTraining:
                 assert cur >= prev - 0.005, accs
 
 
+class TestStepSelection:
+    """Which epoch ``_train_one_step`` keeps, with the epochs' train and dev CEs
+    scripted: epoch k writes k into the learner's structure bias, so the kept
+    parameters name their epoch, and the kept epoch of the zero learner is 0."""
+    BASELINE = 1.0  # the train CE of the frozen sums alone
+
+    def run(self, monkeypatch, train_ces, dev_ces, patience=3, epochs_max=10):
+        tb = small_treebank(n_docs=4)
+        train_inst, dev_inst = oracle_instances(tb), oracle_instances(tb)
+        epochs = []
+
+        def run_epoch(learner, *_):
+            epochs.append(len(epochs) + 1)
+            learner.b_structure[:] = epochs[-1]
+
+        def mean_ce(inst, step=None):
+            if step is None:
+                assert inst is train_inst
+                return self.BASELINE
+            ces = train_ces if inst is train_inst else dev_ces
+            return ces[int(step.b_structure[0]) - 1]
+
+        monkeypatch.setattr(boosting, "_run_epoch", run_epoch)
+        monkeypatch.setattr(boosting._Instances, "mean_ce", mean_ce)
+        cfg = boost_cfg(tb, n_steps=1, patience=patience, epochs_max=epochs_max)
+        learner, report = boosting._train_one_step(cfg, 1, 0, train_inst, dev_inst)
+        assert report.epochs_run == len(epochs) == len(report.dev_losses)
+        assert report.dev_losses == dev_ces[:len(epochs)]
+        if report.selection == "zero":
+            assert not any(arr.any() for _, arr in learner.param_items())
+            return report, 0
+        return report, int(learner.b_structure[0])
+
+    def test_dev_pick(self, monkeypatch):
+        report, kept = self.run(monkeypatch, [0.9, 0.8, 0.7, 0.6, 0.5],
+                                [0.5, 0.4, 0.45, 0.46, 0.47])
+        assert (report.selection, report.epochs_run, report.final_train_loss) == ("dev", 5, 0.8)
+        assert kept == 2
+
+    def test_fallback_to_best_train_epoch(self, monkeypatch):
+        """The dev pick's train CE is above the baseline; a later epoch's is not."""
+        report, kept = self.run(monkeypatch, [1.2, 1.1, 0.9, 1.3], [0.5, 0.6, 0.7, 0.8])
+        assert (report.selection, report.epochs_run, report.final_train_loss) == ("train", 4, 0.9)
+        assert kept == 3
+
+    def test_fallback_to_zero_learner(self, monkeypatch):
+        report, kept = self.run(monkeypatch, [1.2, 1.1, 1.3, 1.4], [0.5, 0.6, 0.7, 0.8])
+        assert (report.selection, report.epochs_run) == ("zero", 4)
+        assert report.final_train_loss == self.BASELINE
+        assert kept == 0
+
+    @pytest.mark.parametrize("train_ces, selection, final, kept", [
+        ([0.9, 0.8, 0.95], "train", 0.8, 2),
+        ([1.1, math.nan, 1.2], "zero", 1.0, 0),
+    ])
+    def test_dev_ce_never_finite(self, monkeypatch, train_ces, selection, final, kept):
+        """No epoch improves on an infinite best dev CE, so patience ends the loop and
+        selection falls back as if the dev pick were worse than the baseline."""
+        report, got = self.run(monkeypatch, train_ces, [math.nan, math.inf, math.nan])
+        assert (report.selection, report.epochs_run, report.final_train_loss) == (
+            selection, 3, final)
+        assert got == kept
+
+    def test_patience_stops_the_loop(self, monkeypatch):
+        """An improving epoch resets the count; ``patience`` epochs in a row without one
+        end the loop before ``epochs_max``."""
+        report, kept = self.run(monkeypatch, [0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
+                                [0.5, 0.6, 0.4, 0.7, 0.8, 0.3], patience=2)
+        assert (report.selection, report.epochs_run, report.final_train_loss) == ("dev", 5, 0.7)
+        assert kept == 3
+
+    def test_epochs_max_stops_the_loop(self, monkeypatch):
+        report, kept = self.run(monkeypatch, [0.9, 0.8, 0.7], [0.5, 0.4, 0.3], epochs_max=3)
+        assert (report.selection, report.epochs_run, report.final_train_loss) == ("dev", 3, 0.7)
+        assert kept == 3
+
+
 def reference_run_epoch(params, cfg, inst, frozen_s, frozen_r, order):
     """The SGD epoch loop as first written (``np.outer``, ``np.where`` masking and
     ``[:, slice(None)]`` head columns), updating ``params`` in place."""
@@ -422,7 +499,7 @@ def epochs_against_reference(hidden_dim, l2_penalty, n_docs=6, n_epochs=1,
     ref = {name: arr.copy() for name, arr in fast.param_items()}
     after = []
     for _ in range(n_epochs):
-        _run_epoch(fast, inst, order)
+        _run_epoch(fast, inst.per_state(), order)
         reference_run_epoch(ref, cfg, inst, inst.frozen_s, inst.frozen_r, order)
         after.append(({name: arr.copy() for name, arr in fast.param_items()},
                       {name: arr.copy() for name, arr in ref.items()}))
@@ -500,7 +577,7 @@ class TestFastPathEquivalence:
         order = np.arange(len(inst))
 
         fast = wl.init(cfg, 7)
-        _run_epoch(fast, inst, order)
+        _run_epoch(fast, inst.per_state(), order)
 
         ref = wl.init(cfg, 7)
         for i in order:
@@ -523,7 +600,7 @@ class TestFastPathEquivalence:
         frozen_s, frozen_r = inst.frozen_s, inst.frozen_r  # zero: no step added
         order = np.arange(len(inst))
         fast = wl.init(cfg, 7)
-        _run_epoch(fast, inst, order)
+        _run_epoch(fast, inst.per_state(), order)
         ref = wl.init(cfg, 7)
         for i in order:
             gr = int(inst.gold_relation[i])

@@ -380,6 +380,28 @@ class TestMalformedModel:
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "pred.tb").exists()
 
+    @pytest.mark.parametrize("level,key,edit", [
+        pytest.param("model", "train_domain_tags",
+                     lambda doc: doc.update(train_domain_tags=doc.pop("train_domain_tag")),
+                     id="misspelt-top-level"),
+        pytest.param("model", "notes", lambda doc: doc.update(notes="x"), id="top-level"),
+        pytest.param("step", "w_extra",
+                     lambda doc: doc["steps"][1].update(w_extra=doc["steps"][1]["b_structure"]),
+                     id="step"),
+        pytest.param("parameter b_structure", "dtype",
+                     lambda doc: doc["steps"][1]["b_structure"].update(dtype="<f8"),
+                     id="parameter-spec"),
+    ])
+    def test_unknown_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys,
+                                       level, key, edit):
+        """An unknown key at any level of the model file is refused by name, as a config's
+        is; a misspelt domain tag would otherwise load as "" and silently drop the gaps
+        from ``curve``'s manifest."""
+        edit(model_doc)
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert f"unknown {level} keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
+
     def test_invalid_encoder_config_is_data_error(self, model_doc, data_dir, tmp_path,
                                                   capsys):
         model_doc["encoder_config"]["hash_dim"] = 4

@@ -308,6 +308,17 @@ class TestSparseRows:
         assert got.indices.tolist() == [4, 1, 6] and got.indices.dtype == np.int64
         assert got.data.tolist() == [0.5, 2.0, 1.0] and got.data.dtype == np.float64
 
+    def test_empty_rows_leave_the_index_type_alone(self):
+        """An empty row given as Python lists, beside integer-array rows, is an empty row:
+        it does not promote the batch's indices to float64, and a float index is still
+        refused beside it."""
+        got = stack_rows(7, [(np.array([4, 1]), [0.5, 2]), ([], []), (np.array([6]), [1.0])])
+        assert got.indptr.tolist() == [0, 2, 2, 3]
+        assert got.indices.tolist() == [4, 1, 6] and got.indices.dtype == np.int64
+        assert stack_rows(7, [([], []), ([], [])]).indptr.tolist() == [0, 0, 0]
+        with pytest.raises(DimensionMismatch):
+            stack_rows(7, [([], []), (np.array([1.0]), [1.0])])
+
     @pytest.mark.parametrize("rows", [
         (np.array([0, 1]), np.array([2]), np.array([1.0])),  # a well-formed CSR triple
         (np.array([2]), np.array([1.0])),                    # a bare sparse row
