@@ -27,9 +27,9 @@ from .errors import (
     InvalidPrefix,
     MalformedSyntax,
     RelationInventoryMismatch,
+    check_keys,
     config_from_json,
     json_typed,
-    refuse_unknown_keys,
 )
 from .transition import (
     Action,
@@ -247,27 +247,39 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple], order) -> None:
     ``_SCALE_FLOOR`` and before returning, so the learner always ends an epoch with
     its true parameters.  At ``l2_penalty`` 0 the scale stays exactly 1.0.
 
+    For the epoch the other arrays are views of one buffer, written back before
+    returning: the heads stacked as ``W`` (4 + R, H) when there is a hidden layer,
+    both biases as ``B`` (4 + R,), then ``b_hidden``.  They decay in one call, both
+    softmaxes write into one ``dz``, and a reduce updates ``W`` and ``B`` in one step
+    each (a shift only their structure rows).
+
     Each update makes few numpy calls, and every parameter stays bitwise equal to the
     plain loop's: a row's columns are gathered once by fancy indexing (``w[:, idx]``,
     F-ordered), updated in place and written back; every matrix-vector product is
-    ``np.dot``, the BLAS call ``@`` makes; softmax maxima come from Python floats and
-    sums from ``np.add.reduce``.  ``w.take(idx, 1)`` (a C-ordered copy, which BLAS sums
-    in another order), one ``np.dot`` over both heads stacked, or a Python ``sum``
-    would each change the bits.
+    ``np.dot`` on one head, the BLAS call ``@`` makes; softmax maxima come from Python
+    floats and sums from ``np.add.reduce``.  ``w.take(idx, 1)`` (a C-ordered copy, which
+    BLAS sums in another order), one ``np.dot`` over both heads stacked, or a Python
+    ``sum`` would each change the bits.
     """
-    lr = learner.cfg.learning_rate
-    decay = 1.0 - 2.0 * lr * learner.cfg.l2_penalty
+    cfg = learner.cfg
+    lr, n_h, n_s = cfg.learning_rate, cfg.hidden_dim, wl.N_STRUCTURE
+    k = n_s + cfg.n_relations
+    decay = 1.0 - 2.0 * lr * cfg.l2_penalty
     p = dict(learner.param_items())
-    w1, b1 = p.get("w_hidden"), p.get("b_hidden")
-    hidden = w1 is not None
-    ws, bs = p["w_structure"], p["b_structure"]
-    wr, br = p["w_relation"], p["b_relation"]
-    ws_t, wr_t = ws.T, wr.T
-    wide_names = ("w_hidden",) if hidden else ("w_structure", "w_relation")
-    wide = [p[name] for name in wide_names]
-    small = [arr for name, arr in p.items() if name not in wide_names]
+    w1, hidden = p.get("w_hidden"), n_h > 0
+    names = ("w_structure", "w_relation", "b_structure", "b_relation", "b_hidden")
+    own = [p[name] for name in (names if hidden else names[2:4])]  # in buffer order
+    buf = np.concatenate([arr.ravel() for arr in own])
+    W, B, b1 = buf[:k * n_h].reshape(k, n_h), buf[k * n_h:k * n_h + k], buf[k * n_h + k:]
+    ws, wr = (W[:n_s], W[n_s:]) if hidden else (p["w_structure"], p["w_relation"])
+    bs, br, ws_t, wr_t = B[:n_s], B[n_s:], ws.T, wr.T
+    wide = [w1] if hidden else [ws, wr]
+    dz = np.empty(k)
+    dz_s, dz_r = dz[:n_s], dz[n_s:]
+    # The rows of ``W``, ``B`` and ``dz`` (also as a column) that a shift and a reduce update.
+    shift_rows, reduce_rows = (W[:n_s], B[:n_s], dz_s, dz_s[:, None]), (W, B, dz, dz[:, None])
     s = 1.0
-    dot, total, exp = np.dot, np.add.reduce, np.exp
+    dot, total, exp, divide = np.dot, np.add.reduce, np.exp, np.divide
 
     def fold(scale: float) -> None:
         for arr in wide:
@@ -285,48 +297,46 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple], order) -> None:
             h, hs = xs, ws[:, idx]
         zs = base_s + dot(hs, h) + bs
         e = exp(zs - max(zs.tolist()))
-        dz_s = e / total(e)
+        divide(e, total(e), out=dz_s)
         dz_s[gold_s] -= 1.0
-
+        rows = shift_rows
         if g_rel >= 0:
             if not hidden:
                 hr = wr[:, idx]
             zr = frozen_r + dot(hr, h) + br
             e = exp(zr - max(zr.tolist()))
-            dz_r = e / total(e)
+            divide(e, total(e), out=dz_r)
             dz_r[g_rel] -= 1.0
-        else:
-            dz_r = None
+            rows = reduce_rows
 
         if hidden:
             dh = dot(ws_t, dz_s)
-            if dz_r is not None:
+            if g_rel >= 0:
                 dh += dot(wr_t, dz_r)
             dpre = dh * (1.0 - h * h)
         if decay != 1.0:  # the small arrays decay eagerly
-            for arr in small:
-                arr *= decay
+            buf *= decay
         s *= decay
         step = lr / s  # the step on the stored input-wide values
-        bs -= lr * dz_s
-        if dz_r is not None:
-            br -= lr * dz_r
-        head_step, head_in = (lr, h) if hidden else (step, xv)
-        hs -= head_step * (dz_s[:, None] * head_in)
-        if dz_r is not None:
-            hr -= head_step * (dz_r[:, None] * head_in)
+        w_rows, b_rows, dz_rows, dz_col = rows
+        b_rows -= lr * dz_rows
         if hidden:
+            w_rows -= lr * (dz_col * h)
             g1 -= step * (dpre[:, None] * xv)
             w1[:, idx] = g1
             b1 -= lr * dpre
         else:
+            hs -= step * (dz_s[:, None] * xv)
             ws[:, idx] = hs
-            if dz_r is not None:
+            if g_rel >= 0:
+                hr -= step * (dz_r[:, None] * xv)
                 wr[:, idx] = hr
         if s < _SCALE_FLOOR:
             fold(s)
             s = 1.0
     fold(s)
+    for arr, part in zip(own, np.split(buf, np.cumsum([arr.size for arr in own])[:-1])):
+        arr[...] = part.reshape(arr.shape)
 
 
 def _child_seed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -550,19 +560,19 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
 FORMAT_VERSION = 2
 
 
-def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict) -> WeakLearner:
-    refuse_unknown_keys("step", blob, shapes)
+def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict, path: str) -> WeakLearner:
+    check_keys("step", blob, shapes, path)
     params = {}
     for name, shape in shapes.items():
         spec = blob[name]
-        refuse_unknown_keys(f"parameter {name}", spec, ("shape", "f64le"))
+        check_keys(f"parameter {name}", spec, ("shape", "f64le"), f"{path}{name}.")
         if tuple(spec["shape"]) != shape:
             raise MalformedSyntax(
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
         try:
             raw = base64.b64decode(spec["f64le"], validate=True)
             params[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedSyntax(f"parameter {name} is not base64 float64: {exc}") from exc
         if not np.isfinite(params[name]).all():
             raise MalformedSyntax(f"parameter {name} has non-finite values")
@@ -599,12 +609,11 @@ def model_from_json(text: str) -> BoostedEnsemble:
                 f"unsupported model format_version {doc.get('format_version')!r} "
                 f"(this version reads {FORMAT_VERSION}); retrain with `rstboost train`")
         # The file holds its format version and each field of the ensemble.
-        refuse_unknown_keys("model", doc, {"format_version", *BoostedEnsemble.__dataclass_fields__})
-        enc_cfg = config_from_json(EncoderConfig, doc["encoder_config"])
-        bc = dict(doc["boost_config"])
-        lc = config_from_json(LearnerConfig, bc.pop("learner"))
-        boost_cfg = config_from_json(BoostConfig, {**bc, "learner": lc})
-        inventory, tag = doc["relation_inventory"], doc.get("train_domain_tag", "")
+        check_keys("model", doc, ("format_version", *BoostedEnsemble.__dataclass_fields__), "")
+        enc_cfg = config_from_json(EncoderConfig, doc["encoder_config"], "encoder_config.")
+        boost_cfg = config_from_json(BoostConfig, doc["boost_config"], "boost_config.")
+        lc = boost_cfg.learner
+        inventory, tag = doc["relation_inventory"], doc["train_domain_tag"]
         if not json_typed(inventory, tuple[str, ...]) or len(set(inventory)) < len(inventory):
             raise MalformedSyntax("relation_inventory must be a list of distinct labels")
         if not json_typed(tag, str):
@@ -614,7 +623,8 @@ def model_from_json(text: str) -> BoostedEnsemble:
                 raise MalformedSyntax(f"bad relation label {rel!r} (expected [a-z_-]+)")
         _check_dims(boost_cfg, enc_cfg, inventory)
         shapes = wl.param_shapes(lc)
-        steps = tuple(_learner_from_dict(lc, shapes, blob) for blob in doc["steps"])
+        steps = tuple(_learner_from_dict(lc, shapes, blob, f"steps[{i}].")
+                      for i, blob in enumerate(doc["steps"]))
         if not steps:
             raise MalformedSyntax("model has no steps")
         return BoostedEnsemble(

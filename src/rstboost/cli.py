@@ -281,12 +281,11 @@ def cmd_eval(args) -> int:
     if len(gold) == 0:
         raise EmptyTreebank("nothing to evaluate: both files are empty")
     pairs = list(zip(gold.entries, pred.entries))
-    for (gdoc, _), (pdoc, _) in pairs:
-        if gdoc.n_edus != pdoc.n_edus:
+    for (gdoc, _), (pdoc, _) in pairs:  # paired by position: each pair must be one text
+        if [edu.tokens for edu in gdoc.edus] != [edu.tokens for edu in pdoc.edus]:
             raise DocumentMismatch(
-                f"document {gdoc.doc_id}: gold has {gdoc.n_edus} EDUs, "
-                f"prediction {pdoc.doc_id} has {pdoc.n_edus}"
-            )
+                f"gold document {gdoc.doc_id} ({gdoc.n_edus} EDUs) and predicted document "
+                f"{pdoc.doc_id} ({pdoc.n_edus} EDUs) do not have the same EDU tokens")
     total = metrics.score_entries((gtree, ptree) for (_, gtree), (_, ptree) in pairs)
 
     print(f"documents:  {len(gold)}")

@@ -4,10 +4,10 @@ The class of an error fixes the command line's exit status: a ``UsageError``
 exits 1, a ``DataError`` exits 2, and any other error is an internal fault
 (exit 3).  ``config_from_json`` reads every config from JSON (the model file's three
 and ``synth --config``), with ``json_typed`` as the one type rule and
-``refuse_unknown_keys`` as the one key rule, which the model file's other
-objects follow too.
+``check_keys`` as the one key rule, which the model file's other objects follow too.
 """
 
+import dataclasses
 import typing
 
 
@@ -19,23 +19,34 @@ def json_typed(value, kind) -> bool:
     return type(value) is kind or (kind, type(value)) == (float, int)
 
 
-def refuse_unknown_keys(what: str, values: dict, known) -> None:
-    """Refuse (InvalidConfig) the JSON object ``values`` if it has a key not in ``known``."""
-    if unknown := sorted(set(values) - set(known)):
+def check_keys(what: str, values: dict, keys, path: str | None = None) -> None:
+    """Refuse (InvalidConfig) the JSON object ``values``, a ``what``, if it has a key not in
+    ``keys``, or, when given its key ``path`` in its file (a prefix such as
+    ``"boost_config."``, ``""`` at the top), if it lacks one: such an object is complete."""
+    if unknown := sorted(set(values) - set(keys)):
         raise InvalidConfig(f"unknown {what} keys: {unknown}")
+    if path is not None and (missing := [path + key for key in keys if key not in values]):
+        raise InvalidConfig(f"missing {what} keys: {missing}")
 
 
-def config_from_json(cls, values: dict):
+def config_from_json(cls, values: dict, path: str | None = None):
     """The dataclass ``cls`` built from the JSON object ``values``: every key must name a
-    field and every value must have its field's ``json_typed`` type; lists become tuples."""
+    field, every value must have its field's ``json_typed`` type, a field that is itself a
+    dataclass is read by this function, and lists become tuples.  Given the object's key
+    ``path`` (see ``check_keys``), as a model file's configs are, every field must be
+    present; without it, as in ``synth --config``, the fields left out keep their defaults."""
     kinds = typing.get_type_hints(cls)
-    refuse_unknown_keys(cls.__name__, values, kinds)
+    check_keys(cls.__name__, values, kinds, path)
+    fields = {}
     for name, value in values.items():
         kind = kinds[name]
-        if not json_typed(value, kind):
+        if dataclasses.is_dataclass(kind):
+            value = config_from_json(kind, value, None if path is None else f"{path}{name}.")
+        elif not json_typed(value, kind):
             shown = kind if typing.get_origin(kind) else kind.__name__
             raise InvalidConfig(f"{cls.__name__}.{name} must be {shown}, got {value!r}")
-    return cls(**{k: tuple(v) if type(v) is list else v for k, v in values.items()})
+        fields[name] = tuple(value) if type(value) is list else value
+    return cls(**fields)
 
 
 class RstBoostError(Exception):

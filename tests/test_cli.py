@@ -4,7 +4,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,10 +13,10 @@ import rstboost.cli as cli
 import rstboost.weak_learner as wl
 from rstboost import errors
 from rstboost.cli import main
-from rstboost.boosting import load_model, save_model
+from rstboost.boosting import BoostConfig, load_model, save_model
 from rstboost.encoder import EncoderConfig
 from rstboost.metrics import CSV_HEADER
-from rstboost.treebank import _atomic_write, load_treebank
+from rstboost.treebank import _atomic_write, load_treebank, save_treebank
 
 FAST_TRAIN = ["--hash-dim", "256", "--epochs-max", "5", "--patience", "2"]
 
@@ -285,6 +285,24 @@ class TestTrain:
         assert not out.exists()
 
 
+def model_key_paths():
+    """Every key path of the ``model_path`` model file: two steps with a hidden layer."""
+    top = ("format_version", "encoder_config", "relation_inventory", "train_domain_tag",
+           "boost_config", "steps")
+    learner = wl.LearnerConfig(input_dim=1, n_relations=1)
+    return ([(key,) for key in top]
+            + [("encoder_config", f.name) for f in fields(EncoderConfig)]
+            + [("boost_config", f.name) for f in fields(BoostConfig)]
+            + [("boost_config", "learner", f.name) for f in fields(wl.LearnerConfig)]
+            + [("steps", i, name, *spec) for i in range(2) for name in wl.param_shapes(learner)
+               for spec in ((), ("shape",), ("f64le",))])
+
+
+def shown_key_path(path) -> str:
+    """A key path as the model loader names it: ``steps[1].w_relation.shape``."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+
+
 class TestMalformedModel:
     @pytest.fixture()
     def model_doc(self, model_path):
@@ -400,6 +418,30 @@ class TestMalformedModel:
         edit(model_doc)
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert f"unknown {level} keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
+
+    def test_key_paths_are_those_of_the_file(self, model_doc):
+        def walk(obj, path=()):
+            if type(obj) is dict:
+                for key, value in obj.items():
+                    yield path + (key,)
+                    yield from walk(value, path + (key,))
+            elif path == ("steps",):
+                for i, step in enumerate(obj):
+                    yield from walk(step, path + (i,))
+        assert sorted(walk(model_doc), key=str) == sorted(model_key_paths(), key=str)
+
+    @pytest.mark.parametrize("path", model_key_paths(), ids=shown_key_path)
+    def test_missing_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys, path):
+        """Every key is required: a config key left out would otherwise load its default
+        and parse with other features, and a domain tag left out would load as ""."""
+        *parents, key = path
+        obj = model_doc
+        for parent in parents:
+            obj = obj[parent]
+        del obj[key]
+        assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
+        assert shown_key_path(path) in capsys.readouterr().err
         assert not (tmp_path / "pred.tb").exists()
 
     def test_invalid_encoder_config_is_data_error(self, model_doc, data_dir, tmp_path,
@@ -674,6 +716,35 @@ class TestEval:
         run("--quiet", "parse", model_path, data_dir / "test_news.tb", "--out", pred)
         assert run("--quiet", "eval", data_dir / "test_news.tb", pred) == 0
         assert "span" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("form", ["treebank", "raw"])
+    def test_parse_of_the_gold_file_pairs_with_it(self, model_path, data_dir, tmp_path, form):
+        """The parser keeps each EDU's tokens, whether it reads the gold treebank or its
+        EDUs as raw text, so its output always pairs with the gold file."""
+        gold = data_dir / "test_news.tb"
+        source = gold if form == "treebank" else tmp_path / "raw.txt"
+        if form == "raw":
+            source.write_text("\n".join("".join(" ".join(edu.tokens) + "\n" for edu in doc.edus)
+                                        for doc, _ in load_treebank(gold).entries))
+        pred = tmp_path / "pred.tb"
+        assert run("--quiet", "parse", model_path, source, "--out", pred) == 0
+        assert run("--quiet", "eval", gold, pred) == 0
+
+    def test_swapped_documents_are_data_error(self, model_path, data_dir, tmp_path, capsys):
+        """Two documents of one EDU count, swapped in a parse output, would be scored
+        against each other's gold trees."""
+        gold, pred = data_dir / "test_news.tb", tmp_path / "pred.tb"
+        assert run("--quiet", "parse", model_path, gold, "--out", pred) == 0
+        tb = load_treebank(pred)
+        entries = list(tb.entries)
+        i, j = next((i, j) for j in range(len(entries)) for i in range(j)
+                    if entries[i][0].n_edus == entries[j][0].n_edus)
+        entries[i], entries[j] = entries[j], entries[i]
+        save_treebank(replace(tb, entries=tuple(entries)), pred)
+        assert run("--quiet", "eval", gold, pred, "--csv", tmp_path / "e.csv") == 2
+        err = capsys.readouterr().err
+        assert entries[i][0].doc_id in err and entries[j][0].doc_id in err
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestCurve:

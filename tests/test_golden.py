@@ -10,7 +10,10 @@ so that it covers the frozen logits of steps k >= 2 and the decoder's group
 splits.  The same pipelines run with one and with two BLAS threads must give
 the same outputs.  A third pin runs README quick-start steps 1-5 as written,
 and a fourth trains without a hidden layer (``LINEAR_TRAIN``), where the SGD
-epoch gathers and writes back both heads' columns.  The ``synth`` pins
+epoch gathers and writes back both heads' columns.  Two L2 pins
+(``L2_TRAIN``, the benchmark's ``train-l2`` setting, and ``LINEAR_L2_TRAIN``) cover
+the eager decay of the small arrays and the lazy decay of the input-wide ones,
+with and without a hidden layer.  The ``synth`` pins
 (``SYNTH_PINS``) cover settings other than the defaults: the benchmark's two
 configs and a config with the domains swapped and no domain rules.
 """
@@ -75,6 +78,43 @@ LINEAR_SHA256 = {
     "model.json": "eb6ed1b4dbcf9596f884701421a6c2dc9d3b7a7c63db42ef81062e749aace2c7",
     "curve.csv": "f29b2169dc8f5ba6662447d351517d2b8c6eace498bbbbf9735542ffb4cf4720",
 }
+
+L2_TRAIN = ["--l2", "1e-4", "--strategy", "center"]
+
+L2_SHA256 = {"model.json": "a5ebd6cc9abee5bd8ad314021f3410596ec9b6a4534b9c4eb1e3e54d9079663f"}
+
+L2_CURVE = """\
+m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
+1,news,10,0.8667,0.8667,0.8667,0.7667,0.7667,0.7667,0.6000,0.6000,0.6000
+2,news,10,0.9000,0.9000,0.9000,0.8667,0.8667,0.8667,0.7000,0.7000,0.7000
+3,news,10,0.8667,0.8667,0.8667,0.8000,0.8000,0.8000,0.6333,0.6333,0.6333
+4,news,10,0.8667,0.8667,0.8667,0.8000,0.8000,0.8000,0.6333,0.6333,0.6333
+5,news,10,0.8667,0.8667,0.8667,0.8000,0.8000,0.8000,0.5667,0.5667,0.5667
+1,chat,10,0.8611,0.8611,0.8611,0.4722,0.4722,0.4722,0.1111,0.1111,0.1111
+2,chat,10,0.8611,0.8611,0.8611,0.4722,0.4722,0.4722,0.1389,0.1389,0.1389
+3,chat,10,0.8611,0.8611,0.8611,0.4722,0.4722,0.4722,0.1389,0.1389,0.1389
+4,chat,10,0.8611,0.8611,0.8611,0.4722,0.4722,0.4722,0.1389,0.1389,0.1389
+5,chat,10,0.8611,0.8611,0.8611,0.4722,0.4722,0.4722,0.1389,0.1389,0.1389
+"""
+
+LINEAR_L2_TRAIN = ["--hidden-dim", "0", "--l2", "1e-3"]
+
+LINEAR_L2_SHA256 = {
+    "model.json": "a73513a4602bfa12531b8bf5beb3f0812df053958d06174d780f9abb83b2ea27"}
+
+LINEAR_L2_CURVE = """\
+m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
+1,news,10,0.9667,0.9667,0.9667,0.8333,0.8333,0.8333,0.6333,0.6333,0.6333
+2,news,10,0.9667,0.9667,0.9667,0.8333,0.8333,0.8333,0.7667,0.7667,0.7667
+3,news,10,0.9667,0.9667,0.9667,0.8333,0.8333,0.8333,0.8000,0.8000,0.8000
+4,news,10,0.9667,0.9667,0.9667,0.8333,0.8333,0.8333,0.8000,0.8000,0.8000
+5,news,10,0.9667,0.9667,0.9667,0.8333,0.8333,0.8333,0.8000,0.8000,0.8000
+1,chat,10,0.8056,0.8056,0.8056,0.3611,0.3611,0.3611,0.0556,0.0556,0.0556
+2,chat,10,0.8056,0.8056,0.8056,0.3611,0.3611,0.3611,0.1944,0.1944,0.1944
+3,chat,10,0.7778,0.7778,0.7778,0.3333,0.3333,0.3333,0.2222,0.2222,0.2222
+4,chat,10,0.7778,0.7778,0.7778,0.3333,0.3333,0.3333,0.2500,0.2500,0.2500
+5,chat,10,0.8056,0.8056,0.8056,0.4167,0.4167,0.4167,0.2778,0.2778,0.2778
+"""
 
 # README quick-start steps 1-5 at seed 1, in the README's own paths and sizes.
 README_STEPS = [
@@ -187,6 +227,15 @@ def test_seed1_linear_pipeline_matches_golden_pin(tmp_path):
     assert curve == LINEAR_SHA256["curve.csv"], REGENERATE.format(name="curve.csv")
 
 
+def test_seed1_l2_pipeline_matches_golden_pin(tmp_path):
+    assert_matches_pin(run_pipeline(tmp_path, L2_TRAIN), L2_SHA256, L2_CURVE)
+
+
+def test_seed1_linear_l2_pipeline_matches_golden_pin(tmp_path):
+    assert_matches_pin(run_pipeline(tmp_path, LINEAR_L2_TRAIN), LINEAR_L2_SHA256,
+                       LINEAR_L2_CURVE)
+
+
 def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in README_STEPS:
@@ -234,3 +283,7 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
 
 def test_weak_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     assert_same_under_one_and_two_threads(tmp_path, WEAK_TRAIN)
+
+
+def test_l2_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    assert_same_under_one_and_two_threads(tmp_path, L2_TRAIN)
