@@ -1061,10 +1061,19 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("hidden_dim,l2_penalty", [(0, 0.0), (8, 0.0), (8, 1e-4)])
     def test_writer_matches_reference(self, hidden_dim, l2_penalty):
+        """Also at 1 and 3 steps under domain tags that the writer's splice of the
+        base64 must leave as ``json.dumps`` writes them: empty, non-ASCII, with a
+        quote and a backslash, and equal to the text the splice looks for."""
         tb = small_treebank(n_docs=8)
-        ens, _ = train(tb, boost_cfg(tb, hidden_dim=hidden_dim, l2_penalty=l2_penalty),
-                       ENC)
-        assert model_to_json(ens) == format2_reference(ens)
+        ens, _ = train(tb, boost_cfg(tb, n_steps=3, hidden_dim=hidden_dim,
+                                     l2_penalty=l2_penalty), ENC)
+        assert ens.n_steps == 3 and model_to_json(ens) == format2_reference(ens)
+        for n_steps in (1, 3):
+            for tag in ("", "chät ✓", 'say "x" \\ y', '"f64le": ""'):
+                other = dataclasses.replace(ens, steps=ens.steps[:n_steps], train_domain_tag=tag)
+                text = model_to_json(other)
+                assert text == format2_reference(other)
+                assert model_from_json(text).train_domain_tag == tag
 
     def test_round_trip_bit_exact_on_edge_values(self):
         cfg = LearnerConfig(input_dim=ENC.width, n_relations=1, hidden_dim=1)
@@ -1098,9 +1107,9 @@ class TestModelSerialization:
             model_from_json(model_to_json(ens))
 
     @staticmethod
-    def large_ensemble():
-        """Five steps at hash_dim 4096: 7.9 MB of parameters."""
-        enc = EncoderConfig(hash_dim=4096)
+    def large_ensemble(hash_dim=4096):
+        """Five steps at ``hash_dim`` (at 4096: 7.9 MB of parameters)."""
+        enc = EncoderConfig(hash_dim=hash_dim)
         cfg = LearnerConfig(input_dim=enc.width, n_relations=8, hidden_dim=16)
         ens = dataclasses.replace(
             manual_ensemble([wl.init(cfg, seed) for seed in range(5)], 8, inventory=SHARED + DOMAIN),
@@ -1117,6 +1126,18 @@ class TestModelSerialization:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * n_bytes, peak / n_bytes
+
+    def test_writer_holds_two_copies_of_the_text(self):
+        """The writer holds the base64 blobs and the text it joins them into, and
+        nothing else of their size: no escaped dump of the blobs."""
+        ens, _ = self.large_ensemble(hash_dim=1024)
+        tracemalloc.start()
+        try:
+            text = model_to_json(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(text), peak / len(text)
 
     def test_loader_memory_is_linear_in_parameters(self):
         ens, n_bytes = self.large_ensemble()
