@@ -120,6 +120,8 @@ class StepReport:
 class TrainReport:
     steps: list[StepReport]
     cumulative_params: list[int]
+    train_states: int    # the train split's oracle states, each visited once per epoch
+    skipped_states: int  # of those, the ones the SGD loop skips (``_Instances.skipped``)
 
 
 def _check_prefix(ensemble: BoostedEnsemble, m: int) -> None:
@@ -151,15 +153,21 @@ class _Instances:
         self.frozen_s += out.structure
         self.frozen_r += out.relation
 
-    def per_state(self) -> list[tuple]:
+    def skipped(self) -> np.ndarray:
+        """The states with one legal class, a shift: their gradient is exactly 0."""
+        return self.mask.sum(1) == 1
+
+    def per_state(self) -> list[tuple | None]:
         """What an SGD update reads of each state, in index order: its row's
         ``(indices, values)`` views, its frozen structure sums with the illegal classes
-        at -inf (softmax weight 0), its frozen relation sums and its two gold classes."""
+        at -inf (softmax weight 0), its frozen relation sums and its two gold classes;
+        ``None`` for a ``skipped`` state, whose update subtracts only zeros."""
         indptr, indices, data = self.rows
         spans = list(zip(indptr.tolist(), indptr[1:].tolist()))
-        return list(zip([indices[a:b] for a, b in spans], [data[a:b] for a, b in spans],
-                        np.where(self.mask, self.frozen_s, -np.inf), self.frozen_r,
-                        self.gold_structure.tolist(), self.gold_relation.tolist()))
+        states = zip([indices[a:b] for a, b in spans], [data[a:b] for a, b in spans],
+                     np.where(self.mask, self.frozen_s, -np.inf), self.frozen_r,
+                     self.gold_structure.tolist(), self.gold_relation.tolist())
+        return [None if skip else state for skip, state in zip(self.skipped().tolist(), states)]
 
     def mean_ce(self, step: WeakLearner | None = None) -> float:
         """Mean per-instance cross-entropy of the frozen sums plus ``step``'s logits
@@ -231,7 +239,7 @@ def mean_oracle_ce(ensemble: BoostedEnsemble, m: int, entries) -> float:
 _SCALE_FLOOR = 1e-3
 
 
-def _run_epoch(learner: WeakLearner, per_state: list[tuple], order) -> None:
+def _run_epoch(learner: WeakLearner, per_state: list[tuple | None], order) -> None:
     """Per-instance SGD of ``learner``'s own arrays over ``order``, touching only each
     row's nonzero columns; ``per_state`` is ``_Instances.per_state()`` of the instance
     set, which reads its frozen sums at the time it was built.
@@ -247,11 +255,15 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple], order) -> None:
     ``_SCALE_FLOOR`` and before returning, so the learner always ends an epoch with
     its true parameters.  At ``l2_penalty`` 0 the scale stays exactly 1.0.
 
+    A ``None`` state (one legal class) is skipped but for the decay: with finite logits
+    every step of its update is +-0, which leaves every parameter's bits as they are.
+
     For the epoch the other arrays are views of one buffer, written back before
-    returning: the heads stacked as ``W`` (4 + R, H) when there is a hidden layer,
-    both biases as ``B`` (4 + R,), then ``b_hidden``.  They decay in one call, both
-    softmaxes write into one ``dz``, and a reduce updates ``W`` and ``B`` in one step
-    each (a shift only their structure rows).
+    returning: the heads stacked as ``W`` (R + 4, H) when there is a hidden layer,
+    relation rows first, then ``bias``, which is ``b_relation``, ``b_structure`` and
+    ``b_hidden`` (if any).  They decay in one call.  ``dz``, the gradient of ``bias``,
+    has its layout: both softmaxes and ``dpre`` write into it.  A reduce updates ``W``
+    and ``bias`` in one step each, a shift ``W[R:]`` and ``bias[R:]`` (``b_hidden`` too).
 
     Each update makes few numpy calls, and every parameter stays bitwise equal to the
     plain loop's: a row's columns are gathered once by fancy indexing (``w[:, idx]``,
@@ -262,75 +274,77 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple], order) -> None:
     ``sum`` would each change the bits.
     """
     cfg = learner.cfg
-    lr, n_h, n_s = cfg.learning_rate, cfg.hidden_dim, wl.N_STRUCTURE
-    k = n_s + cfg.n_relations
+    lr, n_h, n_r = cfg.learning_rate, cfg.hidden_dim, cfg.n_relations
+    k = n_r + wl.N_STRUCTURE
     decay = 1.0 - 2.0 * lr * cfg.l2_penalty
     p = dict(learner.param_items())
     w1, hidden = p.get("w_hidden"), n_h > 0
-    names = ("w_structure", "w_relation", "b_structure", "b_relation", "b_hidden")
+    names = ("w_relation", "w_structure", "b_relation", "b_structure", "b_hidden")
     own = [p[name] for name in (names if hidden else names[2:4])]  # in buffer order
     buf = np.concatenate([arr.ravel() for arr in own])
-    W, B, b1 = buf[:k * n_h].reshape(k, n_h), buf[k * n_h:k * n_h + k], buf[k * n_h + k:]
-    ws, wr = (W[:n_s], W[n_s:]) if hidden else (p["w_structure"], p["w_relation"])
-    bs, br, ws_t, wr_t = B[:n_s], B[n_s:], ws.T, wr.T
+    W, bias = buf[:k * n_h].reshape(k, n_h), buf[k * n_h:]
+    wr, ws = (W[:n_r], W[n_r:]) if hidden else (p["w_relation"], p["w_structure"])
+    br, bs, b1, ws_t, wr_t = bias[:n_r], bias[n_r:k], bias[k:], ws.T, wr.T
     wide = [w1] if hidden else [ws, wr]
-    dz = np.empty(k)
-    dz_s, dz_r = dz[:n_s], dz[n_s:]
-    # The rows of ``W``, ``B`` and ``dz`` (also as a column) that a shift and a reduce update.
-    shift_rows, reduce_rows = (W[:n_s], B[:n_s], dz_s, dz_s[:, None]), (W, B, dz, dz[:, None])
+    dz = np.empty(len(bias))
+    dz_r, dz_s, dpre = dz[:n_r], dz[n_r:k], dz[k:]
+    # The rows a shift and a reduce update of ``W``, ``bias``, ``dz`` and ``dz``'s head column.
+    shift_rows, reduce_rows = ((W[n_r:], bias[n_r:], dz[n_r:], dz[n_r:k, None]),
+                               (W, bias, dz, dz[:k, None]))
     s = 1.0
-    dot, total, exp, divide = np.dot, np.add.reduce, np.exp, np.divide
+    dot, total, exp, divide, multiply = np.dot, np.add.reduce, np.exp, np.divide, np.multiply
 
     def fold(scale: float) -> None:
         for arr in wide:
             arr *= scale
 
     for i in order.tolist():
-        idx, xv, base_s, frozen_r, gold_s, g_rel = per_state[i]
-        xs = xv if s == 1.0 else xv * s  # the row against the stored values
-        # The heads read the hidden layer, or the row's nonzero inputs through their
-        # gathered columns; ``hs`` and ``hr`` are the heads' weights over ``h``.
-        if hidden:
-            g1 = w1[:, idx]
-            h, hs, hr = np.tanh(dot(g1, xs) + b1), ws, wr
-        else:
-            h, hs = xs, ws[:, idx]
-        zs = base_s + dot(hs, h) + bs
-        e = exp(zs - max(zs.tolist()))
-        divide(e, total(e), out=dz_s)
-        dz_s[gold_s] -= 1.0
-        rows = shift_rows
-        if g_rel >= 0:
-            if not hidden:
-                hr = wr[:, idx]
-            zr = frozen_r + dot(hr, h) + br
-            e = exp(zr - max(zr.tolist()))
-            divide(e, total(e), out=dz_r)
-            dz_r[g_rel] -= 1.0
-            rows = reduce_rows
-
-        if hidden:
-            dh = dot(ws_t, dz_s)
+        if (state := per_state[i]) is not None:
+            idx, xv, base_s, frozen_r, gold_s, g_rel = state
+            xs = xv if s == 1.0 else xv * s  # the row against the stored values
+            # The heads read the hidden layer, or the row's nonzero inputs through their
+            # gathered columns; ``hs`` and ``hr`` are the heads' weights over ``h``.
+            if hidden:
+                g1 = w1[:, idx]
+                h, hs, hr = np.tanh(dot(g1, xs) + b1), ws, wr
+            else:
+                h, hs = xs, ws[:, idx]
+            zs = base_s + dot(hs, h) + bs
+            e = exp(zs - max(zs.tolist()))
+            divide(e, total(e), out=dz_s)
+            dz_s[gold_s] -= 1.0
+            rows = shift_rows
             if g_rel >= 0:
-                dh += dot(wr_t, dz_r)
-            dpre = dh * (1.0 - h * h)
+                if not hidden:
+                    hr = wr[:, idx]
+                zr = frozen_r + dot(hr, h) + br
+                e = exp(zr - max(zr.tolist()))
+                divide(e, total(e), out=dz_r)
+                dz_r[g_rel] -= 1.0
+                rows = reduce_rows
+
+            if hidden:
+                dh = dot(ws_t, dz_s)
+                if g_rel >= 0:
+                    dh += dot(wr_t, dz_r)
+                multiply(dh, 1.0 - h * h, out=dpre)
         if decay != 1.0:  # the small arrays decay eagerly
             buf *= decay
         s *= decay
-        step = lr / s  # the step on the stored input-wide values
-        w_rows, b_rows, dz_rows, dz_col = rows
-        b_rows -= lr * dz_rows
-        if hidden:
-            w_rows -= lr * (dz_col * h)
-            g1 -= step * (dpre[:, None] * xv)
-            w1[:, idx] = g1
-            b1 -= lr * dpre
-        else:
-            hs -= step * (dz_s[:, None] * xv)
-            ws[:, idx] = hs
-            if g_rel >= 0:
-                hr -= step * (dz_r[:, None] * xv)
-                wr[:, idx] = hr
+        if state is not None:
+            step = lr / s  # the step on the stored input-wide values
+            w_rows, b_rows, dz_rows, dz_col = rows
+            b_rows -= lr * dz_rows
+            if hidden:
+                w_rows -= lr * (dz_col * h)
+                g1 -= step * (dpre[:, None] * xv)
+                w1[:, idx] = g1
+            else:
+                hs -= step * (dz_s[:, None] * xv)
+                ws[:, idx] = hs
+                if g_rel >= 0:
+                    hr -= step * (dz_r[:, None] * xv)
+                    wr[:, idx] = hr
         if s < _SCALE_FLOOR:
             fold(s)
             s = 1.0
@@ -476,7 +490,8 @@ def train(treebank: Treebank, cfg: BoostConfig,
     for _ in range(cfg.n_steps):
         ensemble, step_report = _append_step(ensemble, cfg.seed, *instances)
         steps.append(step_report)
-    return ensemble, TrainReport(steps, list(accumulate(s.param_count for s in steps)))
+    return ensemble, TrainReport(steps, list(accumulate(s.param_count for s in steps)),
+                                 len(instances[0]), int(instances[0].skipped().sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,20 @@ class TestTraining:
         assert sorted(calls) == sorted(sum(2 * doc.n_edus - 1 for doc, _ in entries)
                                        for entries in (train_entries, dev_entries))
 
+    def test_report_counts_skipped_states(self):
+        """The report counts the train split's oracle states and the ones with one legal
+        class, which the SGD loop skips."""
+        tb = small_treebank()
+        cfg = boost_cfg(tb)
+        _, report = train(tb, cfg, ENC)
+        train_entries, _ = split_dev(tb, cfg.dev_fraction, cfg.seed)
+        ens = BoostedEnsemble(ENC, tb.relation_inventory, (), cfg)
+        inst = _build_instances(train_entries, ens)
+        assert report.train_states == len(inst)
+        assert report.skipped_states == (inst.mask.sum(1) == 1).sum()
+        assert report.skipped_states == inst.per_state().count(None)
+        assert 0 < report.skipped_states < report.train_states
+
     def test_single_step_train(self):
         tb = small_treebank()
         ens, report = train(tb, boost_cfg(tb, n_steps=1), ENC)
@@ -610,6 +624,64 @@ class TestFastPathEquivalence:
             ref = wl.sgd_step(ref, grads, cfg.learning_rate)
         for (_, a), (_, b) in zip(fast.param_items(), ref.param_items()):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+class TestSkippedStates:
+    """The SGD loop skips the states with one legal class: their update subtracts only
+    zeros, so only L2 decay acts on them."""
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_one_legal_class_has_zero_gradient(self, hidden_dim):
+        tb = small_treebank()
+        inst = oracle_instances(tb)
+        cfg = LearnerConfig(input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+                            hidden_dim=hidden_dim)
+        rng = np.random.default_rng(hidden_dim)
+        inst.frozen_s = rng.normal(size=(len(inst), 4))
+        inst.frozen_r = rng.normal(size=(len(inst), cfg.n_relations))
+        one_legal = inst.mask.sum(1) == 1
+        assert [state is None for state in inst.per_state()] == one_legal.tolist()
+        assert 0 < one_legal.sum() < len(inst)
+        assert (inst.gold_structure[one_legal] == wl.SHIFT_CLASS).all()
+        assert (inst.gold_relation[one_legal] == -1).all()
+        learner = wl.init(cfg, 7)
+        for i in np.flatnonzero(one_legal):
+            loss, grads = wl.boosted_loss_and_grad(
+                learner, row_of(inst, i), LogitPair(inst.frozen_s[i], inst.frozen_r[i]),
+                wl.SHIFT_CLASS, None, inst.mask[i])
+            assert loss == 0.0
+            assert set(grads) == set(wl.param_shapes(cfg))
+            for name, grad in grads.items():
+                assert not grad.any(), name
+
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    @pytest.mark.parametrize("decay", [1.0, 1e-3])
+    def test_epoch_over_skipped_states_only_decays(self, hidden_dim, decay):
+        """Without L2 an epoch over skipped states leaves every bit as it was; at a decay
+        of 1e-3 the running scale is folded on them, as the eager reference decays."""
+        tb = small_treebank(n_docs=6)
+        inst = oracle_instances(tb)
+        lr = 0.05
+        cfg = LearnerConfig(
+            input_dim=ENC.width, n_relations=len(tb.relation_inventory),
+            hidden_dim=hidden_dim, learning_rate=lr, l2_penalty=(1.0 - decay) / (2.0 * lr))
+        # Three updates: a fold inside the loop after the second, and one at the end;
+        # parameters of about 1e-10 stay far above the tolerance's absolute part.
+        order = np.flatnonzero(inst.mask.sum(1) == 1)[:3]
+        updates_per_fold = math.floor(math.log(boosting._SCALE_FLOOR) / math.log(1e-3)) + 1
+        assert len(order) == 3 > updates_per_fold
+        fast = wl.init(cfg, 7)
+        ref = {name: arr.copy() for name, arr in fast.param_items()}
+        _run_epoch(fast, inst.per_state(), order)
+        got = dict(fast.param_items())
+        if decay == 1.0:
+            assert list(got) == list(ref)
+            for name, arr in ref.items():
+                assert got[name].tobytes() == arr.tobytes(), name
+        else:
+            reference_run_epoch(ref, cfg, inst, inst.frozen_s, inst.frozen_r, order)
+            assert_params_close(got, ref)
+            assert not np.array_equal(got["w_structure"], wl.init(cfg, 7).w_structure)
 
 
 class TestDecoding:

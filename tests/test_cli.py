@@ -198,6 +198,7 @@ class TestTrain:
         for step in report["steps"]:
             assert step["seconds"] >= 0
             assert step["param_count"] > 0
+        assert 0 < report["skipped_states"] < report["train_states"]
         manifest = json.loads(Path(str(model_path) + ".manifest.json").read_text())
         assert manifest["command"] == "train"
         assert list(manifest["inputs"].values())[0].startswith("sha256:")

@@ -242,6 +242,9 @@ def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):
         assert main(["--quiet", *argv]) == 0, argv
     for name, want in README_SHA256.items():
         assert _sha256(tmp_path / name) == want, REGENERATE.format(name=name)
+    # The train split's oracle states, and those with one legal class, which SGD skips.
+    report = json.loads((tmp_path / "runs/model.json.report.json").read_text())
+    assert (report["train_states"], report["skipped_states"]) == (2030, 470)
 
 
 def test_synth_at_other_settings_matches_pin(tmp_path):
