@@ -100,7 +100,7 @@ class BoostedEnsemble:
         return len(self.steps)
 
     @cached_property
-    def stacked(self) -> tuple:
+    def stacked(self) -> WeakLearner:
         """``wl.stack_steps`` of all steps, built on first use; it dies with this ensemble."""
         return wl.stack_steps(self.steps)
 
@@ -246,57 +246,40 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple | None], order) -> No
 
     With ``l2_penalty`` > 0 every update first decays all parameters by
     ``decay = 1 - 2 lr l2`` and then subtracts ``lr * grad``, where the gradient is
-    taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.  The
-    input-wide arrays (``w_hidden``, or both heads without a hidden layer) decay
-    lazily (Bottou 2012, *Stochastic Gradient Descent Tricks*, 5.1): they hold
-    ``v = w / s`` for one running scale ``s``, an update reads its row as
-    ``x * s``, sets ``s *= decay`` and subtracts ``(lr / s) * grad`` from the
-    row's columns.  The scale is folded into the arrays whenever it falls below
-    ``_SCALE_FLOOR`` and before returning, so the learner always ends an epoch with
-    its true parameters.  At ``l2_penalty`` 0 the scale stays exactly 1.0.
+    taken at the pre-update parameters: ``w <- w - lr (g + 2 l2 w)``.  The learner's
+    ``small`` array decays eagerly, in one call.  Its input-wide ``wide`` array decays
+    lazily (Bottou 2012, *Stochastic Gradient Descent Tricks*, 5.1): it holds
+    ``v = w / s`` for one running scale ``s``, an update reads its row as ``x * s``,
+    sets ``s *= decay`` and subtracts ``(lr / s) * grad`` from the row's columns.  The
+    scale is folded into ``wide`` whenever it falls below ``_SCALE_FLOOR`` and before
+    returning, so the learner always ends an epoch with its true parameters.  At
+    ``l2_penalty`` 0 the scale stays exactly 1.0.
 
     A ``None`` state (one legal class) is skipped but for the decay: with finite logits
     every step of its update is +-0, which leaves every parameter's bits as they are.
 
-    For the epoch the other arrays are views of one buffer, written back before
-    returning: the heads stacked as ``W`` (R + 4, H) when there is a hidden layer,
-    relation rows first, then ``bias``, which is ``b_relation``, ``b_structure`` and
-    ``b_hidden`` (if any).  They decay in one call.  ``dz``, the gradient of ``bias``,
-    has its layout: both softmaxes and ``dpre`` write into it.  A reduce updates ``W``
-    and ``bias`` in one step each, a shift ``W[R:]`` and ``bias[R:]`` (``b_hidden`` too).
-
     Each update makes few numpy calls, and every parameter stays bitwise equal to the
-    plain loop's: a row's columns are gathered once by fancy indexing (``w[:, idx]``,
-    F-ordered), updated in place and written back; every matrix-vector product is
-    ``np.dot`` on one head, the BLAS call ``@`` makes; softmax maxima come from Python
-    floats and sums from ``np.add.reduce``.  ``w.take(idx, 1)`` (a C-ordered copy, which
-    BLAS sums in another order), one ``np.dot`` over both heads stacked, or a Python
-    ``sum`` would each change the bits.
+    plain loop's: a row's columns are gathered once by fancy indexing of one head's rows
+    (``w[:, idx]``, F-ordered), updated in place and written back; every matrix-vector
+    product is ``np.dot`` on one head, the BLAS call ``@`` makes; softmax maxima come from
+    Python floats and sums from ``np.add.reduce``.  ``w.take(idx, 1)`` (a C-ordered copy,
+    which BLAS sums in another order), one gather over both heads' rows then split, one
+    ``np.dot`` over both heads stacked, or a Python ``sum`` would each change the bits.
     """
     cfg = learner.cfg
-    lr, n_h, n_r = cfg.learning_rate, cfg.hidden_dim, cfg.n_relations
+    lr, n_r, hidden = cfg.learning_rate, cfg.n_relations, cfg.hidden_dim > 0
     k = n_r + wl.N_STRUCTURE
     decay = 1.0 - 2.0 * lr * cfg.l2_penalty
-    p = dict(learner.param_items())
-    w1, hidden = p.get("w_hidden"), n_h > 0
-    names = ("w_relation", "w_structure", "b_relation", "b_structure", "b_hidden")
-    own = [p[name] for name in (names if hidden else names[2:4])]  # in buffer order
-    buf = np.concatenate([arr.ravel() for arr in own])
-    W, bias = buf[:k * n_h].reshape(k, n_h), buf[k * n_h:]
-    wr, ws = (W[:n_r], W[n_r:]) if hidden else (p["w_relation"], p["w_structure"])
-    br, bs, b1, ws_t, wr_t = bias[:n_r], bias[n_r:k], bias[k:], ws.T, wr.T
-    wide = [w1] if hidden else [ws, wr]
-    dz = np.empty(len(bias))
+    W, bias, w1, b1 = learner.heads, learner.bias, learner.w_hidden, learner.b_hidden
+    wr, ws, br, bs = W[:n_r], W[n_r:], bias[:n_r], bias[n_r:k]
+    ws_t, wr_t = ws.T, wr.T
+    dz = np.empty(len(bias))  # the gradient of ``bias``, in its layout
     dz_r, dz_s, dpre = dz[:n_r], dz[n_r:k], dz[k:]
     # The rows a shift and a reduce update of ``W``, ``bias``, ``dz`` and ``dz``'s head column.
     shift_rows, reduce_rows = ((W[n_r:], bias[n_r:], dz[n_r:], dz[n_r:k, None]),
                                (W, bias, dz, dz[:k, None]))
     s = 1.0
     dot, total, exp, divide, multiply = np.dot, np.add.reduce, np.exp, np.divide, np.multiply
-
-    def fold(scale: float) -> None:
-        for arr in wide:
-            arr *= scale
 
     for i in order.tolist():
         if (state := per_state[i]) is not None:
@@ -328,8 +311,8 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple | None], order) -> No
                 if g_rel >= 0:
                     dh += dot(wr_t, dz_r)
                 multiply(dh, 1.0 - h * h, out=dpre)
-        if decay != 1.0:  # the small arrays decay eagerly
-            buf *= decay
+        if decay != 1.0:
+            learner.small *= decay
         s *= decay
         if state is not None:
             step = lr / s  # the step on the stored input-wide values
@@ -346,11 +329,9 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple | None], order) -> No
                     hr -= step * (dz_r[:, None] * xv)
                     wr[:, idx] = hr
         if s < _SCALE_FLOOR:
-            fold(s)
+            learner.wide *= s
             s = 1.0
-    fold(s)
-    for arr, part in zip(own, np.split(buf, np.cumsum([arr.size for arr in own])[:-1])):
-        arr[...] = part.reshape(arr.shape)
+    learner.wide *= s
 
 
 def _child_seed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -387,8 +368,7 @@ def _train_one_step(cfg: BoostConfig, step_no: int, seed: int, train_inst: _Inst
     shuffle_rng = np.random.default_rng(_child_seed(seed, step_no, 1))
 
     def snapshot() -> WeakLearner:
-        return WeakLearner.from_params(
-            learner.cfg, {name: arr.copy() for name, arr in learner.param_items()})
+        return WeakLearner(learner.cfg, learner.wide.copy(), learner.small.copy())
 
     baseline_train = train_inst.mean_ce()
     per_state = train_inst.per_state()
@@ -586,7 +566,7 @@ def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict, path: str) 
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
         try:
             raw = base64.b64decode(spec["f64le"], validate=True)
-            params[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+            params[name] = np.frombuffer(raw, "<f8").reshape(shape)
         except (TypeError, ValueError) as exc:
             raise MalformedSyntax(f"parameter {name} is not base64 float64: {exc}") from exc
         if not np.isfinite(params[name]).all():

@@ -13,7 +13,7 @@ are taken with respect to this learner's parameters only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -71,20 +71,38 @@ class LogitPair:
 
 @dataclass(eq=False)
 class WeakLearner:
+    """Two float64 arrays and views of them: ``wide`` reads the input, and ``small`` holds
+    the rest, flat.  A stack of learners (``stack_steps``) has a leading step axis on both
+    arrays and on every view."""
     cfg: LearnerConfig
-    w_hidden: np.ndarray | None   # (H, input_dim) or None when H == 0
-    b_hidden: np.ndarray | None   # (H,) or None
-    w_structure: np.ndarray       # (4, H or input_dim)
-    b_structure: np.ndarray       # (4,)
-    w_relation: np.ndarray        # (R, H or input_dim)
-    b_relation: np.ndarray        # (R,)
+    wide: np.ndarray   # w_hidden (..., H, input_dim), or heads when H == 0
+    small: np.ndarray  # heads, raveled, when H > 0; then bias
+    w_hidden: np.ndarray | None = field(init=False)  # None when H == 0, as is b_hidden
+    b_hidden: np.ndarray | None = field(init=False)
+    w_structure: np.ndarray = field(init=False)
+    b_structure: np.ndarray = field(init=False)
+    w_relation: np.ndarray = field(init=False)
+    b_relation: np.ndarray = field(init=False)
+    heads: np.ndarray = field(init=False)  # (..., R + 4, H or input_dim): w_relation, w_structure
+    bias: np.ndarray = field(init=False)   # (..., R + 4 + H): b_relation, b_structure, b_hidden
+
+    def __post_init__(self) -> None:
+        n_r, n_h, small = self.cfg.n_relations, self.cfg.hidden_dim, self.small
+        k = n_r + N_STRUCTURE
+        self.heads = small[..., :k * n_h].reshape(*small.shape[:-1], k, n_h) if n_h else self.wide
+        self.bias = small[..., k * n_h:]
+        self.w_hidden, self.b_hidden = (self.wide, self.bias[..., k:]) if n_h else (None, None)
+        self.w_relation, self.w_structure = self.heads[..., :n_r, :], self.heads[..., n_r:, :]
+        self.b_relation, self.b_structure = self.bias[..., :n_r], self.bias[..., n_r:k]
 
     @classmethod
     def from_params(cls, cfg: LearnerConfig, params: dict[str, np.ndarray]) -> "WeakLearner":
-        """Build from a name -> array mapping; the hidden layer is optional."""
-        return cls(cfg, params.get("w_hidden"), params.get("b_hidden"),
-                   params["w_structure"], params["b_structure"],
-                   params["w_relation"], params["b_relation"])
+        """Pack a name -> array mapping, of ``param_shapes``' shapes, into a new learner's
+        two arrays; the values are copied, so the learner shares no memory with them."""
+        small = ("w_relation", "w_structure", "b_relation", "b_structure", "b_hidden")
+        wide, small = (("w_hidden",), small) if cfg.hidden_dim else (small[:2], small[2:4])
+        return cls(cfg, np.concatenate([params[name] for name in wide], dtype=np.float64),
+                   np.concatenate([np.ravel(params[name]) for name in small], dtype=np.float64))
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in param_shapes(self.cfg)]
@@ -169,31 +187,30 @@ def _dot_rows(weights: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     return out
 
 
-def stack_steps(steps) -> tuple:
-    """The parameters of ``steps``, learners of one config, in layout order, each stacked
-    on a leading step axis for ``forward_steps``; one step's are views of its own.  Without
-    a hidden layer both heads read the input, so their weights, and biases, are joined."""
-    arrays = [group[0][None] if len(steps) == 1 else np.stack(group)
-              for group in zip(*([arr for _, arr in step.param_items()] for step in steps))]
-    if steps[0].w_hidden is None:  # (w_structure, w_relation), (b_structure, b_relation)
-        return tuple(np.concatenate(pair, 1) for pair in (arrays[0::2], arrays[1::2]))
-    return tuple(arrays)
+def stack_steps(steps) -> WeakLearner:
+    """``steps``, learners of one config, as one learner whose two arrays are theirs stacked
+    on a leading step axis, for ``forward_steps``; one step's are views of its own."""
+    arrays = (group[0][None] if len(steps) == 1 else np.stack(group)
+              for group in zip(*((step.wide, step.small) for step in steps)))
+    return WeakLearner(steps[0].cfg, *arrays)
 
 
-def forward_steps(stack: tuple, rows: Rows, top: int) -> tuple[np.ndarray | None, ...]:
+def forward_steps(stack: WeakLearner, rows: Rows, top: int) -> tuple[np.ndarray | None, ...]:
     """Hidden activations (N, top, H), None without a hidden layer, and the structure and
     relation logits (N, top, 4) and (N, top, R) of ``stack``'s steps 1..top for ``rows``,
     from one ``_dot_rows``, one ``tanh`` and one product per head.  numpy multiplies a
     stack of matrices one at a time, so each is bitwise the one-step value."""
     if not isinstance(rows, Rows):  # unchecked indices would wrap or fail inside ``take``
         raise DimensionMismatch("rows must be a Rows batch from stack_rows")
-    w_in, b_in, *heads = (a[:top] for a in stack)
-    z = _dot_rows(w_in.reshape(-1, w_in.shape[2]), *rows).reshape(-1, *w_in.shape[:2]) + b_in
-    if not heads:
-        return None, z[..., :N_STRUCTURE], z[..., N_STRUCTURE:]
-    h = np.tanh(z)
-    return h, *((h[:, :, None] @ w.transpose(0, 2, 1))[:, :, 0] + b
-                for w, b in (heads[:2], heads[2:]))
+    wide = stack.wide[:top]
+    z = _dot_rows(wide.reshape(-1, wide.shape[2]), *rows).reshape(-1, *wide.shape[:2])
+    if stack.w_hidden is None:  # both heads read the input, relation rows first
+        z += stack.bias[:top]
+        return None, z[..., -N_STRUCTURE:], z[..., :-N_STRUCTURE]
+    h = np.tanh(z + stack.b_hidden[:top])
+    return h, *((h[:, :, None] @ w[:top].transpose(0, 2, 1))[:, :, 0] + b[:top]
+                for w, b in ((stack.w_structure, stack.b_structure),
+                             (stack.w_relation, stack.b_relation)))
 
 
 def forward(w: WeakLearner, rows: Rows) -> LogitPair:

@@ -122,15 +122,7 @@ def _learner_from_flat(learner, theta):
     for name, arr in learner.param_items():
         arrays[name] = theta[i:i + arr.size].reshape(arr.shape).copy()
         i += arr.size
-    return wl.WeakLearner(
-        cfg=learner.cfg,
-        w_hidden=arrays.get("w_hidden"),
-        b_hidden=arrays.get("b_hidden"),
-        w_structure=arrays["w_structure"],
-        b_structure=arrays["b_structure"],
-        w_relation=arrays["w_relation"],
-        b_relation=arrays["b_relation"],
-    )
+    return wl.WeakLearner.from_params(learner.cfg, arrays)
 
 
 def test_criterion_03_truncation_fidelity():

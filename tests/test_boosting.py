@@ -987,7 +987,7 @@ class TestDecodeBatch:
         tb = small_treebank(n_docs=2, seed=73, edu_range=(2, 4))
         ens = self.random_ensemble(tb, 4, NUCLEUS)
         decode_batch(ens, [doc for doc, _ in tb.entries], [1, 4])
-        stacked = weakref.ref(ens.stacked[0])
+        stacked = weakref.ref(ens.stacked.wide)
         del ens
         gc.collect()
         assert stacked() is None
@@ -1165,6 +1165,8 @@ class TestModelSerialization:
                 assert na == nb and pa.shape == pb.shape and pb.dtype == np.float64
                 assert pb.tobytes() == pa.tobytes()
                 assert pb.flags.writeable
+            # A loaded learner owns its arrays: a view of the decoded bytes is read-only.
+            assert b.wide.flags.writeable and b.small.flags.writeable
         assert np.signbit(clone.steps[0].b_hidden[0])
         assert clone.relation_inventory == ("elaboration",)
         assert clone.train_domain_tag == "nouvelles-€"

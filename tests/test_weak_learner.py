@@ -57,15 +57,7 @@ def learner_from_flat(learner, theta):
     for name, arr in learner.param_items():
         arrays[name] = theta[i:i + arr.size].reshape(arr.shape).copy()
         i += arr.size
-    return WeakLearner(
-        cfg=learner.cfg,
-        w_hidden=arrays.get("w_hidden"),
-        b_hidden=arrays.get("b_hidden"),
-        w_structure=arrays["w_structure"],
-        b_structure=arrays["b_structure"],
-        w_relation=arrays["w_relation"],
-        b_relation=arrays["b_relation"],
-    )
+    return WeakLearner.from_params(learner.cfg, arrays)
 
 
 def numeric_grad(learner, x, frozen, gold_s, gold_r, mask, eps=1e-5):
@@ -144,6 +136,23 @@ class TestParamShapes:
         learner = zeros(cfg)
         assert {name: arr.shape for name, arr in learner.param_items()} == param_shapes(cfg)
         assert not flatten_params(learner).any()
+
+
+class TestLayout:
+    """A learner's named parameters are views of its two arrays, which it owns."""
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_from_params_copies(self, hidden_dim):
+        cfg = small_cfg(hidden_dim=hidden_dim)
+        params = {name: arr.copy() for name, arr in init(cfg, 0).param_items()}
+        learner = WeakLearner.from_params(cfg, params)
+        before = flatten_params(learner)
+        for arr in params.values():
+            arr += 1.0
+        assert bits(flatten_params(learner)) == bits(before)
+        for name, arr in learner.param_items():
+            assert arr.shape == params[name].shape
+            assert not np.shares_memory(arr, params[name])
+            assert np.shares_memory(arr, learner.wide) or np.shares_memory(arr, learner.small)
 
 
 class TestInit:
@@ -398,10 +407,15 @@ class TestForwardSteps:
                     assert bits(one.structure[0]) == bits(ref_s)
                     assert bits(one.relation[0]) == bits(ref_r)
 
-    def test_one_step_stack_follows_in_place_updates(self):
-        """With a hidden layer, one step's stack is views of its arrays."""
-        learner = init(small_cfg(hidden_dim=3), 0)
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_one_step_stack_follows_in_place_updates(self, hidden_dim):
+        """With a hidden layer or without, one step's stack is views of its arrays."""
+        learner = init(small_cfg(hidden_dim=hidden_dim), 0)
         stack = stack_steps([learner])
+        for (name, arr), (stacked_name, stacked) in zip(learner.param_items(),
+                                                        stack.param_items(), strict=True):
+            assert name == stacked_name and stacked.shape == (1, *arr.shape)
+            assert np.shares_memory(arr, stacked)
         row = one_row(sparse(np.arange(7.0)))
         before = forward(learner, row)
         for _, arr in learner.param_items():
