@@ -26,7 +26,7 @@ from . import boosting, metrics, treebank
 from .boosting import BoostConfig
 from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
-                     MalformedSyntax, UsageError, config_from_json)
+                     UsageError, config_from_json)
 from .treebank import Document, SynthSettings, Treebank, _atomic_write, tokenize_text
 from .weak_learner import LearnerConfig, n_params
 
@@ -196,28 +196,15 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_raw_documents(text: str) -> list[Document]:
-    """Raw-EDU format: one EDU per line, blank line between documents."""
+    """Raw-EDU format: one EDU per line, a blank or whitespace-only line between documents."""
     docs = []
-    block: list[str] = []
-
-    def flush() -> None:
-        if not block:
-            return
-        edus = []
-        for i, line in enumerate(block, start=1):
-            tokens = tokenize_text(line)
-            if not tokens:
-                raise MalformedSyntax(f"document {len(docs) + 1}: empty EDU line")
-            edus.append(treebank.EDU(i, tokens))
-        docs.append(Document(f"raw-{len(docs):04d}", tuple(edus)))
-        block.clear()
-
-    for line in text.splitlines():
-        if line.strip():
-            block.append(line)
-        else:
-            flush()
-    flush()
+    edus: list[tuple[str, ...]] = []
+    for line in [*text.splitlines(), ""]:  # the final blank line ends the last document
+        if tokens := tokenize_text(line):
+            edus.append(tokens)
+        elif edus:
+            docs.append(Document(f"raw-{len(docs):04d}", tuple(edus)))
+            edus = []
     return docs
 
 
@@ -282,7 +269,7 @@ def cmd_eval(args) -> int:
         raise EmptyTreebank("nothing to evaluate: both files are empty")
     pairs = list(zip(gold.entries, pred.entries))
     for (gdoc, _), (pdoc, _) in pairs:  # paired by position: each pair must be one text
-        if [edu.tokens for edu in gdoc.edus] != [edu.tokens for edu in pdoc.edus]:
+        if gdoc.edus != pdoc.edus:
             raise DocumentMismatch(
                 f"gold document {gdoc.doc_id} ({gdoc.n_edus} EDUs) and predicted document "
                 f"{pdoc.doc_id} ({pdoc.n_edus} EDUs) do not have the same EDU tokens")

@@ -63,15 +63,15 @@ def represent_span(node: DiscourseNode, doc: Document, cfg: EncoderConfig) -> li
     gives ``truncate_center`` of the span's tokens, reading only EDUs at its two ends."""
     limit = cfg.max_span_tokens
     if cfg.truncation_strategy == NUCLEUS:
-        return truncate_center(doc.edus[node.head - 1].tokens, limit)
+        return truncate_center(doc.edus[node.head - 1], limit)
     lo, hi = node.span
     head: list[str] = []
     for edu_id in range(lo, hi + 1):
-        head += doc.edus[edu_id - 1].tokens
+        head += doc.edus[edu_id - 1]
         if len(head) > limit:  # the span does not fit: read the window's tail from the back
             tail: list[str] = []
             while len(tail) < limit // 2:
-                tail[:0] = doc.edus[hi - 1].tokens
+                tail[:0] = doc.edus[hi - 1]
                 hi -= 1
             return head[:limit - limit // 2] + tail[len(tail) - limit // 2:]
     return head  # the whole span fits
@@ -135,7 +135,7 @@ def encode_state(state: ParserState, doc: Document, cfg: EncoderConfig,
     if second is not None:
         fill(d, represent_span(second, doc, cfg))
     if state.queue_cursor <= state.n_edus:
-        fill(2 * d, doc.edus[state.queue_cursor - 1].tokens)
+        fill(2 * d, doc.edus[state.queue_cursor - 1])
 
     def span_len(node: DiscourseNode | None) -> float:
         if node is None:

@@ -1,9 +1,10 @@
 """Discourse treebank data model, bracketed serialization, and synthesis; the
 generator's one settings type, ``SynthSettings``, holds every rule on its values.
 
-A treebank is a list of (document, tree) pairs.  Documents are sequences of
-EDUs (elementary discourse units); trees are strictly binary, with a
-nuclearity tag (NN / NS / SN) and a relation label at every internal node.
+A treebank is a list of (document, tree) pairs.  A document is a sequence of
+EDUs (elementary discourse units), each a tuple of tokens, and EDU ``i`` is
+``edus[i - 1]``; trees are strictly binary, with a nuclearity tag (NN / NS / SN)
+and a relation label at every internal node.
 
 File format (one record per block, blocks separated by a blank line)::
 
@@ -36,12 +37,6 @@ _RELATION_RE = re.compile(r"[a-z_-]+\Z")
 def tokenize_text(text: str) -> tuple[str, ...]:
     """Lowercase + whitespace-split; the only tokenizer used anywhere."""
     return tuple(text.lower().split())
-
-
-@dataclass(frozen=True)
-class EDU:
-    id: int
-    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ DiscourseNode = Union[Leaf, Internal]
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    edus: tuple[EDU, ...]
+    edus: tuple[tuple[str, ...], ...]  # EDU i's tokens are edus[i - 1]
 
     @property
     def n_edus(self) -> int:
@@ -200,14 +195,14 @@ def _take(tokens: Iterator[tuple[str, str]]) -> tuple[str, str]:
 
 
 def parse_bracketed(text: str, doc_id: str = "doc") -> tuple[Document, DiscourseNode]:
-    """Parse one bracketed tree; leaf texts become EDUs numbered 1..n.
+    """Parse one bracketed tree; the leaves' token tuples become EDUs 1..n, left to right.
 
     It rejects empty leaves, non-binary nodes, unknown nuclearity and bad
     relation labels, so every pair it returns passes :func:`validate` without
     an inventory, and ``load_treebank`` does not validate again.
     """
     tokens = iter(_lex(text))
-    leaf_texts: list[str] = []
+    edus: list[tuple[str, ...]] = []
     frames: list[tuple[str, str, list[DiscourseNode]]] = []  # open internal nodes
     while True:
         kind, value = _take(tokens)
@@ -236,17 +231,16 @@ def parse_bracketed(text: str, doc_id: str = "doc") -> tuple[Document, Discourse
             kind, leaf_text = _take(tokens)
             if kind != "string" or _take(tokens)[0] != "close":
                 raise MalformedSyntax("leaf node must contain exactly one quoted string")
-            if not tokenize_text(leaf_text):
+            edus.append(tokenize_text(leaf_text))
+            if not edus[-1]:
                 raise InvalidTree("leaf with empty text (EDUs must have at least one token)")
-            leaf_texts.append(leaf_text)
-            node = Leaf(edu_id=len(leaf_texts))
+            node = Leaf(edu_id=len(edus))
         if not frames:
             break
         frames[-1][2].append(node)
     if next(tokens, None) is not None:
         raise MalformedSyntax("trailing input after the closing parenthesis")
-    edus = tuple(EDU(i + 1, tokenize_text(t)) for i, t in enumerate(leaf_texts))
-    return Document(doc_id, edus), node
+    return Document(doc_id, tuple(edus)), node
 
 
 def _escape(text: str) -> str:
@@ -258,7 +252,7 @@ def serialize_bracketed(doc: Document, tree: DiscourseNode) -> str:
     done: list[str] = []  # rendered subtrees not yet claimed by a parent
     for node in postorder(tree):
         if isinstance(node, Leaf):
-            text = " ".join(doc.edus[node.edu_id - 1].tokens)
+            text = " ".join(doc.edus[node.edu_id - 1])
             done.append(f'(leaf "{_escape(text)}")')
         else:
             right = done.pop()
@@ -284,9 +278,7 @@ def validate(
     if n < 1:
         violations.append("doc: document has no EDUs")
     for i, edu in enumerate(doc.edus):
-        if edu.id != i + 1:
-            violations.append(f"doc.edus[{i}]: id {edu.id} breaks the 1..n numbering")
-        if not edu.tokens:
+        if not edu:
             violations.append(f"doc.edus[{i}]: empty token list")
 
     # A path is rendered only for a violation, from (parent link, step) pairs.
@@ -564,13 +556,10 @@ def _gen_document(rng: Random, doc_id: str, cfg: SynthSettings, tag: str,
     tree = _gen_structure(rng, 1, n, cfg, domain_relations)
     cues: dict[int, dict] = {i: {} for i in range(1, n + 1)}
     _inject_cues(tree, cues)
-    edus = []
-    for i, cue in cues.items():
-        # Cues at the edges, fillers in the middle: the cues survive center
-        # truncation as well.
-        edus.append(EDU(i, (*cue.get("kind", ()), *cue.get("cont", ()),
-                            *_fillers(rng, cfg, tag), *cue.get("marker", ()))))
-    return Document(doc_id, tuple(edus)), tree
+    # Cues at the edges, fillers in the middle: the cues survive center truncation as well.
+    edus = tuple((*cue.get("kind", ()), *cue.get("cont", ()), *_fillers(rng, cfg, tag),
+                  *cue.get("marker", ())) for cue in cues.values())
+    return Document(doc_id, edus), tree
 
 
 def synthesize_treebank(cfg: SynthSettings, side: str, n_docs: int, name: str,

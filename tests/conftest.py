@@ -21,7 +21,6 @@ from rstboost.errors import DocumentMismatch
 from rstboost.metrics import ParsevalScores
 from rstboost.transition import SHIFT, Reduce, apply, initial_state
 from rstboost.treebank import (
-    EDU,
     Document,
     Internal,
     Leaf,
@@ -231,6 +230,17 @@ def reference_score(gold, pred):
     return ParsevalScores(len(g), len(p), span_m, nuc_m, rel_m)
 
 
+def learner_from_flat(learner, theta):
+    """A learner of ``learner``'s config whose parameters, in ``param_items`` order, are
+    the flat vector ``theta``."""
+    arrays = {}
+    i = 0
+    for name, arr in learner.param_items():
+        arrays[name] = theta[i:i + arr.size].reshape(arr.shape).copy()
+        i += arr.size
+    return wl.WeakLearner.from_params(learner.cfg, arrays)
+
+
 def reference_learner_dict(learner):
     """One step as a JSON-ready dict, parameters as lists."""
     out = {"hidden_dim": learner.cfg.hidden_dim}
@@ -249,7 +259,7 @@ def head_nucleus_edu(node):
 
 def make_doc(n_edus, doc_id="doc", tokens_per_edu=2):
     edus = tuple(
-        EDU(i, tuple(f"tok{i}_{j}" for j in range(tokens_per_edu)))
+        tuple(f"tok{i}_{j}" for j in range(tokens_per_edu))
         for i in range(1, n_edus + 1)
     )
     return Document(doc_id, edus)

@@ -36,6 +36,7 @@ from conftest import (
     default_boost_config,
     enumerate_shapes,
     label_shape,
+    learner_from_flat,
     random_tree,
     reference_learner_dict,
     replay,
@@ -101,7 +102,7 @@ def test_criterion_02_gradient_oracle():
                     for sign in (1.0, -1.0):
                         shifted = theta.copy()
                         shifted[i] += sign * eps
-                        probe = _learner_from_flat(learner, shifted)
+                        probe = learner_from_flat(learner, shifted)
                         loss, _ = boosted_loss_and_grad(probe, x, frozen,
                                                         gold_s, gold_r, mask)
                         numeric[i] += sign * loss
@@ -114,15 +115,6 @@ def test_criterion_02_gradient_oracle():
     report("2 gradient-oracle", ok,
            f"{n_checked} configurations, max relative error {worst:.2e} "
            f"(<= 1e-4), {elapsed:.1f}s (< 10s)")
-
-
-def _learner_from_flat(learner, theta):
-    arrays = {}
-    i = 0
-    for name, arr in learner.param_items():
-        arrays[name] = theta[i:i + arr.size].reshape(arr.shape).copy()
-        i += arr.size
-    return wl.WeakLearner.from_params(learner.cfg, arrays)
 
 
 def test_criterion_03_truncation_fidelity():

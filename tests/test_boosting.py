@@ -39,7 +39,6 @@ from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
     Document,
-    EDU,
     Internal,
     Leaf,
     SynthSettings,
@@ -691,13 +690,13 @@ class TestDecoding:
     def test_initial_state_forces_shift(self):
         learner = bias_only_learner(self.linear_cfg(), np.array([-5.0, 9, 9, 9]))
         ens = manual_ensemble([learner], 3)
-        doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
+        doc = Document("d", (("a",), ("b",)))
         assert frontier_step(ens, [1], initial_state(2), doc) == {SHIFT: [1]}
 
     def test_exhausted_queue_forces_reduce(self):
         learner = bias_only_learner(self.linear_cfg(), np.array([9.0, -5, -5, -5]))
         ens = manual_ensemble([learner], 3)
-        doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
+        doc = Document("d", (("a",), ("b",)))
         state = apply(apply(initial_state(2), SHIFT), SHIFT)
         (action, prefixes), = frontier_step(ens, [1], state, doc).items()
         assert isinstance(action, Reduce) and prefixes == [1]
@@ -705,7 +704,7 @@ class TestDecoding:
     def test_zero_ensemble_tie_breaks_to_lowest_index(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3,
                               inventory=("alpha", "beta", "gamma"))
-        doc = Document("d", tuple(EDU(i, ("t",)) for i in (1, 2, 3)))
+        doc = Document("d", tuple(("t",) for i in (1, 2, 3)))
         state = apply(apply(initial_state(3), SHIFT), SHIFT)
         # shift and reduce both legal, all logits zero -> class 0 (shift)
         assert frontier_step(ens, [1], state, doc) == {SHIFT: [1]}
@@ -715,7 +714,7 @@ class TestDecoding:
 
     def test_terminal_state_rejected(self, monkeypatch):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
-        doc = Document("d", (EDU(1, ("a",)),))
+        doc = Document("d", (("a",),))
         state = apply(initial_state(1), SHIFT)
         with pytest.raises(TerminalState):
             reference_predict_action(ens, [1], state, doc)
@@ -728,7 +727,7 @@ class TestDecoding:
 
     def test_single_edu_parse(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
-        doc = Document("d", (EDU(1, ("hello",)),))
+        doc = Document("d", (("hello",),))
         tree, actions = decode(ens, 1, doc)
         assert tree == Leaf(1)
         assert actions == [SHIFT]
@@ -749,7 +748,7 @@ class TestDecoding:
         learner = bias_only_learner(self.linear_cfg(), np.array([10.0, 0, 0, 0]))
         ens = manual_ensemble([learner], 3)
         n = 6
-        doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in range(1, n + 1)))
+        doc = Document("d", tuple((f"t{i}",) for i in range(1, n + 1)))
         tree = decode(ens, 1, doc)[0]
         spans = set()
 
@@ -816,7 +815,7 @@ class TestDecodePrefixes:
             bias_only_learner(cfg, np.array([-20.0, 5, 0, 0])),
             bias_only_learner(cfg, np.zeros(4), np.array([-5.0, 3, 0])),
         ], 3)
-        doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in range(1, 6)))
+        doc = Document("d", tuple((f"t{i}",) for i in range(1, 6)))
         state = apply(apply(initial_state(5), SHIFT), SHIFT)
         assert list(frontier_step(ens, [1, 2, 3], state, doc).items()) == [
             (SHIFT, [1]), (Reduce("NN", "rel0"), [2]), (Reduce("NN", "rel1"), [3])]
@@ -833,7 +832,7 @@ class TestDecodePrefixes:
         ens = manual_ensemble([wl.zeros(cfg), wl.zeros(cfg),
                                bias_only_learner(cfg, np.array([0.0, 0, 2, 0]))],
                               3, inventory=("alpha", "beta", "gamma"))
-        doc = Document("d", tuple(EDU(i, ("t",)) for i in (1, 2, 3)))
+        doc = Document("d", tuple(("t",) for i in (1, 2, 3)))
         got, = decode_batch(ens, [doc], range(1, 4))
         tie = [SHIFT, SHIFT, SHIFT, Reduce("NN", "alpha"), Reduce("NN", "alpha")]
         assert oracle(got[1]) == oracle(got[2]) == tie
@@ -843,7 +842,7 @@ class TestDecodePrefixes:
 
     def test_invalid_prefix(self):
         ens = manual_ensemble([wl.zeros(TestDecoding().linear_cfg())], 3)
-        doc = Document("d", (EDU(1, ("a",)),))
+        doc = Document("d", (("a",),))
         with pytest.raises(InvalidPrefix):
             decode_batch(ens, [doc], [1, 2])
 
@@ -1060,7 +1059,7 @@ class TestDecodeBatch:
         # Reduce-NS whenever it is legal; prefix 1 labels rel0 and prefix 2 rel1.
         ens = manual_ensemble([bias_only_learner(cfg, [0.0, -1.0, 1.0, -1.0], [1.0, 0.0]),
                                bias_only_learner(cfg, [0.0] * 4, [-2.0, 0.0])], 2)
-        doc = Document("d", tuple(EDU(i, (f"w{i}",)) for i in range(1, 4)))
+        doc = Document("d", tuple((f"w{i}",) for i in range(1, 4)))
         groups, encoded = [], []
 
         def recording_predict_action(ensemble, g, rows, masks):

@@ -552,17 +552,25 @@ class TestParse:
             for line in lines[1:]:
                 assert pattern.match(line), line
 
-    def test_raw_edu_input(self, model_path, tmp_path):
+    @pytest.mark.parametrize("text, expected", [
+        ("the cat sat\nbecause it was tired\n\nhello world\nsecond edu\nthird one\n",
+         [[("the", "cat", "sat"), ("because", "it", "was", "tired")],
+          [("hello", "world"), ("second", "edu"), ("third", "one")]]),
+        # A whitespace-only separator, \x0c and \x85 as line breaks, an empty U+2028 line
+        # that ends a document, and no final newline.
+        ("\n \t\nThe cat\x0cbecause\n\n\n hello World \n second\x85third\u2028\u2028fourth",
+         [[("the", "cat"), ("because",)], [("hello", "world"), ("second",), ("third",)],
+          [("fourth",)]]),
+    ], ids=["plain", "edge-cases"])
+    def test_raw_edu_input(self, model_path, tmp_path, text, expected):
         raw = tmp_path / "raw.txt"
-        raw.write_text(
-            "the cat sat\nbecause it was tired\n\nhello world\nsecond edu\nthird one\n"
-        )
+        raw.write_text(text, encoding="utf-8")
         out = tmp_path / "pred_raw.tb"
         assert run("--quiet", "parse", model_path, raw, "--out", out) == 0
         pred = load_treebank(out)
-        assert len(pred) == 2
-        assert pred.entries[0][0].n_edus == 2
-        assert pred.entries[1][0].n_edus == 3
+        assert [doc.doc_id for doc, _ in pred.entries] == [
+            f"raw-{k:04d}" for k in range(len(expected))]
+        assert [list(doc.edus) for doc, _ in pred.entries] == expected
 
     def test_relations_keyword_glued_to_a_label_is_data_error(self, model_path, data_dir,
                                                              tmp_path, capsys):
@@ -725,7 +733,7 @@ class TestEval:
         gold = data_dir / "test_news.tb"
         source = gold if form == "treebank" else tmp_path / "raw.txt"
         if form == "raw":
-            source.write_text("\n".join("".join(" ".join(edu.tokens) + "\n" for edu in doc.edus)
+            source.write_text("\n".join("".join(" ".join(edu) + "\n" for edu in doc.edus)
                                         for doc, _ in load_treebank(gold).entries))
         pred = tmp_path / "pred.tb"
         assert run("--quiet", "parse", model_path, source, "--out", pred) == 0

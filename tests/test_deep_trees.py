@@ -9,7 +9,6 @@ from rstboost.cli import main
 from rstboost.metrics import ParsevalScores, score
 from rstboost.transition import SHIFT, oracle
 from rstboost.treebank import (
-    EDU,
     Document,
     Internal,
     Leaf,
@@ -45,7 +44,7 @@ def chain(n, side, deepest=None):
 
 @pytest.fixture(scope="module", params=["left", "right"])
 def deep(request):
-    doc = Document("deep", tuple(EDU(i, (f"w{i}", 'q"\\')) for i in range(1, DEPTH + 1)))
+    doc = Document("deep", tuple((f"w{i}", 'q"\\') for i in range(1, DEPTH + 1)))
     return doc, chain(DEPTH, request.param)
 
 

@@ -16,7 +16,7 @@ from rstboost.encoder import (
 )
 from rstboost.errors import InvalidConfig
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, legal_actions
-from rstboost.treebank import EDU, NUCLEARITIES, Document, Internal, Leaf, postorder
+from rstboost.treebank import NUCLEARITIES, Document, Internal, Leaf, postorder
 
 from conftest import dense, head_nucleus_edu, make_doc, random_tree
 
@@ -73,7 +73,7 @@ class TestRepresentSpan:
     def doc(self):
         return Document(
             "d",
-            (EDU(1, ("a1", "a2", "a3")), EDU(2, ("b1", "b2", "b3"))),
+            (("a1", "a2", "a3"), ("b1", "b2", "b3")),
         )
 
     def test_leaf_same_under_both_strategies(self):
@@ -94,18 +94,18 @@ class TestRepresentSpan:
         assert represent_span(node, self.doc(), cfg) == ["a1", "a2", "b2", "b3"]
         # random spans and budgets over EDUs of 0-5 tokens
         doc = Document("r", tuple(
-            EDU(i, tuple(f"e{i}t{j}" for j in range(rng.randint(0, 5)))) for i in range(1, 31)))
+            tuple(f"e{i}t{j}" for j in range(rng.randint(0, 5))) for i in range(1, 31)))
         for _ in range(500):
             lo = rng.randint(1, 30)
             hi = rng.randint(lo, 30)
             limit = rng.randint(1, 12)
             cfg = EncoderConfig(truncation_strategy="center", max_span_tokens=limit)
             node = Leaf(lo) if lo == hi else Internal("NS", "r", Leaf(lo), Leaf(hi))
-            joined = [t for edu in doc.edus[lo - 1:hi] for t in edu.tokens]
+            joined = [t for edu in doc.edus[lo - 1:hi] for t in edu]
             assert represent_span(node, doc, cfg) == truncate_center(joined, limit)
 
     def test_nucleus_strategy_truncates_long_edu(self):
-        doc = Document("d", (EDU(1, tuple(f"t{i}" for i in range(10))),))
+        doc = Document("d", (tuple(f"t{i}" for i in range(10)),))
         cfg = EncoderConfig(truncation_strategy="nucleus", max_span_tokens=4)
         assert represent_span(Leaf(1), doc, cfg) == ["t0", "t1", "t8", "t9"]
 
@@ -155,8 +155,8 @@ class TestEncodeState:
 
     def test_bag_of_words_ignores_order(self):
         cfg = EncoderConfig(hash_dim=128)
-        d1 = Document("d", (EDU(1, ("x", "y", "z")),))
-        d2 = Document("d", (EDU(1, ("z", "x", "y")),))
+        d1 = Document("d", (("x", "y", "z"),))
+        d2 = Document("d", (("z", "x", "y"),))
         s = initial_state(1)
         assert all(np.array_equal(u, v)
                    for u, v in zip(encode_state(s, d1, cfg), encode_state(s, d2, cfg)))
@@ -232,7 +232,7 @@ class TestRowKey:
         top items' inner structure."""
         rng = random.Random(71)
         cfg = EncoderConfig(hash_dim=64, max_span_tokens=3, truncation_strategy=strategy)
-        doc = Document("d", tuple(EDU(i, tuple(f"e{i}t{j}" for j in range(rng.randint(1, 4))))
+        doc = Document("d", tuple(tuple(f"e{i}t{j}" for j in range(rng.randint(1, 4)))
                                   for i in range(1, 9)))
         by_key: dict = {}
         for state in self.random_states(rng, doc, 200):

@@ -64,7 +64,7 @@ def valid(tmp_path_factory):
     ensemble, _ = train(tb, BoostConfig(learner=learner, n_steps=2, epochs_max=2), enc)
     save_model(ensemble, base / "model.json")
     (base / "raw.txt").write_text("\n\n".join(
-        "\n".join(" ".join(edu.tokens) for edu in doc.edus) for doc, _ in entries) + "\n")
+        "\n".join(" ".join(edu) for edu in doc.edus) for doc, _ in entries) + "\n")
     (base / "synth.json").write_text(json.dumps(
         {"n_train": 3, "n_test": 2, "edu_range": [1, 5], "shared_vocab": 20,
          "p_domain": 0.5, "domain_b": "chat", "domain_relations_b": ["temporal"]}))

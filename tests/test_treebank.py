@@ -1,8 +1,8 @@
 import pytest
 
+import rstboost.treebank as treebank
 from rstboost.errors import InvalidConfig, InvalidTree, MalformedSyntax
 from rstboost.treebank import (
-    EDU,
     MAX_SYNTH_EDUS,
     Document,
     Internal,
@@ -48,8 +48,8 @@ class TestParseBracketed:
     def test_two_edu_tree(self):
         doc, tree = parse_bracketed('(NS elaboration (leaf "it rained") (leaf "so we left"))')
         assert doc.edus == (
-            EDU(1, ("it", "rained")),
-            EDU(2, ("so", "we", "left")),
+            ("it", "rained"),
+            ("so", "we", "left"),
         )
         assert tree == Internal("NS", "elaboration", Leaf(1), Leaf(2))
 
@@ -57,7 +57,7 @@ class TestParseBracketed:
         doc, tree = parse_bracketed('(leaf "hello world")')
         assert doc.n_edus == 1
         assert tree == Leaf(1)
-        assert doc.edus[0].tokens == ("hello", "world")
+        assert doc.edus[0] == ("hello", "world")
 
     def test_non_binary_node_rejected(self):
         with pytest.raises(InvalidTree):
@@ -85,7 +85,7 @@ class TestParseBracketed:
 
     def test_tokens_lowercased(self):
         doc, _ = parse_bracketed('(leaf "Hello WORLD")')
-        assert doc.edus[0].tokens == ("hello", "world")
+        assert doc.edus[0] == ("hello", "world")
 
 
 class TestSerializeBracketed:
@@ -99,7 +99,7 @@ class TestSerializeBracketed:
         assert serialize_bracketed(doc, tree) == text
 
     def test_quote_escaping_round_trip(self):
-        doc = Document("d", (EDU(1, ('say_"hi"', "x\\y")),))
+        doc = Document("d", (('say_"hi"', "x\\y"),))
         tree = Leaf(1)
         text = serialize_bracketed(doc, tree)
         doc2, tree2 = parse_bracketed(text, doc_id="d")
@@ -120,14 +120,14 @@ class TestValidate:
         assert validate(doc, tree) == []
 
     def test_leaf_order_violation(self):
-        doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in (1, 2, 3)))
+        doc = Document("d", tuple((f"t{i}",) for i in (1, 2, 3)))
         tree = Internal("NS", "rel", Leaf(1), Internal("NS", "rel", Leaf(3), Leaf(2)))
         problems = validate(doc, tree)
         assert len(problems) == 1
         assert "order" in problems[0]
 
     def test_coverage_violation(self):
-        doc = Document("d", tuple(EDU(i, (f"t{i}",)) for i in (1, 2, 3)))
+        doc = Document("d", tuple((f"t{i}",) for i in (1, 2, 3)))
         tree = Internal("NS", "rel", Leaf(1), Leaf(5))
         problems = validate(doc, tree)
         assert len(problems) == 1
@@ -139,7 +139,7 @@ class TestValidate:
         assert validate(doc, tree, relation_inventory=("mystery",)) == []
 
     def test_bad_nuclearity_named_with_path(self):
-        doc = Document("d", (EDU(1, ("a",)), EDU(2, ("b",))))
+        doc = Document("d", (("a",), ("b",)))
         tree = Internal("XY", "rel", Leaf(1), Leaf(2))
         problems = validate(doc, tree)
         assert any("root:" in p and "XY" in p for p in problems)
@@ -161,6 +161,18 @@ class TestFileIO:
         assert tb.domain_tag == "news"
         assert tb.relation_inventory == ("elaboration",)
         assert tb.entries[0][0].doc_id == "d1"
+
+    def test_one_tokenization_per_leaf(self, tmp_path, monkeypatch):
+        path = tmp_path / "small.tb"
+        save_treebank(synth(3, n_docs=5), path)
+        texts = []
+        tokenize = treebank.tokenize_text
+        monkeypatch.setattr(treebank, "tokenize_text",
+                            lambda text: texts.append(text) or tokenize(text))
+        tb = load_treebank(path)
+        leaves = [node for _, tree in tb.entries for node in postorder(tree)
+                  if isinstance(node, Leaf)]
+        assert len(texts) == len(leaves) > 5
 
     def test_malformed_second_record_names_index(self, tmp_path):
         path = tmp_path / "bad.tb"

@@ -27,7 +27,7 @@ from rstboost.weak_learner import (
     zeros,
 )
 
-from conftest import sparse
+from conftest import learner_from_flat, sparse
 
 ALL_LEGAL = (True, True, True, True)
 
@@ -49,15 +49,6 @@ def small_cfg(hidden_dim=3, input_dim=7, n_relations=5, l2=0.0):
 
 def flatten_params(learner):
     return np.concatenate([arr.ravel() for _, arr in learner.param_items()])
-
-
-def learner_from_flat(learner, theta):
-    arrays = {}
-    i = 0
-    for name, arr in learner.param_items():
-        arrays[name] = theta[i:i + arr.size].reshape(arr.shape).copy()
-        i += arr.size
-    return WeakLearner.from_params(learner.cfg, arrays)
 
 
 def numeric_grad(learner, x, frozen, gold_s, gold_r, mask, eps=1e-5):
