@@ -2,9 +2,10 @@
 
 Every command writes a ``<artifact>.manifest.json`` next to its primary
 output recording the resolved configuration, seeds, input digests, and
-per-phase wall-clock timings.  With a fixed seed and fixed inputs the
-primary artifacts are byte-identical across runs (manifests are not, as
-they contain timings).
+per-phase wall-clock timings (``compare`` times each contender's phases, as
+``train_boosted-weak`` and so on).  With a fixed seed and fixed inputs every
+primary artifact, ``compare``'s report included, is byte-identical across
+runs; manifests are not, as they hold the timings.
 
 Exit codes: 0 success, 1 usage or configuration error (``errors.UsageError``),
 2 data error (``errors.DataError``, or an unreadable file), 3 any other error.
@@ -341,6 +342,11 @@ def cmd_compare(args) -> int:
     train_tb = dataclasses.replace(tb, entries=train_entries)
     eval_tb = dataclasses.replace(tb, entries=eval_entries, name=tb.name + "-heldout")
     eval_tbs = [eval_tb] + [treebank.load_treebank(p, run.read(p)) for p in args.eval or []]
+    sources = [f"the held-out split of {args.treebank}", *(args.eval or [])]
+    names = [etb.name for etb in eval_tbs]
+    if clash := [f"{s} ({n})" for s, n in zip(sources, names) if names.count(n) > 1]:
+        raise UsageError("evaluation treebanks share a name, by which compare keys its "
+                         "scores: " + ", ".join(clash))
 
     # Both contenders' configs are built, and so checked, before either trains.
     weak_cfg = _boost_config(args, enc_cfg, n_rel, args.hidden_dim, args.steps)
@@ -349,21 +355,21 @@ def cmd_compare(args) -> int:
         strong_hidden = matched_hidden_dim(args.steps * n_params(weak_cfg.learner),
                                            enc_cfg.width, n_rel)
     strong_cfg = _boost_config(args, enc_cfg, n_rel, strong_hidden, 1)
+    run.lap("load")
 
     def contender(name: str, bc: BoostConfig) -> dict:
-        t_start = time.perf_counter()
         ensemble, report = boosting.train(train_tb, bc, enc_cfg)
-        seconds = time.perf_counter() - t_start
+        run.lap(f"train_{name}")
         scores = {
             etb.name: metrics.evaluate_treebank(ensemble, len(ensemble.steps), etb).to_dict()
             for etb in eval_tbs
         }
+        run.lap(f"evaluate_{name}")
         return {
             "name": name,
             "n_steps": bc.n_steps,
             "hidden_dim": bc.learner.hidden_dim,
             "total_params": len(ensemble.steps) * n_params(bc.learner),
-            "training_seconds": seconds,
             "epochs_per_step": [s.epochs_run for s in report.steps],
             "scores": scores,
         }
@@ -373,12 +379,8 @@ def cmd_compare(args) -> int:
     matched = None
     if args.match_params:
         delta = abs(strong["total_params"] - weak["total_params"]) / weak["total_params"]
-        matched = {
-            "target_params": weak["total_params"],
-            "matched_hidden_dim": strong_hidden,
-            "relative_param_gap": delta,
-            "within_5_percent": delta <= 0.05,
-        }
+        matched = {"target_params": weak["total_params"], "matched_hidden_dim": strong_hidden,
+                   "relative_param_gap": delta, "within_5_percent": delta <= 0.05}
         if delta > 0.05:
             _log(args, f"warning: NoMatchingWidth - closest hidden_dim {strong_hidden} "
                        f"leaves a {delta:.1%} parameter gap")
@@ -392,14 +394,12 @@ def cmd_compare(args) -> int:
     out = run.output(args.out)
     _atomic_write(out, json.dumps(report, indent=1) + "\n")
     _log(args, f"params weak={weak['total_params']} strong={strong['total_params']} "
-               f"({weak['training_seconds']:.1f}s vs {strong['training_seconds']:.1f}s)")
-    run.write_manifest(
-        out,
-        {"steps": args.steps, "hidden_dim": args.hidden_dim,
-         "match_params": bool(args.match_params),
-         "encoder_config": dataclasses.asdict(enc_cfg)},
-        no_matching_width_warning=bool(matched and not matched["within_5_percent"]),
-    )
+               f"({run.timings['train_boosted-weak']:.1f}s vs "
+               f"{run.timings['train_single-strong']:.1f}s)")
+    run.write_manifest(out, {"steps": args.steps, "hidden_dim": args.hidden_dim,
+                             "match_params": bool(args.match_params),
+                             "encoder_config": dataclasses.asdict(enc_cfg)},
+                       no_matching_width_warning=bool(matched and not matched["within_5_percent"]))
     return EXIT_OK
 
 

@@ -288,7 +288,8 @@ def test_criterion_11_parameter_matching(setups, tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     gap = rep["match_params"]["relative_param_gap"]
     matched = gap <= 0.05 or manifest["no_matching_width_warning"]
-    timings = all(c["training_seconds"] > 0 for c in rep["contenders"])
+    timings = all(manifest["timings_seconds"][f"train_{c['name']}"] > 0
+                  for c in rep["contenders"])
     ok = matched and timings
     report("11 parameter-matching", ok,
            f"parameter gap {gap:.2%} (<= 5% or warned); "

@@ -604,7 +604,9 @@ class TestRunRecord:
     TIMINGS = {"synth": ["total", "generate_and_write"],
                "train": ["total", "load", "train", "save"],
                "parse": ["total", "load", "parse"], "eval": ["total"],
-               "curve": ["total", "load", "evaluate"], "compare": ["total"]}
+               "curve": ["total", "load", "evaluate"],
+               "compare": ["total", "load", "train_boosted-weak", "evaluate_boosted-weak",
+                           "train_single-strong", "evaluate_single-strong"]}
 
     @staticmethod
     def command(case, model, data, tmp):
@@ -789,7 +791,6 @@ class TestCompare:
         report = json.loads(out.read_text())
         weak, strong = report["contenders"]
         assert weak["n_steps"] == 2 and strong["n_steps"] == 1
-        assert weak["training_seconds"] > 0 and strong["training_seconds"] > 0
         assert report["match_params"]["relative_param_gap"] <= 0.05
         assert report["match_params"]["within_5_percent"] is True
         assert 0.9 < report["param_ratio"] < 1.1
@@ -798,6 +799,10 @@ class TestCompare:
             assert 0.0 <= scores["span"]["f1"] <= 1.0
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert manifest["no_matching_width_warning"] is False
+        # Each contender's train time is in the manifest, and no time is in the report.
+        timings = manifest["timings_seconds"]
+        assert timings["train_boosted-weak"] > 0 and timings["train_single-strong"] > 0
+        assert "seconds" not in out.read_text()
 
     def test_degenerate_single_step(self, data_dir, tmp_path):
         out = tmp_path / "cmp1.json"
@@ -844,6 +849,24 @@ class TestCompare:
                    "--match-params", "--out", out, *FAST_TRAIN, "--hidden-dim", "1") == 0
         weak_report, strong_report = json.loads(out.read_text())["contenders"]
         assert weak_report["hidden_dim"] == strong_report["hidden_dim"] == 1
+
+    @pytest.mark.parametrize("clash", ["test_chat.tb", "train_news-heldout.tb"])
+    def test_evaluation_treebanks_with_one_name_are_refused_before_training(
+            self, data_dir, tmp_path, capsys, monkeypatch, clash):
+        """Scores are keyed by treebank name, the file stem: a second evaluation file
+        named like another, or like the held-out split, would overwrite its scores."""
+        other = tmp_path / "other" / clash
+        other.parent.mkdir()
+        other.write_bytes((data_dir / "test_chat.tb").read_bytes())
+        monkeypatch.setattr(cli.boosting, "train", None)  # a call would exit 3
+        out = tmp_path / "cmp.json"
+        assert run("--quiet", "compare", data_dir / "train_news.tb", "--steps", "1",
+                   "--eval", data_dir / "test_chat.tb", other, "--out", out, *FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "share a name" in err and f"{other} ({other.stem})" in err
+        first = (f"{data_dir / 'test_chat.tb'} (test_chat)" if clash == "test_chat.tb" else
+                 f"held-out split of {data_dir / 'train_news.tb'} (train_news-heldout)")
+        assert first in err and not out.exists()
 
     @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1", "2", "-1"])
     def test_eval_fraction_outside_open_unit_interval_is_usage_error(

@@ -8,14 +8,16 @@ every step is kept on dev CE, the curve moves between m = 1 and m = 5 and
 the prefixes of most test documents decode to different action sequences,
 so that it covers the frozen logits of steps k >= 2 and the decoder's group
 splits.  The same pipelines run with one and with two BLAS threads must give
-the same outputs.  A third pin runs README quick-start steps 1-5 as written,
-and a fourth trains without a hidden layer (``LINEAR_TRAIN``), where the SGD
+the same outputs.  A third pin runs README quick-start steps 1-6 as written,
+``compare``'s report included, and a fourth trains without a hidden layer (``LINEAR_TRAIN``), where the SGD
 epoch gathers and writes back both heads' columns.  Two L2 pins
 (``L2_TRAIN``, the benchmark's ``train-l2`` setting, and ``LINEAR_L2_TRAIN``) cover
 the eager decay of the small arrays and the lazy decay of the input-wide ones,
 with and without a hidden layer.  The ``synth`` pins
 (``SYNTH_PINS``) cover settings other than the defaults: the benchmark's two
-configs and a config with the domains swapped and no domain rules.
+configs and a config with the domains swapped and no domain rules.  The
+sparse pin (``SPARSE_SYNTH``) is the README's data-sparse probe: ten training
+documents, where span F1 moves with m in both domains.
 """
 
 import hashlib
@@ -116,7 +118,29 @@ m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
 5,chat,10,0.8056,0.8056,0.8056,0.4167,0.4167,0.4167,0.2778,0.2778,0.2778
 """
 
-# README quick-start steps 1-5 at seed 1, in the README's own paths and sizes.
+# The README's data-sparse probe: ten training documents, the default test sets.
+SPARSE_SYNTH = {"n_train": 10}
+
+SPARSE_TRAIN = ["--steps", "5"]
+
+SPARSE_SHA256 = {
+    "model.json": "5645207a113e433dbf7c25e6fb7c0552d43f7574d9c1065ac1c37347b959a5f3"}
+
+SPARSE_CURVE = """\
+m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
+1,news,100,0.6853,0.6853,0.6853,0.4410,0.4410,0.4410,0.3209,0.3209,0.3209
+2,news,100,0.7391,0.7391,0.7391,0.5114,0.5114,0.5114,0.3892,0.3892,0.3892
+3,news,100,0.7640,0.7640,0.7640,0.5404,0.5404,0.5404,0.4079,0.4079,0.4079
+4,news,100,0.7660,0.7660,0.7660,0.5466,0.5466,0.5466,0.4058,0.4058,0.4058
+5,news,100,0.7723,0.7723,0.7723,0.5611,0.5611,0.5611,0.3892,0.3892,0.3892
+1,chat,100,0.7462,0.7462,0.7462,0.3873,0.3873,0.3873,0.0810,0.0810,0.0810
+2,chat,100,0.7418,0.7418,0.7418,0.3676,0.3676,0.3676,0.0832,0.0832,0.0832
+3,chat,100,0.7505,0.7505,0.7505,0.3676,0.3676,0.3676,0.0897,0.0897,0.0897
+4,chat,100,0.7505,0.7505,0.7505,0.3742,0.3742,0.3742,0.0875,0.0875,0.0875
+5,chat,100,0.7352,0.7352,0.7352,0.3304,0.3304,0.3304,0.0700,0.0700,0.0700
+"""
+
+# README quick-start steps 1-6 at seed 1, in the README's own paths and sizes.
 README_STEPS = [
     ["--seed", "1", "synth", "--out", "data/"],
     ["--seed", "1", "train", "data/train_news.tb", "--out", "runs/model.json", "--steps", "5"],
@@ -126,6 +150,8 @@ README_STEPS = [
     ["eval", "data/test_news.tb", "runs/pred.tb", "--csv", "runs/eval.csv"],
     ["curve", "runs/model.json", "data/test_news.tb", "data/test_chat.tb",
      "--out", "runs/curve.csv"],
+    ["--seed", "1", "compare", "data/train_news.tb", "--steps", "5", "--match-params",
+     "--out", "runs/compare.json"],
 ]
 
 README_SHA256 = {
@@ -138,6 +164,7 @@ README_SHA256 = {
     "runs/pred.tb.trace": "46e279b89d5f4de903f18f54d35e190fe3037f2863274e65f35c9c99892624b0",
     "runs/eval.csv": "e299f1490d83029de7b1d307ae731fbccb09ff995399c1a39a8b91aee47886b3",
     "runs/curve.csv": "a396b384a268eef2b3d7f21aafbf172ad4f644aefd80f6875a36193d90e36645",
+    "runs/compare.json": "d67aec673c9c3a5f8ca3b68c845d2fd28d3d0403c1085dcb2eedec88a597fa23",
 }
 
 # The README synth defaults, in field order, as ``synth`` records them in its manifest.
@@ -185,12 +212,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_pipeline(workdir, train_flags=()) -> dict:
-    """Run the pinned pipeline in ``workdir``, training with ``train_flags`` on
-    top of the defaults; return the artifact digests and the curve CSV text."""
+def run_pipeline(workdir, train_flags=(), synth=SYNTH) -> dict:
+    """Run the pinned pipeline in ``workdir`` on treebanks made with the ``synth``
+    config, training with ``train_flags`` on top of the defaults; return the
+    artifact digests and the curve CSV text."""
     workdir = Path(workdir)
     cfg = workdir / "synth.json"
-    cfg.write_text(json.dumps(SYNTH))
+    cfg.write_text(json.dumps(synth))
     data, runs = workdir / "data", workdir / "runs"
     model, pred, curve = runs / "model.json", runs / "pred.tb", runs / "curve.csv"
     assert main(["--seed", "1", "--quiet", "synth", "--config", str(cfg),
@@ -236,6 +264,11 @@ def test_seed1_linear_l2_pipeline_matches_golden_pin(tmp_path):
                        LINEAR_L2_CURVE)
 
 
+def test_seed1_sparse_pipeline_matches_golden_pin(tmp_path):
+    got = run_pipeline(tmp_path, SPARSE_TRAIN, SPARSE_SYNTH)
+    assert_matches_pin(got, SPARSE_SHA256, SPARSE_CURVE)
+
+
 def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in README_STEPS:
@@ -261,19 +294,20 @@ def test_synth_at_other_settings_matches_pin(tmp_path):
         assert json.dumps(manifest["config"]) == json.dumps({**SYNTH_DEFAULTS, **config})
 
 
-def assert_same_under_one_and_two_threads(tmp_path, train_flags):
+def assert_same_under_one_and_two_threads(tmp_path, train_flags, synth=SYNTH):
     """The pinned pipeline in fresh processes with 1 and with 2 BLAS threads."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here), str(here.parent / "src")])
-    script = ("import json, sys; from test_golden import run_pipeline; "
-              "print(json.dumps(run_pipeline(sys.argv[1], sys.argv[2:])))")
+    script = ("import json, sys; from test_golden import run_pipeline; print(json.dumps("
+              "run_pipeline(sys.argv[1], sys.argv[3:], json.loads(sys.argv[2]))))")
     results = {}
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path,
                **{var: threads for var in BLAS_THREAD_VARS}}
         workdir = tmp_path / f"threads{threads}"
         workdir.mkdir()
-        proc = subprocess.run([sys.executable, "-c", script, str(workdir), *train_flags],
+        proc = subprocess.run([sys.executable, "-c", script, str(workdir),
+                               json.dumps(synth), *train_flags],
                               env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         results[threads] = json.loads(proc.stdout.splitlines()[-1])
@@ -290,3 +324,7 @@ def test_weak_outputs_do_not_depend_on_blas_thread_count(tmp_path):
 
 def test_l2_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     assert_same_under_one_and_two_threads(tmp_path, L2_TRAIN)
+
+
+def test_sparse_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    assert_same_under_one_and_two_threads(tmp_path, SPARSE_TRAIN, SPARSE_SYNTH)
