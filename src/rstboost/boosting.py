@@ -512,9 +512,11 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
     """The greedy parse tree of every m in ``prefixes``, for each of ``docs``.
 
     The frontier holds every unfinished (document, state, prefix group) of up to
-    ``DECODE_CHUNK_DOCS`` documents, filed under the document and ``row_key``; each
-    iteration encodes one row per key for one ``predict_action`` call.  A group splits
-    where its prefixes' actions differ.  No parse depends on the other documents.
+    ``DECODE_CHUNK_DOCS`` documents, filed under the document and ``row_key``.  A key
+    whose state has under two stack items can only shift, so all its prefixes shift;
+    each iteration encodes one row per other key for one ``predict_action`` call, and
+    makes none if there is no such key.  A group splits where its prefixes' actions
+    differ.  No parse depends on the other documents.
     """
     prefixes = sorted(set(prefixes))
     for m in prefixes:
@@ -528,15 +530,21 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
         # (document, *row_key) -> entries (document, state, prefix group)
         frontier = {(i, *row_key(state, cfg)): [(i, state, prefixes)] for i, state in starts}
         while frontier:
-            shared, frontier = frontier.values(), {}
-            rows = [encode_state(es[0][1], docs[es[0][0]], cfg, bags.setdefault(es[0][0], {}))
-                    for es in shared]
-            chosen = predict_action(ensemble, [[m for *_, g in es for m in g] for es in shared],
-                                    wl.stack_rows(cfg.width, rows),
-                                    np.array([structure_mask(es[0][1]) for es in shared]))
-            for es, choice in zip(shared, chosen):
+            shared, frontier = frontier, {}
+            # Every key shifts all its prefixes unless its state can reduce.
+            chosen = {key: {SHIFT: [m for *_, g in es for m in g]} for key, es in shared.items()}
+            scored = [(key, es[0][1]) for key, es in shared.items()
+                      if legal_actions(es[0][1]).reduce_legal]
+            if scored:
+                rows = [encode_state(state, docs[key[0]], cfg, bags.setdefault(key[0], {}))
+                        for key, state in scored]
+                chosen.update(zip([key for key, _ in scored], predict_action(
+                    ensemble, [chosen[key][SHIFT] for key, _ in scored],
+                    wl.stack_rows(cfg.width, rows),
+                    np.array([structure_mask(state) for _, state in scored]))))
+            for key, es in shared.items():
                 for i, state, group in es:
-                    for move, part in choice.items():
+                    for move, part in chosen[key].items():
                         if len(es) > 1 and not (part := [m for m in part if m in group]):
                             continue
                         after = apply(state, move)

@@ -305,7 +305,7 @@ def cmd_curve(args) -> int:
     if table.gaps is not None:
         extra["span_f1_gaps"] = {str(m): round(g, 6) for m, g in table.gaps.items()}
         n = len(ensemble.steps)
-        extra["gap_increased_with_steps"] = table.gaps[n] >= table.gaps[1]
+        extra["gap_increased_with_steps"] = table.gaps[n] > table.gaps[1] if n > 1 else None
     run.write_manifest(out, {"model": str(Path(args.model)),
                              "train_domain_tag": ensemble.train_domain_tag}, **extra)
     return EXIT_OK

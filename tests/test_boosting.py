@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
 import struct
@@ -135,6 +136,14 @@ def frontier_step(ens, prefixes, state, doc):
     got, = predict_action(ens, [sorted(prefixes)], rows, structure_mask(state)[None])
     assert list(got.items()) == list(reference_predict_action(ens, prefixes, state, doc).items())
     return got
+
+
+def scored_states(tree):
+    """The states of ``tree``'s derivation that can reduce, each after its number of
+    actions taken: the ones the decoder encodes and scores, as every other state has one
+    legal action, a shift."""
+    states = itertools.accumulate(oracle(tree)[:-1], apply, initial=initial_state(tree.span[1]))
+    return [(t, state) for t, state in enumerate(states) if len(state.stack) >= 2]
 
 
 def manual_ensemble(steps, n_relations, inventory=None):
@@ -718,12 +727,13 @@ class TestDecoding:
         state = apply(initial_state(1), SHIFT)
         with pytest.raises(TerminalState):
             reference_predict_action(ens, [1], state, doc)
-        # No frontier holds a terminal state: a one-EDU document takes one step.
+        # No frontier holds a terminal state, whose forced shift would be illegal: a
+        # one-EDU document takes one shift, which is not scored.
         calls = []
         monkeypatch.setattr(boosting, "predict_action",
                             lambda *args: calls.append(args) or predict_action(*args))
         assert decode(ens, 1, doc) == (Leaf(1), [SHIFT])
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_single_edu_parse(self):
         ens = manual_ensemble([wl.zeros(self.linear_cfg())], 3)
@@ -1004,10 +1014,12 @@ class TestDecodeBatch:
 
         monkeypatch.setattr(wl, "stack_rows", counting("check", wl.stack_rows))
         monkeypatch.setattr(boosting, "predict_action", counting("step", predict_action))
-        decode_batch(ens, [doc for doc, _ in tb.entries], range(1, 5))
-        # All documents move in lockstep, one frontier per action of the longest.
-        iterations = max(2 * doc.n_edus - 1 for doc, _ in tb.entries)
-        assert counts == {"check": iterations, "step": iterations}
+        batch = decode_batch(ens, [doc for doc, _ in tb.entries], range(1, 5))
+        # All documents move in lockstep, one frontier per action of the longest, and
+        # each frontier with a state that can reduce is checked and scored once.
+        iterations = {t for got in batch for tree in got.values() for t, _ in scored_states(tree)}
+        assert counts == {"check": len(iterations), "step": len(iterations)}
+        assert len(iterations) < max(2 * doc.n_edus - 1 for doc, _ in tb.entries)
 
     @pytest.mark.parametrize("strategy", [CENTER, NUCLEUS])
     def test_shared_rows_match_each_prefix_alone(self, strategy, monkeypatch):
@@ -1027,15 +1039,16 @@ class TestDecodeBatch:
         batch = decode_batch(ens, docs, range(1, 6))
         assert batch == [{m: alone[m][k][m] for m in range(1, 6)} for k in range(len(docs))]
         # Before action t, a document's frontier holds one entry per distinct history
-        # of its prefixes and one row per distinct ``row_key`` of their states, at
-        # least one per distinct row.
+        # of its prefixes.  Those whose states can reduce are encoded once per distinct
+        # ``row_key`` of their states, at least once per distinct row.
         entries = keys = rows = 0
         for doc, got in zip(docs, batch):
             histories = [oracle(tree) for tree in got.values()]
             for t in range(2 * doc.n_edus - 1):
-                entries += len({tuple(actions[:t]) for actions in histories})
-                states = [functools.reduce(apply, actions[:t], initial_state(doc.n_edus))
-                          for actions in histories]
+                entry_states = {tuple(actions[:t]): functools.reduce(
+                    apply, actions[:t], initial_state(doc.n_edus)) for actions in histories}
+                states = [state for state in entry_states.values() if len(state.stack) >= 2]
+                entries += len(states)
                 keys += len({row_key(state, ens.encoder_config) for state in states})
                 rows += len({tuple(map(bytes, encode_state(state, doc, ens.encoder_config)))
                              for state in states})
@@ -1054,7 +1067,8 @@ class TestDecodeBatch:
 
     def test_relation_split_shares_the_next_row(self, monkeypatch):
         """Two prefixes that choose the same structure but different relations split
-        into two entries, which the next iteration encodes and scores as one row."""
+        into two entries, which the next iteration that can reduce encodes and scores as
+        one row."""
         cfg = LearnerConfig(input_dim=ENC.width, n_relations=2, hidden_dim=0)
         # Reduce-NS whenever it is legal; prefix 1 labels rel0 and prefix 2 rel1.
         ens = manual_ensemble([bias_only_learner(cfg, [0.0, -1.0, 1.0, -1.0], [1.0, 0.0]),
@@ -1073,12 +1087,27 @@ class TestDecodeBatch:
         monkeypatch.setattr(boosting, "predict_action", recording_predict_action)
         monkeypatch.setattr(boosting, "encode_state", counting_encode_state)
         got = decode_batch(ens, [doc], [1, 2])[0]
-        # The split is at the third action; the fourth and fifth each encode one row.
-        assert groups == [[[1, 2]]] * 5 and len(encoded) == 5
+        # The split is at the third action, the first that can reduce; the fourth is a
+        # shift onto one stack item, which is not scored, and the fifth encodes one row.
+        assert groups == [[[1, 2]]] * 2 and len(encoded) == 2
+        assert [len(state.stack) for state in encoded] == [2, 2]
         for m, rel in ((1, "rel0"), (2, "rel1")):
             assert oracle(got[m]) == [SHIFT, SHIFT, Reduce("NS", rel), SHIFT, Reduce("NS", rel)]
             assert got[m] == Internal("NS", rel, Internal("NS", rel, Leaf(1), Leaf(2)), Leaf(3))
             assert got[m] == reference_decode(ens, m, doc)[0]
+
+    def test_one_edu_document_is_neither_encoded_nor_scored(self, monkeypatch):
+        """A one-EDU document's one state can only shift: every prefix takes that shift
+        without an ``encode_state`` or a ``predict_action`` call."""
+        cfg = TestDecoding().linear_cfg()
+        ens = manual_ensemble([wl.init(cfg, seed) for seed in range(2)], 3)
+        calls = []
+        for name in ("encode_state", "predict_action"):
+            monkeypatch.setattr(boosting, name, lambda *args, name=name: calls.append(name))
+        doc = Document("d", (("hello",),))
+        assert decode(ens, 1, doc) == (Leaf(1), [SHIFT])
+        assert decode_batch(ens, [doc, doc], [2, 1]) == [{1: Leaf(1), 2: Leaf(1)}] * 2
+        assert calls == []
 
     def test_large_treebank_is_decoded_in_bounded_chunks(self, monkeypatch):
         tb = small_treebank(n_docs=2000, seed=47, edu_range=(1, 4))
@@ -1094,7 +1123,7 @@ class TestDecodeBatch:
         monkeypatch.setattr(boosting, "predict_action", counting_predict_action)
         assert decode_batch(ens, docs, [1, 2]) == alone
         assert max(frontiers) <= 2 * DECODE_CHUNK_DOCS < len(docs)
-        assert sum(frontiers) >= sum(2 * doc.n_edus - 1 for doc in docs)
+        assert sum(frontiers) >= sum(len(scored_states(got[1])) for got in alone)
 
 
 class TestModelSerialization:

@@ -5,17 +5,19 @@ import os
 import re
 import struct
 from dataclasses import asdict, fields, replace
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 import rstboost.cli as cli
 import rstboost.weak_learner as wl
-from rstboost import errors
+from rstboost import boosting, errors
 from rstboost.cli import main
 from rstboost.boosting import BoostConfig, load_model, save_model
 from rstboost.encoder import EncoderConfig
 from rstboost.metrics import CSV_HEADER
+from rstboost.transition import apply, initial_state, oracle
 from rstboost.treebank import _atomic_write, load_treebank, save_treebank
 
 FAST_TRAIN = ["--hash-dim", "256", "--epochs-max", "5", "--patience", "2"]
@@ -586,6 +588,25 @@ class TestParse:
         assert "#relations header" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_only_states_that_can_reduce_are_encoded(self, model_path, tmp_path, monkeypatch):
+        """A state with under two stack items can only shift, so ``parse`` encodes each
+        other state of every derivation once, and those states alone."""
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"n_train": 1, "n_test": 30, "edu_range": [1, 6]}))
+        assert run("--seed", 7, "--quiet", "synth", "--config", cfg, "--out", tmp_path) == 0
+        gold = load_treebank(tmp_path / "test_news.tb")
+        assert {doc.n_edus for doc, _ in gold.entries} == set(range(1, 7))
+        encoded = []
+        encode_state = boosting.encode_state
+        monkeypatch.setattr(boosting, "encode_state",
+                            lambda *args: encoded.append(args[0]) or encode_state(*args))
+        out = tmp_path / "pred.tb"
+        assert run("--quiet", "parse", model_path, tmp_path / "test_news.tb", "--out", out) == 0
+        want = [state for doc, tree in load_treebank(out).entries for state in accumulate(
+            oracle(tree)[:-1], apply, initial=initial_state(doc.n_edus))
+            if len(state.stack) >= 2]
+        assert encoded == want
+
     def test_prefix_zero_is_usage_error(self, model_path, data_dir, tmp_path, capsys):
         assert run("--quiet", "parse", model_path, data_dir / "test_news.tb",
                    "--out", tmp_path / "x.tb", "--prefix", "0") == 1
@@ -771,6 +792,31 @@ class TestCurve:
         manifest = json.loads(Path(str(out_a) + ".manifest.json").read_text())
         assert "span_f1_gaps" in manifest
         assert "gap_increased_with_steps" in manifest
+
+    def curve_manifest(self, model, data_dir, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run("--quiet", "curve", model, data_dir / "test_news.tb",
+                   data_dir / "test_chat.tb", "--out", out) == 0
+        return json.loads(Path(str(out) + ".manifest.json").read_text())
+
+    def test_one_step_model_reports_no_growth(self, data_dir, tmp_path):
+        model = tmp_path / "one.json"
+        assert run("--seed", 5, "--quiet", "train", data_dir / "train_news.tb",
+                   "--out", model, "--steps", "1", *FAST_TRAIN) == 0
+        manifest = self.curve_manifest(model, data_dir, tmp_path)
+        assert list(manifest["span_f1_gaps"]) == ["1"]
+        assert manifest["gap_increased_with_steps"] is None
+
+    def test_tied_gap_did_not_grow(self, model_path, data_dir, tmp_path):
+        """Steps that add zero logits decode as step 1 alone, so every gap is the same."""
+        ens = load_model(model_path)
+        first = ens.steps[0]
+        tied = tmp_path / "tied.json"
+        save_model(replace(ens, steps=(first, wl.zeros(first.cfg), wl.zeros(first.cfg))), tied)
+        manifest = self.curve_manifest(tied, data_dir, tmp_path)
+        assert len(set(manifest["span_f1_gaps"].values())) == 1
+        assert len(manifest["span_f1_gaps"]) == 3
+        assert manifest["gap_increased_with_steps"] is False
 
     def test_unknown_relation_is_data_error(self, model_path, tmp_path, capsys):
         alien = tmp_path / "alien.tb"
