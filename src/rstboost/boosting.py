@@ -109,7 +109,7 @@ class BoostedEnsemble:
 class StepReport:
     step: int
     final_train_loss: float
-    dev_losses: list[float]
+    dev_losses: list[float | None]  # a non-finite dev CE is None, JSON's null
     epochs_run: int
     seconds: float
     param_count: int
@@ -377,7 +377,7 @@ def _train_one_step(cfg: BoostConfig, step_no: int, seed: int, train_inst: _Inst
     # improves either is snapshot once.
     dev_pick = train_pick = (float("inf"), None)
     best_dev = float("inf")
-    dev_curve: list[float] = []
+    dev_curve: list[float | None] = []
     bad = 0
     n = len(train_inst)
     for _ in range(cfg.epochs_max):
@@ -385,7 +385,7 @@ def _train_one_step(cfg: BoostConfig, step_no: int, seed: int, train_inst: _Inst
         _run_epoch(learner, per_state, order)
         t = train_inst.mean_ce(learner)
         d = dev_inst.mean_ce(learner) if dev_inst else t  # None or empty
-        dev_curve.append(d)
+        dev_curve.append(d if np.isfinite(d) else None)
         pick = (t, snapshot()) if t < train_pick[0] or d < best_dev else None
         if t < train_pick[0]:
             train_pick = pick
@@ -644,8 +644,8 @@ def model_from_json(text: str) -> BoostedEnsemble:
             boost_config=boost_cfg,
             train_domain_tag=tag,
         )
-    except (ValueError, KeyError, TypeError, AttributeError, DimensionMismatch,
-            InvalidConfig) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            DimensionMismatch, InvalidConfig) as exc:
         raise MalformedSyntax(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 

@@ -28,7 +28,7 @@ from .boosting import BoostConfig
 from .encoder import CENTER, NUCLEUS, EncoderConfig
 from .errors import (DataError, DocumentMismatch, EmptyTreebank, InvalidConfig,
                      UsageError, config_from_json)
-from .treebank import Document, SynthSettings, Treebank, _atomic_write, tokenize_text
+from .treebank import SynthSettings, Treebank, _atomic_write
 from .weak_learner import LearnerConfig, n_params
 
 EXIT_OK = 0
@@ -108,9 +108,10 @@ def cmd_synth(args) -> int:
     run = _Run(args)
     user = {}
     if args.config:
+        text = run.read(args.config)  # an undecodable file is a data error
         try:
-            user = json.loads(run.read(args.config))
-        except json.JSONDecodeError as exc:
+            user = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # too deep, or an int too long to read
             raise InvalidConfig(f"synth config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise InvalidConfig(f"synth config {args.config} must hold a JSON object")
@@ -196,40 +197,12 @@ def cmd_train(args) -> int:
 # parse
 # ---------------------------------------------------------------------------
 
-def _load_raw_documents(text: str) -> list[Document]:
-    """Raw-EDU format: one EDU per line, a blank or whitespace-only line between documents."""
-    docs = []
-    edus: list[tuple[str, ...]] = []
-    for line in [*text.splitlines(), ""]:  # the final blank line ends the last document
-        if tokens := tokenize_text(line):
-            edus.append(tokens)
-        elif edus:
-            docs.append(Document(f"raw-{len(docs):04d}", tuple(edus)))
-            edus = []
-    return docs
-
-
-def _sniff_treebank(text: str) -> bool:
-    """Whether the first non-blank line starts with ``#doc`` or is a ``#relations`` header."""
-    for line in text.splitlines():
-        if line.strip():
-            return line.startswith("#doc") or treebank.relations_header(line) is not None
-    return False
-
-
 def cmd_parse(args) -> int:
     run = _Run(args)
     ensemble = boosting.load_model(args.model, run.read(args.model))
     m = args.prefix if args.prefix is not None else len(ensemble.steps)
 
-    text = run.read(args.input)
-    if _sniff_treebank(text):
-        tb = treebank.load_treebank(args.input, text)
-        docs = [doc for doc, _ in tb.entries]
-        domain_tag = tb.domain_tag
-    else:
-        docs = _load_raw_documents(text)
-        domain_tag = "raw"
+    docs, domain_tag = treebank.load_documents(args.input, run.read(args.input))
     if not docs:
         raise EmptyTreebank(f"no documents found in {args.input}")
     run.lap("load")
@@ -347,6 +320,8 @@ def cmd_compare(args) -> int:
     if clash := [f"{s} ({n})" for s, n in zip(sources, names) if names.count(n) > 1]:
         raise UsageError("evaluation treebanks share a name, by which compare keys its "
                          "scores: " + ", ".join(clash))
+    for etb in eval_tbs:  # the model's inventory will be the training treebank's
+        metrics.check_evaluable(etb, tb.relation_inventory)
 
     # Both contenders' configs are built, and so checked, before either trains.
     weak_cfg = _boost_config(args, enc_cfg, n_rel, args.hidden_dim, args.steps)

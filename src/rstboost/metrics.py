@@ -95,17 +95,19 @@ def score_entries(pairs) -> ParsevalScores:
     return total
 
 
+def check_evaluable(tb: Treebank, inventory: tuple[str, ...]) -> None:
+    """Refuse (a data error) a treebank with no entries or with relations not in ``inventory``."""
+    if len(tb.entries) == 0:
+        raise EmptyTreebank(f"treebank {tb.name!r} has no entries to evaluate")
+    if unknown := set(tb.relation_inventory) - set(inventory):
+        raise RelationInventoryMismatch(
+            f"treebank {tb.name!r} uses relations unknown to the model: {sorted(unknown)}")
+
+
 def _evaluate_prefixes(ensemble: BoostedEnsemble, prefixes,
                        tb: Treebank) -> dict[int, ParsevalScores]:
     """Decode every document for all ``prefixes`` in one batch and micro-score each."""
-    if len(tb.entries) == 0:
-        raise EmptyTreebank(f"treebank {tb.name!r} has no entries to evaluate")
-    unknown = set(tb.relation_inventory) - set(ensemble.relation_inventory)
-    if unknown:
-        raise RelationInventoryMismatch(
-            f"treebank {tb.name!r} uses relations unknown to the model: "
-            f"{sorted(unknown)}"
-        )
+    check_evaluable(tb, ensemble.relation_inventory)
     decoded = decode_batch(ensemble, [doc for doc, _ in tb.entries], prefixes)
     return {
         m: score_entries((tree, d[m]) for (_, tree), d in zip(tb.entries, decoded))

@@ -382,6 +382,26 @@ def load_treebank(path: str | Path, text: str | None = None) -> Treebank:
     return Treebank(path.stem, tag, inventory, tuple(entries))
 
 
+def load_documents(path: str | Path, text: str) -> tuple[list[Document], str]:
+    """A file's documents and domain tag: a treebank if its first non-blank line starts
+    with ``#doc`` or is a ``#relations`` header, else raw EDUs tagged ``raw`` (one per line,
+    a blank or whitespace-only line between documents, named ``raw-0000``, ...)."""
+    lines = text.splitlines()
+    first = next((line for line in lines if line.strip()), "")
+    if first.startswith("#doc") or relations_header(first) is not None:
+        tb = load_treebank(path, text)
+        return [doc for doc, _ in tb.entries], tb.domain_tag
+    docs = []
+    edus: list[tuple[str, ...]] = []
+    for line in [*lines, ""]:  # the final blank line ends the last document
+        if tokens := tokenize_text(line):
+            edus.append(tokens)
+        elif edus:
+            docs.append(Document(f"raw-{len(docs):04d}", tuple(edus)))
+            edus = []
+    return docs, "raw"
+
+
 def _atomic_write(path: str | Path, text: str) -> None:
     """Write UTF-8 text beside ``path``, then rename it over ``path``; a failed
     write leaves any old file at ``path`` as it was."""

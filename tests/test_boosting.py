@@ -401,7 +401,9 @@ class TestStepSelection:
         cfg = boost_cfg(tb, n_steps=1, patience=patience, epochs_max=epochs_max)
         learner, report = boosting._train_one_step(cfg, 1, 0, train_inst, dev_inst)
         assert report.epochs_run == len(epochs) == len(report.dev_losses)
-        assert report.dev_losses == dev_ces[:len(epochs)]
+        # The report holds each epoch's dev CE, a non-finite one as None (JSON's null).
+        assert report.dev_losses == [d if math.isfinite(d) else None
+                                     for d in dev_ces[:len(epochs)]]
         if report.selection == "zero":
             assert not any(arr.any() for _, arr in learner.param_items())
             return report, 0
@@ -435,6 +437,7 @@ class TestStepSelection:
         report, got = self.run(monkeypatch, train_ces, [math.nan, math.inf, math.nan])
         assert (report.selection, report.epochs_run, report.final_train_loss) == (
             selection, 3, final)
+        assert report.dev_losses == [None, None, None]
         assert got == kept
 
     def test_patience_stops_the_loop(self, monkeypatch):

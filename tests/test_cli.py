@@ -78,6 +78,9 @@ class TestSynth:
 
     @pytest.mark.parametrize("text,needle", [
         ('{"n_train": 4, "edu_r', "not valid JSON"),
+        # Python's reader refuses these with RecursionError and ValueError.
+        pytest.param("[" * 100_000, "not valid JSON", id="nested-too-deep"),
+        pytest.param('{"n_train": ' + "1" * 5000 + "}", "not valid JSON", id="integer-too-long"),
         ('[1, 2]', "JSON object"),
         ('{"edu_range": 5}', "edu_range"),
         ('{"edu_range": [2]}', "EDU range"),
@@ -210,6 +213,20 @@ class TestTrain:
         assert timings["load"] + timings["train"] + timings["save"] == pytest.approx(
             timings["total"], abs=1e-5)
 
+    def test_report_is_strict_json_when_no_dev_ce_is_finite(self, data_dir, tmp_path):
+        """At lr 1e308 every epoch's dev CE overflows: the report records each as null."""
+        out = tmp_path / "m.json"
+        assert run("--seed", 1, "--quiet", "train", data_dir / "train_news.tb", "--out", out,
+                   "--steps", 2, *FAST_TRAIN, "--epochs-max", 2, "--lr", "1e308") == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        text = Path(str(out) + ".report.json").read_text()
+        steps = json.loads(text, parse_constant=refuse)["steps"]
+        assert [s["dev_losses"] for s in steps] == [[None, None], [None, None]]
+        assert [s["selection"] for s in steps] == ["zero", "zero"]
+
     def test_single_step_model(self, data_dir, tmp_path):
         out = tmp_path / "m1.json"
         assert run("--seed", 1, "--quiet", "train", data_dir / "train_news.tb",
@@ -321,6 +338,10 @@ class TestMalformedModel:
         text = model_path.read_text()[:2000]
         assert self.parse_with(text, data_dir, tmp_path) == 2
         assert "malformed model" in capsys.readouterr().err
+
+    def test_nested_too_deep_is_data_error(self, data_dir, tmp_path, capsys):
+        assert self.parse_with("[" * 100_000, data_dir, tmp_path) == 2
+        assert "malformed model file: RecursionError" in capsys.readouterr().err
 
     def test_missing_step_key_is_data_error(self, model_doc, data_dir, tmp_path, capsys):
         del model_doc["steps"][1]["w_relation"]
@@ -913,6 +934,22 @@ class TestCompare:
         first = (f"{data_dir / 'test_chat.tb'} (test_chat)" if clash == "test_chat.tb" else
                  f"held-out split of {data_dir / 'train_news.tb'} (train_news-heldout)")
         assert first in err and not out.exists()
+
+    @pytest.mark.parametrize("text,needle", [
+        ('#doc d1 news\n(NS zebra (leaf "a") (leaf "b"))\n',
+         "'zebra' uses relations unknown to the model: ['zebra']"),
+        ("", "'zebra' has no entries"),
+    ], ids=["unknown-relation", "empty"])
+    def test_evaluation_treebank_that_cannot_be_scored_is_refused_before_training(
+            self, data_dir, tmp_path, capsys, monkeypatch, text, needle):
+        other = tmp_path / "zebra.tb"
+        other.write_text(text)
+        monkeypatch.setattr(cli.boosting, "train", None)  # a call would exit 3
+        out = tmp_path / "cmp.json"
+        assert run("--quiet", "compare", data_dir / "train_news.tb", "--steps", "1",
+                   "--eval", data_dir / "test_chat.tb", other, "--out", out, *FAST_TRAIN) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1", "2", "-1"])
     def test_eval_fraction_outside_open_unit_interval_is_usage_error(

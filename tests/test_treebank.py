@@ -8,6 +8,7 @@ from rstboost.treebank import (
     Internal,
     Leaf,
     iter_internal,
+    load_documents,
     load_treebank,
     postorder,
     parse_bracketed,
@@ -252,6 +253,39 @@ class TestFileIO:
         )
         tb = load_treebank(path)
         assert len(tb) == 1
+
+
+class TestLoadDocuments:
+    """``parse``'s reader: the first non-blank line tells a treebank from raw EDUs."""
+
+    RECORD = '#doc d1 news\n(NS elaboration (leaf "a b") (leaf "c"))\n'
+
+    def test_treebank_text_gives_its_documents_and_domain_tag(self, tmp_path):
+        tb = synth(3, n_docs=4)
+        path = tmp_path / "four.tb"
+        save_treebank(tb, path)
+        docs, tag = load_documents(path, "\n \n" + path.read_text())
+        assert docs == [doc for doc, _ in tb.entries]
+        assert tag == tb.domain_tag == "news"
+
+    def test_raw_text_gives_raw_documents(self):
+        docs, tag = load_documents("raw.txt", "The cat\nsat down\n\n \t\nHello\n")
+        assert docs == [Document("raw-0000", (("the", "cat"), ("sat", "down"))),
+                        Document("raw-0001", (("hello",),))]
+        assert tag == "raw"
+
+    @pytest.mark.parametrize("rest,doc_ids,tag", [
+        ("\n" + RECORD, ["d1"], "news"),
+        ("", [], ""),
+    ], ids=["then-a-record", "alone"])
+    def test_relations_header_block_reads_as_a_treebank(self, rest, doc_ids, tag):
+        docs, got_tag = load_documents("header.tb", "#relations zebra\n" + rest)
+        assert [doc.doc_id for doc in docs] == doc_ids
+        assert got_tag == tag
+
+    def test_relations_keyword_glued_to_a_label_is_malformed(self):
+        with pytest.raises(MalformedSyntax, match="#relations header"):
+            load_documents("glued.tb", "#relationszebra\n\n" + self.RECORD)
 
 
 class TestSynthesize:
