@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -66,6 +67,12 @@ def _decision(mask: np.ndarray, structure: np.ndarray,
     return np.where(mask, structure, -np.inf).argmax(axis=-1), relation.argmax(axis=-1)
 
 
+# The most parameters an ensemble may hold, as many as one learner may: the ensemble and
+# its ``stacked`` copy then take at most 80 MB each.  The README's ``train`` holds about
+# 247,500; at its width the limit is about 200 steps.
+MAX_ENSEMBLE_PARAMS = wl.MAX_PARAMS
+
+
 @dataclass(frozen=True)
 class BoostConfig:
     learner: LearnerConfig
@@ -85,6 +92,10 @@ class BoostConfig:
             raise InvalidConfig("dev_fraction must lie in (0, 1)")
         if self.epochs_max < 1:
             raise InvalidConfig("epochs_max must be >= 1")
+        if self.n_steps * (per_step := wl.n_params(self.learner)) > MAX_ENSEMBLE_PARAMS:
+            raise InvalidConfig(
+                f"{self.n_steps:,} steps of {per_step:,} parameters each exceed the "
+                f"ensemble limit of {MAX_ENSEMBLE_PARAMS:,} parameters")
 
 
 @dataclass(frozen=True)
@@ -563,23 +574,40 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
 FORMAT_VERSION = 2
 
 
-def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict, path: str) -> WeakLearner:
-    check_keys("step", blob, shapes, path)
+def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict,
+                       cut: Iterator[str]) -> WeakLearner:
+    """A step's learner (its keys checked); an ``f64le`` of ``""`` reads ``next(cut)``."""
     params = {}
-    for name, shape in shapes.items():
-        spec = blob[name]
-        check_keys(f"parameter {name}", spec, ("shape", "f64le"), f"{path}{name}.")
+    for name, spec in blob.items():  # in document order, as ``cut`` is
+        shape = shapes[name]
         if tuple(spec["shape"]) != shape:
             raise MalformedSyntax(
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
         try:
-            raw = base64.b64decode(spec["f64le"], validate=True)
+            encoded = next(cut) if spec["f64le"] == "" else spec["f64le"]
+            raw = base64.b64decode(encoded, validate=True)
             params[name] = np.frombuffer(raw, "<f8").reshape(shape)
         except (TypeError, ValueError) as exc:
             raise MalformedSyntax(f"parameter {name} is not base64 float64: {exc}") from exc
         if not np.isfinite(params[name]).all():
             raise MalformedSyntax(f"parameter {name} has non-finite values")
     return WeakLearner.from_params(cfg, params)
+
+
+def _cut_blobs(text: str) -> tuple[str, list[str]]:
+    """``model_to_json``'s splice undone, so that ``json.loads`` skips the base64: ``text``
+    with each string after ``"f64le": "`` that holds no backslash cut to ``""``, and the
+    cut strings in file order.  The quote after ``f64le`` is not escaped, so a match is at
+    a key ``f64le`` or at the end of a key such as ``x\\"f64le``, which ``check_keys`` refuses."""
+    key, parts, blobs, done = '"f64le": "', [], [], 0
+    i = text.find(key)
+    while i >= 0 and (end := text.find('"', i + len(key))) >= 0:
+        if text.find("\\", i, end) < 0:
+            parts.append(text[done:i + len(key)])
+            blobs.append(text[i + len(key):end])
+            done = end
+        i = text.find(key, end)
+    return "".join([*parts, text[done:]]), blobs
 
 
 def model_to_json(ensemble: BoostedEnsemble) -> str:
@@ -610,10 +638,12 @@ def model_from_json(text: str) -> BoostedEnsemble:
     """Parse a model; undecodable JSON, a missing or unknown key at any level, a config
     that ``config_from_json`` refuses, an unsupported format, a relation inventory that is
     not a list of distinct labels in ``[a-z_-]+``, a domain tag that is not a string, no
-    steps, undecodable or non-finite parameters, and a learner config or parameter shapes
-    that do not fit the encoder width and inventory raise MalformedSyntax."""
+    steps, undecodable or non-finite parameters, a learner config or parameter shapes
+    that do not fit the encoder width and inventory, and ``_cut_blobs`` strings that do
+    not pair one to one with the parameters raise MalformedSyntax."""
     try:
-        doc = json.loads(text)
+        skeleton, blobs = _cut_blobs(text)
+        doc = json.loads(skeleton)
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
                 f"unsupported model format_version {doc.get('format_version')!r} "
@@ -633,8 +663,16 @@ def model_from_json(text: str) -> BoostedEnsemble:
                 raise MalformedSyntax(f"bad relation label {rel!r} (expected [a-z_-]+)")
         _check_dims(boost_cfg, enc_cfg, inventory)
         shapes = wl.param_shapes(lc)
-        steps = tuple(_learner_from_dict(lc, shapes, blob, f"steps[{i}].")
-                      for i, blob in enumerate(doc["steps"]))
+        for i, step in enumerate(doc["steps"]):
+            check_keys("step", step, shapes, f"steps[{i}].")
+            for name, spec in step.items():
+                check_keys(f"parameter {name}", spec, ("shape", "f64le"), f"steps[{i}].{name}.")
+        empty = sum(spec["f64le"] == "" for step in doc["steps"] for spec in step.values())
+        if empty != len(blobs):  # a duplicate f64le key, for one
+            raise MalformedSyntax(f"{len(blobs)} f64le strings were cut out for {empty} "
+                                  "parameters: they do not pair one to one")
+        cut = iter(blobs)
+        steps = tuple(_learner_from_dict(lc, shapes, step, cut) for step in doc["steps"])
         if not steps:
             raise MalformedSyntax("model has no steps")
         return BoostedEnsemble(

@@ -142,48 +142,29 @@ def iter_internal(node: DiscourseNode) -> Iterator[Internal]:
 # Bracketed format
 # ---------------------------------------------------------------------------
 
+# A string's characters: any but `"` and `\`, or one of the escapes `\"` and `\\`.
+_CHARS = r'[^"\\]*(?:\\["\\][^"\\]*)*'
+# One alternative per token kind: open, close, string, symbol, and a stray quote, which
+# starts a string with no end; it reads to the first bad escape or to the end of input.
+_TOKEN_RE = re.compile(rf'(\()|(\))|("{_CHARS}")|([^\s()"]+)|"{_CHARS}(\\.?|\Z)', re.DOTALL)
+
+
 def _lex(text: str) -> list[tuple[str, str]]:
-    """Tokenize into (kind, value) pairs; kind in {open, close, symbol, string}."""
+    """Tokenize into (kind, value) pairs; kind in {open, close, symbol, string}.  A string
+    with no end or an escape other than ``\\"`` and ``\\\\`` raises MalformedSyntax."""
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            out.append(("open", c))
-            i += 1
-        elif c == ")":
-            out.append(("close", c))
-            i += 1
-        elif c == '"':
-            i += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise MalformedSyntax("unterminated string literal")
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise MalformedSyntax("dangling escape at end of input")
-                    nxt = text[i + 1]
-                    if nxt not in ('"', "\\"):
-                        raise MalformedSyntax(f"unsupported escape \\{nxt}")
-                    buf.append(nxt)
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    buf.append(c)
-                    i += 1
-            out.append(("string", "".join(buf)))
+    for opened, closed, string, symbol, bad in _TOKEN_RE.findall(text):
+        if opened or closed:
+            out.append(("open", opened) if opened else ("close", closed))
+        elif string:
+            out.append(("string", re.sub(r"\\(.)", r"\1", string[1:-1])
+                        if "\\" in string else string[1:-1]))
+        elif symbol:
+            out.append(("symbol", symbol))
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            out.append(("symbol", text[i:j]))
-            i = j
+            raise MalformedSyntax("unterminated string literal" if not bad else
+                                  "dangling escape at end of input" if bad == "\\" else
+                                  f"unsupported escape {bad}")
     return out
 
 

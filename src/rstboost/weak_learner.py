@@ -57,6 +57,12 @@ class LearnerConfig:
                 f"a learner of input_dim {self.input_dim}, hidden_dim {self.hidden_dim} "
                 f"and {self.n_relations} relations has {count:,} parameters; "
                 f"the limit is {MAX_PARAMS:,}")
+        # ``init`` draws uniform(-a, a), a = init_scale / sqrt(fan_in); numpy needs 2a finite.
+        fan_in = min(shape[1] for shape in param_shapes(self).values() if len(shape) == 2)
+        if not math.isfinite(2 * (self.init_scale / math.sqrt(fan_in))):
+            raise InvalidConfig(
+                f"init_scale {self.init_scale} is too large: init draws weights from "
+                f"uniform(-a, a), a = init_scale / sqrt({fan_in}), and 2a must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import random
 import time
@@ -15,9 +16,9 @@ from rstboost.boosting import (
     structure_mask,
     train,
 )
-from rstboost.cli import main as cli_main
+from rstboost.cli import build_parser, main as cli_main
 from rstboost.encoder import EncoderConfig, encode_state
-from rstboost.errors import DocumentMismatch
+from rstboost.errors import DocumentMismatch, MalformedSyntax
 from rstboost.metrics import ParsevalScores
 from rstboost.transition import SHIFT, Reduce, apply, initial_state
 from rstboost.treebank import (
@@ -84,6 +85,14 @@ def ensembles(setups):
         return cache[seed]
 
     return get
+
+
+def numeric_flags(command):
+    """The int and float options that ``command`` reads, the global ones included."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in parser._actions + sub.choices[command]._actions
+            if a.option_strings and a.type in (int, float)]
 
 
 def sparse(x):
@@ -172,6 +181,52 @@ def oracle_action_accuracy(ensemble, m, entries):
     is_reduce = inst.gold_relation >= 0
     ok &= ~is_reduce | (rel == inst.gold_relation)
     return float(ok.mean())
+
+
+def reference_lex(text):
+    """The character loop that ``treebank._lex``'s one regex pass replaced, kept as its
+    reference: the same (kind, value) tokens, or the same MalformedSyntax message."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c == "(":
+            out.append(("open", c))
+            i += 1
+        elif c == ")":
+            out.append(("close", c))
+            i += 1
+        elif c == '"':
+            i += 1
+            buf = []
+            while True:
+                if i >= n:
+                    raise MalformedSyntax("unterminated string literal")
+                c = text[i]
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise MalformedSyntax("dangling escape at end of input")
+                    nxt = text[i + 1]
+                    if nxt not in ('"', "\\"):
+                        raise MalformedSyntax(f"unsupported escape \\{nxt}")
+                    buf.append(nxt)
+                    i += 2
+                elif c == '"':
+                    i += 1
+                    break
+                else:
+                    buf.append(c)
+                    i += 1
+            out.append(("string", "".join(buf)))
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in '()"':
+                j += 1
+            out.append(("symbol", text[i:j]))
+            i = j
+    return out
 
 
 def validate_treebank(tb):

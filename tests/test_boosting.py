@@ -35,7 +35,8 @@ from rstboost.boosting import (
     train_step,
 )
 from rstboost.encoder import CENTER, NUCLEUS, EncoderConfig, encode_state, row_key
-from rstboost.errors import DimensionMismatch, EmptyTreebank, InvalidPrefix, MalformedSyntax
+from rstboost.errors import (DimensionMismatch, EmptyTreebank, InvalidConfig, InvalidPrefix,
+                             MalformedSyntax)
 from rstboost.metrics import score
 from rstboost.transition import SHIFT, Reduce, apply, initial_state, oracle
 from rstboost.treebank import (
@@ -1129,6 +1130,21 @@ class TestDecodeBatch:
         assert sum(frontiers) >= sum(len(scored_states(got[1])) for got in alone)
 
 
+class TestEnsembleSize:
+    def test_steps_times_learner_size_is_bounded(self):
+        """Checked on the config, before anything trains: at most
+        ``MAX_ENSEMBLE_PARAMS`` parameters over all steps."""
+        lc = LearnerConfig(input_dim=ENC.width, n_relations=8)
+        limit = boosting.MAX_ENSEMBLE_PARAMS // wl.n_params(lc)
+        assert BoostConfig(learner=lc, n_steps=limit).n_steps == limit
+        for n_steps in (limit + 1, 10**20):
+            with pytest.raises(InvalidConfig, match="ensemble limit of 10,000,000"):
+                BoostConfig(learner=lc, n_steps=n_steps)
+        # The README's train, at the default width, is far inside the limit.
+        readme = LearnerConfig(input_dim=EncoderConfig().width, n_relations=8)
+        assert 5 * wl.n_params(readme) < boosting.MAX_ENSEMBLE_PARAMS // 40
+
+
 class TestModelSerialization:
     def test_round_trip_bit_exact(self):
         tb = small_treebank(n_docs=10)
@@ -1201,6 +1217,30 @@ class TestModelSerialization:
         assert np.signbit(clone.steps[0].b_hidden[0])
         assert clone.relation_inventory == ("elaboration",)
         assert clone.train_domain_tag == "nouvelles-€"
+
+    @staticmethod
+    def assert_same_parameters(a, b):
+        for sa, sb in zip(a.steps, b.steps, strict=True):
+            for (na, pa), (nb, pb) in zip(sa.param_items(), sb.param_items(), strict=True):
+                assert na == nb and pa.tobytes() == pb.tobytes()
+
+    def test_file_written_otherwise_loads_the_same(self):
+        """The reader cuts the base64 out of the text the writer writes; a file with other
+        separators has nothing to cut, and one whose blob escapes a ``/`` keeps that blob,
+        and both load to the same bits through ``json.loads`` alone."""
+        tb = small_treebank(n_docs=8)
+        ens, _ = train(tb, boost_cfg(tb), ENC)
+        text = model_to_json(ens)
+        n_params = sum(len(step.param_items()) for step in ens.steps)
+        assert len(boosting._cut_blobs(text)[1]) == n_params
+        compact = json.dumps(json.loads(text), separators=(",", ":"))
+        assert boosting._cut_blobs(compact) == (compact, [])
+        self.assert_same_parameters(model_from_json(compact), ens)
+        slash = text.index("/", text.index('"f64le": "'))
+        assert '"' not in text[text.index('"f64le": "') + 10:slash]  # inside the first blob
+        escaped = text[:slash] + "\\" + text[slash:]
+        assert len(boosting._cut_blobs(escaped)[1]) == n_params - 1
+        self.assert_same_parameters(model_from_json(escaped), ens)
 
     @pytest.mark.parametrize("label", ["ela boration", "x)y", "élaboration", "Attri bution"])
     def test_inventory_label_outside_grammar_rejected(self, label):

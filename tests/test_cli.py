@@ -18,7 +18,10 @@ from rstboost.boosting import BoostConfig, load_model, save_model
 from rstboost.encoder import EncoderConfig
 from rstboost.metrics import CSV_HEADER
 from rstboost.transition import apply, initial_state, oracle
-from rstboost.treebank import _atomic_write, load_treebank, save_treebank
+from rstboost.treebank import (SynthSettings, _atomic_write, load_treebank, save_treebank,
+                               synthesize_treebank)
+
+from conftest import numeric_flags
 
 FAST_TRAIN = ["--hash-dim", "256", "--epochs-max", "5", "--patience", "2"]
 
@@ -281,6 +284,27 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_init_scale_whose_range_overflows_is_usage_error(self, data_dir, tmp_path, capsys,
+                                                             command):
+        """With one hidden unit the heads' fan-in is 1, and uniform(-a, a) at a = 1e308
+        would raise OverflowError (exit 3) inside ``init``."""
+        out = tmp_path / "out.json"
+        assert run("--quiet", command, data_dir / "train_news.tb", "--out", out, "--steps", "1",
+                   *FAST_TRAIN, "--hidden-dim", "1", "--init-scale", "1e308") == 1
+        assert "init_scale 1e+308 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_ensemble_too_large_to_build_is_usage_error(self, data_dir, tmp_path, capsys,
+                                                        command, monkeypatch):
+        out = tmp_path / "out.json"
+        monkeypatch.setattr(cli.boosting, "train", None)  # a call would exit 3
+        assert run("--quiet", command, data_dir / "train_news.tb", "--out", out,
+                   *FAST_TRAIN, "--steps", 10**20) == 1
+        assert "ensemble limit of 10,000,000 parameters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
     @pytest.mark.parametrize("flag", ["--hash-dim", "--hidden-dim"])
     def test_learner_too_large_to_build_is_usage_error(self, data_dir, tmp_path, capsys,
                                                        command, flag):
@@ -393,6 +417,25 @@ class TestMalformedModel:
                          "one-short": base64.b64encode(raw[:-8]).decode()}[damage]
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert "parameter w_structure is not base64 float64" in capsys.readouterr().err
+
+    def test_duplicate_f64le_key_is_data_error(self, model_path, data_dir, tmp_path, capsys):
+        """``json.loads`` would keep the last of two keys, but the reader cuts both strings
+        out, and two strings for one parameter do not pair."""
+        text = model_path.read_text()
+        start = text.index('"f64le": "')
+        pair = text[start:text.index('"', start + len('"f64le": "')) + 1]
+        assert self.parse_with(text.replace(pair, f"{pair}, {pair}", 1), data_dir,
+                               tmp_path) == 2
+        assert "do not pair one to one" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
+
+    def test_key_ending_in_f64le_is_data_error(self, model_path, data_dir, tmp_path, capsys):
+        """The reader cuts the string after ``x\\"f64le``, a key that ends in the text it
+        looks for; the key is unknown."""
+        text = model_path.read_text().replace('"shape": ', '"x\\"f64le": "AAAA", "shape": ', 1)
+        assert self.parse_with(text, data_dir, tmp_path) == 2
+        assert """unknown parameter w_hidden keys: ['x"f64le']""" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tb").exists()
 
     def test_format_1_file_is_refused_with_retrain_hint(self, model_doc, data_dir, tmp_path,
                                                          capsys):
@@ -973,6 +1016,49 @@ def all_error_classes():
         found.append(cls)
         todo += cls.__subclasses__()
     return sorted(found, key=lambda cls: cls.__name__)
+
+
+# Each numeric flag's hostile values: not numbers, infinite, negative, zero, negative zero,
+# a float near the largest, a subnormal, and an int too large for any size or count.
+GRID_VALUES = ("nan", "inf", "-inf", "-1", "0", "-0", "1e308", "1e-320", str(10**20))
+# A tiny run that ends quickly whatever one flag holds: a learner of 8 buckets and one
+# hidden unit, trained one step for one epoch.  Under test, ``--epochs-max`` gets
+# ``--lr 0``, so the second epoch's dev CE equals the first's and patience 1 stops it;
+# ``--steps`` 10^20 ends at the ensemble size limit.  No flag on its own leaves a run
+# unbounded: that takes two, such as ``--epochs-max`` and ``--patience`` both at 10^20.
+GRID_BASE = {"--hash-dim": "8", "--hidden-dim": "1", "--steps": "1", "--epochs-max": "1",
+             "--patience": "1"}
+GRID = [(command, flag, value) for command in ("train", "compare", "parse")
+        for flag in numeric_flags(command) for value in GRID_VALUES]
+
+
+class TestFlagGrid:
+    @pytest.fixture(scope="class")
+    def tiny(self, tmp_path_factory):
+        """A four-document treebank, and a one-step model of ``GRID_BASE`` trained on it."""
+        base = tmp_path_factory.mktemp("grid")
+        save_treebank(synthesize_treebank(SynthSettings(edu_range=(2, 4)), "a", 4, "tiny", 1),
+                      base / "tiny.tb")
+        opts = [f"{k}={v}" for k, v in GRID_BASE.items()]
+        assert run("--quiet", "train", base / "tiny.tb", "--out", base / "model.json",
+                   *opts) == 0
+        return base
+
+    @pytest.mark.parametrize("command,flag,value", GRID)
+    def test_hostile_value_exits_0_1_or_2(self, tiny, tmp_path, command, flag, value):
+        """The exit-code contract over every numeric flag: bad input never exits 3."""
+        if command == "parse":
+            argv, options = ["parse", tiny / "model.json", tiny / "tiny.tb"], {}
+        else:
+            argv, options = [command, tiny / "tiny.tb"], dict(GRID_BASE)
+            if flag == "--epochs-max":
+                options["--lr"] = "0"
+        options[flag] = value
+        # "--flag=value", so that argparse does not read "-inf" as an option.
+        seed = [f"--seed={options.pop('--seed')}"] if "--seed" in options else []
+        code = run("--quiet", *seed, *argv, "--out", tmp_path / "out",
+                   *[f"{k}={v}" for k, v in options.items()])
+        assert code in (0, 1, 2)
 
 
 class TestExitStatus:

@@ -10,15 +10,14 @@ after exit 0 must load again.  The same holds for odd values of
 every int and float flag.
 """
 
-import argparse
 import json
 import random
 
 import pytest
 
-from conftest import make_doc, random_tree, validate_treebank
+from conftest import make_doc, numeric_flags, random_tree, validate_treebank
 from rstboost.boosting import BoostConfig, save_model, train
-from rstboost.cli import build_parser, main
+from rstboost.cli import main
 from rstboost.encoder import EncoderConfig
 from rstboost.errors import DataError
 from rstboost.treebank import Treebank, load_treebank, save_treebank
@@ -162,14 +161,6 @@ def test_synth_size_too_large_exits_usage(valid, tmp_path, monkeypatch, key):
     monkeypatch.setattr("rstboost.treebank.synthesize_treebank", None)
     assert main(["--quiet", "synth", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert not list(tmp_path.glob("*.tb"))
-
-
-def numeric_flags(command: str) -> list[str]:
-    """The int and float options that ``command`` reads, the global ones included."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [a.option_strings[0] for a in parser._actions + sub.choices[command]._actions
-            if a.option_strings and a.type in (int, float)]
 
 
 @pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))

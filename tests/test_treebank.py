@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import rstboost.treebank as treebank
@@ -19,7 +21,7 @@ from rstboost.treebank import (
     validate,
 )
 
-from conftest import validate_treebank
+from conftest import reference_lex, validate_treebank
 
 SHARED = ("attribution", "background", "cause", "contrast", "elaboration", "joint")
 DOMAIN = ("condition", "evidence")
@@ -87,6 +89,36 @@ class TestParseBracketed:
     def test_tokens_lowercased(self):
         doc, _ = parse_bracketed('(leaf "Hello WORLD")')
         assert doc.edus[0] == ("hello", "world")
+
+
+class TestLex:
+    # The characters the lexer treats specially (quote and backslash twice as likely),
+    # whitespace that ``str.isspace`` holds beyond ASCII's, and plain characters.
+    ALPHABET = '()""\\\\ \n\r\t\x1c\x85\xa0abNS'
+
+    def outcome(self, lex, text):
+        try:
+            return lex(text)
+        except MalformedSyntax as exc:
+            return type(exc), str(exc)
+
+    def test_same_tokens_or_error_as_the_character_loop(self):
+        rng = random.Random("lex")
+        for _ in range(20_000):
+            text = "".join(rng.choices(self.ALPHABET, k=rng.randint(0, 16)))
+            assert self.outcome(treebank._lex, text) == self.outcome(reference_lex, text), text
+
+    @pytest.mark.parametrize("text,message", [
+        ('(leaf "a', "unterminated string literal"),
+        ('(leaf "a\\', "dangling escape at end of input"),
+        ('(leaf "a\\n b', "unsupported escape \\n"),
+        ('(leaf "a\\"', "unterminated string literal"),
+    ])
+    def test_bad_string_messages(self, text, message):
+        """An unterminated string reports its first bad escape first."""
+        with pytest.raises(MalformedSyntax) as exc:
+            treebank._lex(text)
+        assert str(exc.value) == message
 
 
 class TestSerializeBracketed:
@@ -300,10 +332,18 @@ class TestSynthesize:
         assert a != b
 
     def test_p_domain_zero_ignores_domain_tag(self):
-        a = synth(4, side="a", p_domain=0.0)
-        b = synth(4, side="b", p_domain=0.0)
+        """At ``p_domain`` 0 no domain-specific rule fires, so the two sides draw the same
+        documents from one seed: the probe's null, in which the two test sets differ only
+        in their domain tag."""
+        cfg = SynthSettings(p_domain=0.0)
+        a, b = (synthesize_treebank(cfg, side, 30, "null", 7) for side in "ab")
         assert a.entries == b.entries
-        assert a.domain_tag == "news" and b.domain_tag == "chat"
+        assert (a.domain_tag, b.domain_tag) == ("news", "chat")
+        used = {n.relation for _, tree in a.entries for n in iter_internal(tree)}
+        assert used <= set(cfg.shared_relations)
+        default = SynthSettings()
+        assert (synthesize_treebank(default, "a", 30, "null", 7).entries
+                != synthesize_treebank(default, "b", 30, "null", 7).entries)
 
     def test_generated_set_validates(self):
         # full-set validator sweep at the documented desk-scale size

@@ -185,6 +185,19 @@ class TestInit:
                 LearnerConfig(input_dim=4, n_relations=3, learning_rate=lr, l2_penalty=l2)
         LearnerConfig(input_dim=4, n_relations=3, learning_rate=1.0, l2_penalty=0.499)
 
+    @pytest.mark.parametrize("input_dim,hidden_dim", [(8, 1), (1, 0)])
+    def test_init_scale_whose_range_overflows_is_refused(self, input_dim, hidden_dim):
+        """``init`` draws uniform(-a, a), a = init_scale / sqrt(fan_in), and numpy refuses
+        a range 2a that is not finite.  At a fan-in of 2, 1e308 gives a finite 2a, and at
+        4 or more every finite scale does."""
+        with pytest.raises(InvalidConfig, match="init_scale 1e[+]308 is too large"):
+            LearnerConfig(input_dim=input_dim, n_relations=2, hidden_dim=hidden_dim,
+                          init_scale=1e308)
+        for hidden_dim, scale in [(2, 1e308), (4, 1.7976931348623157e308)]:
+            cfg = LearnerConfig(input_dim=8, n_relations=2, hidden_dim=hidden_dim,
+                                init_scale=scale)
+            assert np.isfinite(init(cfg, 0).wide).all()
+
     def test_parameter_count_limit(self):
         """Checked on the config, so no array is built.  Without a hidden layer and with
         one relation a learner has 5 * (input_dim + 1) parameters."""
