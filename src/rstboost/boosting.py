@@ -8,7 +8,7 @@ never modified once appended.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import time
 from dataclasses import asdict, dataclass, replace
@@ -448,12 +448,15 @@ def _instance_sets(ensemble: BoostedEnsemble, train_entries,
 def _append_step(ensemble: BoostedEnsemble, seed: int, train_inst: _Instances,
                  dev_inst: _Instances | None) -> tuple[BoostedEnsemble, StepReport]:
     """Fit the next step of ``ensemble`` against the instance sets' frozen sums, add its
-    logits to both sets, and append it, frozen."""
-    learner, report = _train_one_step(ensemble.boost_config, ensemble.n_steps + 1, seed,
-                                      train_inst, dev_inst)
-    for inst in (train_inst, dev_inst):
-        if inst is not None:
-            inst.add(learner)
+    logits to both sets, and append it, frozen.  Logits that overflow make non-finite
+    CEs, which step selection handles (a ``zero`` step at worst), so numpy's overflow
+    and invalid-value warnings are not printed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        learner, report = _train_one_step(ensemble.boost_config, ensemble.n_steps + 1, seed,
+                                          train_inst, dev_inst)
+        for inst in (train_inst, dev_inst):
+            if inst is not None:
+                inst.add(learner)
     return replace(ensemble, steps=ensemble.steps + (learner,)), report
 
 
@@ -575,7 +578,7 @@ FORMAT_VERSION = 2
 
 
 def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict,
-                       cut: Iterator[str]) -> WeakLearner:
+                       cut: Iterator[memoryview]) -> WeakLearner:
     """A step's learner (its keys checked); an ``f64le`` of ``""`` reads ``next(cut)``."""
     params = {}
     for name, spec in blob.items():  # in document order, as ``cut`` is
@@ -585,40 +588,41 @@ def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict,
                 f"parameter {name} has shape {spec['shape']}, expected {list(shape)}")
         try:
             encoded = next(cut) if spec["f64le"] == "" else spec["f64le"]
-            raw = base64.b64decode(encoded, validate=True)
+            raw = binascii.a2b_base64(encoded, strict_mode=True)
             params[name] = np.frombuffer(raw, "<f8").reshape(shape)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise MalformedSyntax(f"parameter {name} is not base64 float64: {exc}") from exc
         if not np.isfinite(params[name]).all():
             raise MalformedSyntax(f"parameter {name} has non-finite values")
     return WeakLearner.from_params(cfg, params)
 
 
-def _cut_blobs(text: str) -> tuple[str, list[str]]:
-    """``model_to_json``'s splice undone, so that ``json.loads`` skips the base64: ``text``
+def _cut_blobs(data: bytes) -> tuple[bytes, list[memoryview]]:
+    """The writer's splice undone, so that ``json.loads`` skips the base64: ``data``
     with each string after ``"f64le": "`` that holds no backslash cut to ``""``, and the
-    cut strings in file order.  The quote after ``f64le`` is not escaped, so a match is at
-    a key ``f64le`` or at the end of a key such as ``x\\"f64le``, which ``check_keys`` refuses."""
-    key, parts, blobs, done = '"f64le": "', [], [], 0
-    i = text.find(key)
-    while i >= 0 and (end := text.find('"', i + len(key))) >= 0:
-        if text.find("\\", i, end) < 0:
-            parts.append(text[done:i + len(key)])
-            blobs.append(text[i + len(key):end])
+    cut strings in file order, as views of ``data`` (no copy).  The quote after
+    ``f64le`` is not escaped, so a match is at a key ``f64le`` or at the end of a key
+    such as ``x\\"f64le``, which ``check_keys`` refuses.  The bytes are cut before any
+    UTF-8 decoding: a cut string is read by ``a2b_base64`` in strict mode, which refuses
+    any byte outside base64, and the rest is decoded as UTF-8."""
+    key, view, parts, blobs, done = b'"f64le": "', memoryview(data), [], [], 0
+    i = data.find(key)
+    while i >= 0 and (end := data.find(b'"', i + len(key))) >= 0:
+        if data.find(b"\\", i, end) < 0:
+            parts.append(view[done:i + len(key)])
+            blobs.append(view[i + len(key):end])
             done = end
-        i = text.find(key, end)
-    return "".join([*parts, text[done:]]), blobs
+        i = data.find(key, end)
+    return b"".join([*parts, view[done:]]), blobs
 
 
-def model_to_json(ensemble: BoostedEnsemble) -> str:
-    """The model as JSON; each parameter is its shape and the base64 of its
-    little-endian float64 bytes in row-major order.
+def _model_chunks(ensemble: BoostedEnsemble) -> Iterator[bytes]:
+    """The model file as bytes chunks, one parameter's base64 at a time.
 
     The base64 is spliced into a dump whose ``f64le`` values are all ``""``, so that
     ``json.dumps`` does not escape-scan it; the text ``"f64le": ""`` occurs nowhere
-    else, since every quote inside a JSON string is escaped."""
-    blobs = [base64.b64encode(arr.astype("<f8").tobytes()).decode()
-             for step in ensemble.steps for _, arr in step.param_items()]
+    else, since every quote inside a JSON string is escaped.  The dump is ASCII, as
+    ``json.dumps`` escapes every other character."""
     doc = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(ensemble.encoder_config),
@@ -629,21 +633,35 @@ def model_to_json(ensemble: BoostedEnsemble) -> str:
                    for name, arr in step.param_items()}
                   for step in ensemble.steps],
     }
-    head, *tails = json.dumps(doc, indent=1).split('"f64le": ""')
-    return "".join([head, *(text for blob, tail in zip(blobs, tails, strict=True)
-                            for text in ('"f64le": "', blob, '"', tail))])
+    head, *tails = json.dumps(doc, indent=1).encode().split(b'"f64le": ""')
+    arrays = [arr for step in ensemble.steps for _, arr in step.param_items()]
+    yield head
+    for arr, tail in zip(arrays, tails, strict=True):
+        yield b'"f64le": "'
+        yield binascii.b2a_base64(arr.astype("<f8", copy=False).tobytes(), newline=False)
+        yield b'"' + tail
 
 
-def model_from_json(text: str) -> BoostedEnsemble:
-    """Parse a model; undecodable JSON, a missing or unknown key at any level, a config
-    that ``config_from_json`` refuses, an unsupported format, a relation inventory that is
-    not a list of distinct labels in ``[a-z_-]+``, a domain tag that is not a string, no
-    steps, undecodable or non-finite parameters, a learner config or parameter shapes
-    that do not fit the encoder width and inventory, and ``_cut_blobs`` strings that do
-    not pair one to one with the parameters raise MalformedSyntax."""
+def model_to_json(ensemble: BoostedEnsemble) -> str:
+    """The model as JSON; each parameter is its shape and the base64 of its
+    little-endian float64 bytes in row-major order (``_model_chunks``, joined)."""
+    return b"".join(_model_chunks(ensemble)).decode()
+
+
+def model_from_json(data: bytes | str) -> BoostedEnsemble:
+    """Parse a model from its file's bytes (a ``str`` is UTF-8 encoded first).
+    ``_cut_blobs`` takes out the parameters' base64; the rest is decoded as UTF-8,
+    and so never sniffed as UTF-16 or UTF-32 as ``json.loads`` would sniff bytes, and
+    each parameter is decoded from its view of ``data``.  Undecodable JSON or UTF-8,
+    a missing or unknown key at any level, a config that ``config_from_json``
+    refuses, an unsupported format, a relation inventory that is not a list of
+    distinct labels in ``[a-z_-]+``, a domain tag that is not a string, no steps,
+    undecodable or non-finite parameters, a learner config or parameter shapes that
+    do not fit the encoder width and inventory, and cut strings that do not pair one
+    to one with the parameters raise MalformedSyntax."""
     try:
-        skeleton, blobs = _cut_blobs(text)
-        doc = json.loads(skeleton)
+        skeleton, blobs = _cut_blobs(data.encode() if isinstance(data, str) else data)
+        doc = json.loads(skeleton.decode("utf-8"))
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
                 f"unsupported model format_version {doc.get('format_version')!r} "
@@ -688,9 +706,10 @@ def model_from_json(text: str) -> BoostedEnsemble:
 
 
 def save_model(ensemble: BoostedEnsemble, path: str | Path) -> None:
-    _atomic_write(path, model_to_json(ensemble))
+    """Write the model to ``path``, streaming ``_model_chunks`` through ``_atomic_write``."""
+    _atomic_write(path, _model_chunks(ensemble))
 
 
-def load_model(path: str | Path, text: str | None = None) -> BoostedEnsemble:
-    """Load a model file, or its ``text`` if the caller has read it already."""
-    return model_from_json(Path(path).read_text(encoding="utf-8") if text is None else text)
+def load_model(path: str | Path, data: bytes | None = None) -> BoostedEnsemble:
+    """Load a model file, or its bytes ``data`` if the caller has read them already."""
+    return model_from_json(Path(path).read_bytes() if data is None else data)

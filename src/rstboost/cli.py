@@ -59,15 +59,21 @@ class _Run:
         self.timings: dict[str, float] = {}
         self._start = self._lap = time.perf_counter()
 
+    def read_bytes(self, path) -> bytes:
+        """The bytes of ``path``, their digest recorded at the first read, so that an
+        output written over the input later does not change it.  The run keeps no copy:
+        a model's bytes are freed once it is loaded, and their pages are reused for the
+        ensemble's stacked arrays instead of fresh ones."""
+        data = Path(path).read_bytes()
+        self.inputs.setdefault(str(Path(path)), "sha256:" + hashlib.sha256(data).hexdigest())
+        return data
+
     def read(self, path) -> str:
-        """The UTF-8 text of ``path`` with ``read_text``'s newline translation, read once
-        per run.  The digest is of these bytes, so an output written over the input
-        later does not change it."""
+        """The UTF-8 text of ``path``, with ``read_text``'s newline translation, read once
+        per run."""
         key = str(Path(path))
         if key not in self._texts:
-            data = Path(path).read_bytes()
-            self.inputs[key] = "sha256:" + hashlib.sha256(data).hexdigest()
-            text = data.decode("utf-8")
+            text = self.read_bytes(path).decode("utf-8")
             self._texts[key] = (text.replace("\r\n", "\n").replace("\r", "\n")
                                 if "\r" in text else text)
         return self._texts[key]
@@ -199,7 +205,7 @@ def cmd_train(args) -> int:
 
 def cmd_parse(args) -> int:
     run = _Run(args)
-    ensemble = boosting.load_model(args.model, run.read(args.model))
+    ensemble = boosting.load_model(args.model, run.read_bytes(args.model))
     m = args.prefix if args.prefix is not None else len(ensemble.steps)
 
     docs, domain_tag = treebank.load_documents(args.input, run.read(args.input))
@@ -266,7 +272,7 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     run = _Run(args)
-    ensemble = boosting.load_model(args.model, run.read(args.model))
+    ensemble = boosting.load_model(args.model, run.read_bytes(args.model))
     tbs = [treebank.load_treebank(p, run.read(p)) for p in args.treebanks]
     run.lap("load")
     table = metrics.boost_curve(ensemble, tbs)

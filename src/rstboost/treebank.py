@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InvalidConfig, InvalidTree, MalformedSyntax
 
@@ -383,13 +383,20 @@ def load_documents(path: str | Path, text: str) -> tuple[list[Document], str]:
     return docs, "raw"
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    """Write UTF-8 text beside ``path``, then rename it over ``path``; a failed
-    write leaves any old file at ``path`` as it was."""
+def _atomic_write(path: str | Path, data: str | Iterable[bytes]) -> None:
+    """Write ``data`` beside ``path``, then rename it over ``path``; a failed write,
+    an exception raised while ``data`` is iterated among them, leaves any old file at
+    ``path`` as it was and no temporary file.  A ``str`` is written as UTF-8 text; an
+    iterable of bytes is written chunk by chunk, so the file need never be whole in
+    memory."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            with tmp.open("wb") as f:
+                f.writelines(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -1,4 +1,5 @@
 import base64
+import binascii
 import dataclasses
 import functools
 import gc
@@ -1232,14 +1233,14 @@ class TestModelSerialization:
         ens, _ = train(tb, boost_cfg(tb), ENC)
         text = model_to_json(ens)
         n_params = sum(len(step.param_items()) for step in ens.steps)
-        assert len(boosting._cut_blobs(text)[1]) == n_params
+        assert len(boosting._cut_blobs(text.encode())[1]) == n_params
         compact = json.dumps(json.loads(text), separators=(",", ":"))
-        assert boosting._cut_blobs(compact) == (compact, [])
+        assert boosting._cut_blobs(compact.encode()) == (compact.encode(), [])
         self.assert_same_parameters(model_from_json(compact), ens)
         slash = text.index("/", text.index('"f64le": "'))
         assert '"' not in text[text.index('"f64le": "') + 10:slash]  # inside the first blob
         escaped = text[:slash] + "\\" + text[slash:]
-        assert len(boosting._cut_blobs(escaped)[1]) == n_params - 1
+        assert len(boosting._cut_blobs(escaped.encode())[1]) == n_params - 1
         self.assert_same_parameters(model_from_json(escaped), ens)
 
     @pytest.mark.parametrize("label", ["ela boration", "x)y", "élaboration", "Attri bution"])
@@ -1273,8 +1274,9 @@ class TestModelSerialization:
         assert peak <= 4.5 * n_bytes, peak / n_bytes
 
     def test_writer_holds_two_copies_of_the_text(self):
-        """The writer holds the base64 blobs and the text it joins them into, and
-        nothing else of their size: no escaped dump of the blobs."""
+        """``model_to_json`` holds the file's chunks and the bytes it joins them into,
+        then those bytes and their text, and nothing else of their size: no escaped
+        dump of the blobs."""
         ens, _ = self.large_ensemble(hash_dim=1024)
         tracemalloc.start()
         try:
@@ -1295,6 +1297,58 @@ class TestModelSerialization:
             tracemalloc.stop()
         assert clone.n_steps == 5
         assert peak <= 3 * n_bytes, peak / n_bytes
+
+    def test_save_streams_the_file(self, tmp_path):
+        """``save_model`` holds one parameter's bytes and base64 at a time, never the
+        whole file: its peak is under half the file's size."""
+        ens, _ = self.large_ensemble()
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save_model(ens, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert path.read_text() == model_to_json(ens)
+        assert peak < 0.5 * size, peak / size
+
+    def test_loader_decodes_from_the_file_bytes(self):
+        """Given the file's bytes, the reader decodes each parameter from its view of
+        them: the peak is the loaded learners and little more."""
+        ens, n_bytes = self.large_ensemble()
+        data = model_to_json(ens).encode()
+        tracemalloc.start()
+        try:
+            clone = model_from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_same_parameters(clone, ens)
+        assert peak < 1.5 * n_bytes, peak / n_bytes
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        """A save that fails part-way through streaming the parameters leaves the old
+        file as it was and no temporary file."""
+        tb = small_treebank(n_docs=8)
+        ens, _ = train(tb, boost_cfg(tb, n_steps=1), ENC)
+        assert len(ens.steps[0].param_items()) >= 3
+        target = tmp_path / "model.json"
+        target.write_bytes(b"old model\n")
+        encode, calls = binascii.b2a_base64, []
+
+        def fail_third(data, **kwargs):
+            calls.append(len(data))
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return encode(data, **kwargs)
+
+        monkeypatch.setattr(binascii, "b2a_base64", fail_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(ens, target)
+        assert len(calls) == 3
+        assert target.read_bytes() == b"old model\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_linear_model_round_trip(self):
         tb = small_treebank(n_docs=8)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import warnings
 from dataclasses import asdict, fields, replace
 from itertools import accumulate
 from pathlib import Path
@@ -164,6 +165,45 @@ class TestUndecodableInput:
         bad.write_bytes(b'{"n_train": 4\x80}')
         assert run("--quiet", "synth", "--config", bad, "--out", tmp_path) == 2
 
+    def test_parse_and_curve_model_parameter(self, model_path, data_dir, tmp_path):
+        """A parameter's base64 is cut out of the bytes before any UTF-8 decoding, and
+        its decoder refuses a byte that is not base64."""
+        data = model_path.read_bytes()
+        at = data.index(b'"f64le": "') + len(b'"f64le": "') + 4
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data[:at] + b"\xc3\x28" + data[at + 2:])
+        assert run("--quiet", "parse", bad, data_dir / "test_news.tb",
+                   "--out", tmp_path / "p.tb") == 2
+        assert run("--quiet", "curve", bad, data_dir / "test_news.tb",
+                   "--out", tmp_path / "c.csv") == 2
+
+
+class TestModelEncoding:
+    """The reader works on the model file's bytes, with the text rules it had."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_copy_loads_the_same(self, newline, model_path, data_dir, tmp_path):
+        """JSON reads a CR as white space, and none stands inside a parameter's base64."""
+        cr = tmp_path / "cr.json"
+        cr.write_bytes(model_path.read_bytes().replace(b"\n", newline.encode()))
+        for a, b in zip(load_model(model_path).steps, load_model(cr).steps, strict=True):
+            for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items(), strict=True):
+                assert na == nb and pa.tobytes() == pb.tobytes()
+        for name, model in (("lf.tb", model_path), ("cr.tb", cr)):
+            assert run("--quiet", "parse", model, data_dir / "test_news.tb",
+                       "--out", tmp_path / name) == 0
+        assert (tmp_path / "lf.tb").read_bytes() == (tmp_path / "cr.tb").read_bytes()
+
+    def test_utf16_copy_is_data_error(self, model_path, data_dir, tmp_path, capsys):
+        """Bytes given to ``json.loads`` would be sniffed as UTF-16; the reader decodes
+        UTF-8 only."""
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(model_path.read_text().encode("utf-16"))
+        assert utf16.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+        assert run("--quiet", "parse", utf16, data_dir / "test_news.tb",
+                   "--out", tmp_path / "p.tb") == 2
+        assert "data error" in capsys.readouterr().err
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file(self, tmp_path):
@@ -197,6 +237,22 @@ class TestAtomicWrite:
 
 
 class TestTrain:
+    def test_diverging_training_prints_no_numpy_warning(self, setups, tmp_path):
+        """Logits that overflow give non-finite CEs, which step selection handles: the
+        README seed-1 chat data at init scale 1e308 keeps two ``zero`` steps, quietly."""
+        data = setups(1)["dir"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("--seed", 1, "--quiet", "train", data / "test_chat.tb",
+                       "--out", tmp_path / "m.json", "--steps", 2, "--epochs-max", 2,
+                       "--hidden-dim", 16, "--init-scale", "1e308")
+        assert code == 0
+        report = json.loads((tmp_path / "m.json.report.json").read_text())
+        assert [s["selection"] for s in report["steps"]] == ["zero", "zero"]
+        assert all(d is None for s in report["steps"] for d in s["dev_losses"])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
+
     def test_model_and_report_written(self, model_path):
         ens = load_model(model_path)
         assert len(ens.steps) == 2
@@ -1019,8 +1075,10 @@ def all_error_classes():
 
 
 # Each numeric flag's hostile values: not numbers, infinite, negative, zero, negative zero,
-# a float near the largest, a subnormal, and an int too large for any size or count.
-GRID_VALUES = ("nan", "inf", "-inf", "-1", "0", "-0", "1e308", "1e-320", str(10**20))
+# a float near the largest, a subnormal, an int too large for any size or count, a
+# fraction where an int is read, and a small count above the base's.
+GRID_VALUES = ("nan", "inf", "-inf", "-1", "0", "-0", "1e308", "1e-320", str(10**20),
+               "0.5", "2")
 # A tiny run that ends quickly whatever one flag holds: a learner of 8 buckets and one
 # hidden unit, trained one step for one epoch.  Under test, ``--epochs-max`` gets
 # ``--lr 0``, so the second epoch's dev CE equals the first's and patience 1 stops it;

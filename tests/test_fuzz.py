@@ -1,13 +1,12 @@
-"""Seeded mutation fuzzing of every kind of file the CLI reads, and of its
-numeric flags.
+"""Seeded mutation fuzzing of every kind of file the CLI reads.
 
 Valid treebank, model, raw-EDU and synth-config files are built from the
 ``conftest.py`` generators, then truncated, cut, overwritten byte by byte
 (invalid UTF-8 included) or partly duplicated.  Whatever the damage, the
 CLI must exit 0, 1 (usage or configuration error) or 2 (data error): never
 3, which is reserved for internal faults.  A treebank that ``parse`` writes
-after exit 0 must load again.  The same holds for odd values of
-every int and float flag.
+after exit 0 must load again.  (Odd values of every int and float flag
+are ``test_cli.py``'s ``TestFlagGrid``.)
 """
 
 import json
@@ -15,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import make_doc, numeric_flags, random_tree, validate_treebank
+from conftest import make_doc, random_tree, validate_treebank
 from rstboost.boosting import BoostConfig, save_model, train
 from rstboost.cli import main
 from rstboost.encoder import EncoderConfig
@@ -135,19 +134,6 @@ def test_every_loaded_mutant_is_valid(valid, tmp_path):
     assert loaded >= MUTANTS_PER_FILE, f"only {loaded} mutants loaded"
 
 
-# No value above 2, so that no flag sizes a large allocation.
-FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "2")
-# And for the learner's sizes, one that could never be allocated, so that it fails at
-# once, refused or not: the learner it sizes must be refused as a usage error.
-SIZE_VALUES = {"--hash-dim": ("1000000000000000",), "--hidden-dim": ("1000000000000000",)}
-TINY_TRAIN = {"--steps": "1", "--epochs-max": "1", "--hash-dim": "16", "--hidden-dim": "2"}
-FLAG_COMMANDS = {
-    "train": (["train", "{gold}", "--out", "{out}/m.json"], TINY_TRAIN),
-    "compare": (["compare", "{gold}", "--out", "{out}/cmp.json"], TINY_TRAIN),
-    "parse": (["parse", "{model}", "{gold}", "--out", "{out}/pred.tb"], {}),
-}
-
-
 # Synth settings that size the generated treebanks, each at a size that could never be
 # built; ``synthesize_treebank`` is replaced, so a config that got past the check exits 3.
 SYNTH_SIZES = {"n_train": 10**15, "n_test": 10**15, "edu_range": [1, 10**15]}
@@ -161,23 +147,3 @@ def test_synth_size_too_large_exits_usage(valid, tmp_path, monkeypatch, key):
     monkeypatch.setattr("rstboost.treebank.synthesize_treebank", None)
     assert main(["--quiet", "synth", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert not list(tmp_path.glob("*.tb"))
-
-
-@pytest.mark.parametrize("command", sorted(FLAG_COMMANDS))
-def test_numeric_flag_values_never_exit_internal(valid, tmp_path, command):
-    argv, settings = FLAG_COMMANDS[command]
-    argv = [a.format(gold=valid / "gold.tb", model=valid / "model.json", out=tmp_path)
-            for a in argv]
-    flags = numeric_flags(command)
-    assert "--seed" in flags and len(flags) > 1
-    bad = []
-    for flag in flags:
-        for value in FLAG_VALUES + SIZE_VALUES.get(flag, ()):
-            options = {**settings, flag: value}
-            # "--flag=value", so that argparse does not read "-inf" as an option.
-            opts = [f"{k}={v}" for k, v in options.items() if k != "--seed"]
-            seed = [f"--seed={value}"] if flag == "--seed" else []
-            code = main(["--quiet", *seed, *argv, *opts])
-            if code not in (0, 1, 2):
-                bad.append((flag, value, code))
-    assert not bad, f"{command} flag values that exited outside {{0, 1, 2}}: {bad}"
