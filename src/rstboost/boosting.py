@@ -112,7 +112,8 @@ class BoostedEnsemble:
 
     @cached_property
     def stacked(self) -> WeakLearner:
-        """``wl.stack_steps`` of all steps, built on first use; it dies with this ensemble."""
+        """``wl.stack_steps`` of all steps, built on first use; it dies with this ensemble,
+        and an ensemble made by ``dataclasses.replace`` builds its own."""
         return wl.stack_steps(self.steps)
 
 
@@ -263,8 +264,14 @@ def _run_epoch(learner: WeakLearner, per_state: list[tuple | None], order) -> No
     ``v = w / s`` for one running scale ``s``, an update reads its row as ``x * s``,
     sets ``s *= decay`` and subtracts ``(lr / s) * grad`` from the row's columns.  The
     scale is folded into ``wide`` whenever it falls below ``_SCALE_FLOOR`` and before
-    returning, so the learner always ends an epoch with its true parameters.  At
-    ``l2_penalty`` 0 the scale stays exactly 1.0.
+    returning, so early stopping and the model file always see true parameters.  At
+    ``l2_penalty`` 0 the scale stays exactly 1.0, and training is bit for bit the plain
+    sparse SGD.
+
+    Both softmaxes and the hidden layer's gradient are written into one buffer laid
+    out as ``bias`` is, so a reduce state updates both heads in one step and every bias
+    in another, and a shift state the structure rows in one step and ``b_structure``
+    with ``b_hidden`` in another.
 
     A ``None`` state (one legal class) is skipped but for the decay: with finite logits
     every step of its update is +-0, which leaves every parameter's bits as they are.
@@ -530,7 +537,9 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
     whose state has under two stack items can only shift, so all its prefixes shift;
     each iteration encodes one row per other key for one ``predict_action`` call, and
     makes none if there is no such key.  A group splits where its prefixes' actions
-    differ.  No parse depends on the other documents.
+    differ; groups that split on a relation label alone reach one key again and share
+    its row, and a per-document memo of token bags serves every key of its document.
+    No parse depends on the other documents.
     """
     prefixes = sorted(set(prefixes))
     for m in prefixes:
@@ -600,11 +609,12 @@ def _learner_from_dict(cfg: LearnerConfig, shapes: dict, blob: dict,
 def _cut_blobs(data: bytes) -> tuple[bytes, list[memoryview]]:
     """The writer's splice undone, so that ``json.loads`` skips the base64: ``data``
     with each string after ``"f64le": "`` that holds no backslash cut to ``""``, and the
-    cut strings in file order, as views of ``data`` (no copy).  The quote after
-    ``f64le`` is not escaped, so a match is at a key ``f64le`` or at the end of a key
-    such as ``x\\"f64le``, which ``check_keys`` refuses.  The bytes are cut before any
-    UTF-8 decoding: a cut string is read by ``a2b_base64`` in strict mode, which refuses
-    any byte outside base64, and the rest is decoded as UTF-8."""
+    cut strings in file order, as views of ``data`` (no copy).  The quote after ``f64le``
+    is not escaped, so a match is at a key ``f64le`` or at the end of a key such as
+    ``x\\"f64le``, which ``check_keys`` refuses.  The bytes are cut before any UTF-8
+    decoding: a cut string is read by ``a2b_base64`` in strict mode, which refuses any
+    byte outside base64, and the rest is decoded as UTF-8.  A file written otherwise
+    (compact separators, a ``\\/`` escape) has nothing cut, or less, and loads the same."""
     key, view, parts, blobs, done = b'"f64le": "', memoryview(data), [], [], 0
     i = data.find(key)
     while i >= 0 and (end := data.find(b'"', i + len(key))) >= 0:
@@ -621,8 +631,9 @@ def _model_chunks(ensemble: BoostedEnsemble) -> Iterator[bytes]:
 
     The base64 is spliced into a dump whose ``f64le`` values are all ``""``, so that
     ``json.dumps`` does not escape-scan it; the text ``"f64le": ""`` occurs nowhere
-    else, since every quote inside a JSON string is escaped.  The dump is ASCII, as
-    ``json.dumps`` escapes every other character."""
+    else, since every quote inside a JSON string is escaped.  Base64 has no character
+    to escape, so the bytes are those ``json.dumps`` writes for the whole document.  The
+    dump is ASCII, as ``json.dumps`` escapes every other character."""
     doc = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(ensemble.encoder_config),

@@ -1,11 +1,12 @@
 """Command-line harness: synth / train / parse / eval / curve / compare.
 
-Every command writes a ``<artifact>.manifest.json`` next to its primary
-output recording the resolved configuration, seeds, input digests, and
+Every command but ``eval`` writes a ``<artifact>.manifest.json`` next to its
+primary output recording the resolved configuration, seeds, input digests, and
 per-phase wall-clock timings (``compare`` times each contender's phases, as
-``train_boosted-weak`` and so on).  With a fixed seed and fixed inputs every
-primary artifact, ``compare``'s report included, is byte-identical across
-runs; manifests are not, as they hold the timings.
+``train_boosted-weak`` and so on); ``eval`` writes one beside its CSV, and only
+with ``--csv``.  With a fixed seed and fixed inputs every primary artifact,
+``compare``'s report included, is byte-identical across runs; manifests are
+not, as they hold the timings.
 
 Exit codes: 0 success, 1 usage or configuration error (``errors.UsageError``),
 2 data error (``errors.DataError``, or an unreadable file), 3 any other error.

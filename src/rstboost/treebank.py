@@ -32,6 +32,8 @@ from .errors import InvalidConfig, InvalidTree, MalformedSyntax
 NUCLEARITIES = ("NN", "NS", "SN")
 
 _RELATION_RE = re.compile(r"[a-z_-]+\Z")
+# A domain tag is written unquoted into a record header and a metric CSV cell.
+_DOMAIN_TAG_RE = re.compile(r"[\w.-]+\Z")
 
 
 def tokenize_text(text: str) -> tuple[str, ...]:
@@ -323,7 +325,7 @@ def relations_header(line: str) -> list[str] | None:
 
 def load_treebank(path: str | Path, text: str | None = None) -> Treebank:
     """Load a treebank file, or its ``text`` if the caller has read it already; raises
-    MalformedSyntax/InvalidTree naming the record."""
+    MalformedSyntax/InvalidTree naming the record (a domain tag must match ``[\\w.-]+``)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8") if text is None else text
     declared: list[str] = []
@@ -348,6 +350,9 @@ def load_treebank(path: str | Path, text: str | None = None) -> Treebank:
                 f"got {lines[0]!r}"
             )
         doc_id, domain_tag = header[1], header[2]
+        if not _DOMAIN_TAG_RE.match(domain_tag):
+            raise MalformedSyntax(
+                f"record {record_no} ({doc_id}): domain tag {domain_tag!r} must match [\\w.-]+")
         body = "\n".join(lines[1:])
         try:
             doc, tree = parse_bracketed(body, doc_id=doc_id)
@@ -465,7 +470,7 @@ class SynthSettings:
         if not self.shared_relations:
             raise InvalidConfig("shared_relations must be non-empty")
         for side in "ab":
-            if not re.fullmatch(r"[\w.-]+", tag := getattr(self, f"domain_{side}")):
+            if not _DOMAIN_TAG_RE.match(tag := getattr(self, f"domain_{side}")):
                 raise InvalidConfig(f"domain_{side}: domain tag {tag!r} must match [\\w.-]+")
             if self.p_domain > 0 and not getattr(self, f"domain_relations_{side}"):
                 raise InvalidConfig(f"domain_relations_{side} is empty but p_domain > 0")

@@ -78,8 +78,10 @@ class LogitPair:
 @dataclass(eq=False)
 class WeakLearner:
     """Two float64 arrays and views of them: ``wide`` reads the input, and ``small`` holds
-    the rest, flat.  A stack of learners (``stack_steps``) has a leading step axis on both
-    arrays and on every view."""
+    the rest, flat, in the SGD loop's order (``[w_relation; w_structure]`` when there is a
+    hidden layer, then ``b_relation``, ``b_structure`` and ``b_hidden``).  Only
+    ``from_params`` packs them, and it copies.  A stack of learners (``stack_steps``) has a
+    leading step axis on both arrays and on every view."""
     cfg: LearnerConfig
     wide: np.ndarray   # w_hidden (..., H, input_dim), or heads when H == 0
     small: np.ndarray  # heads, raveled, when H > 0; then bias
@@ -116,7 +118,8 @@ class WeakLearner:
 
 def param_shapes(cfg: LearnerConfig) -> dict[str, tuple[int, ...]]:
     """Each parameter's shape, in layout order: the hidden pair (only when
-    ``hidden_dim > 0``), then the structure head, then the relation head."""
+    ``hidden_dim > 0``), then the structure head, then the relation head.  This is the
+    order of the model file and of ``init``'s draws."""
     fan_in = cfg.hidden_dim or cfg.input_dim  # the heads' input width
     hidden = ({"w_hidden": (cfg.hidden_dim, cfg.input_dim), "b_hidden": (cfg.hidden_dim,)}
               if cfg.hidden_dim else {})
@@ -205,7 +208,9 @@ def forward_steps(stack: WeakLearner, rows: Rows, top: int) -> tuple[np.ndarray 
     """Hidden activations (N, top, H), None without a hidden layer, and the structure and
     relation logits (N, top, 4) and (N, top, R) of ``stack``'s steps 1..top for ``rows``,
     from one ``_dot_rows``, one ``tanh`` and one product per head.  numpy multiplies a
-    stack of matrices one at a time, so each is bitwise the one-step value."""
+    stack of matrices one at a time, one small product per state and step, so each is
+    bitwise the one-step value, and no logit depends on the other rows of the batch or
+    on how BLAS splits its work: outputs are the same at any BLAS thread count."""
     if not isinstance(rows, Rows):  # unchecked indices would wrap or fail inside ``take``
         raise DimensionMismatch("rows must be a Rows batch from stack_rows")
     wide = stack.wide[:top]

@@ -78,6 +78,7 @@ class TestSynth:
         cfg.write_text(json.dumps({"n_trian": 10}))
         assert run("synth", "--config", cfg, "--out", tmp_path) == 1
         assert "n_trian" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tb"))
 
 
     @pytest.mark.parametrize("text,needle", [
@@ -102,6 +103,7 @@ class TestSynth:
         cfg.write_text(text)
         assert run("--quiet", "synth", "--config", cfg, "--out", tmp_path / "out") == 1
         assert needle in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tb"))
 
     @pytest.mark.parametrize("bad,needle", [
         ({"domain_a": "x", "domain_b": "x"}, "domain_a and domain_b"),
@@ -897,6 +899,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert entries[i][0].doc_id in err and entries[j][0].doc_id in err
         assert not (tmp_path / "e.csv").exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "eval", "curve"])
+    def test_domain_tag_outside_grammar_is_data_error(self, model_path, tmp_path, capsys,
+                                                     command):
+        """A domain tag with a comma would add a cell to every row of a metric CSV."""
+        bad = tmp_path / "bad.tb"
+        bad.write_text("".join(f'#doc d{i} ne,ws\n(NS elaboration (leaf "a") (leaf "b"))\n\n'
+                               for i in range(3)))
+        out = tmp_path / "out"
+        argv = {"train": ["train", bad, "--out", out, "--steps", "1", *FAST_TRAIN],
+                "eval": ["eval", bad, bad, "--csv", out],
+                "curve": ["curve", model_path, bad, "--out", out]}[command]
+        assert run("--quiet", *argv) == 2
+        assert "domain tag 'ne,ws'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCurve:

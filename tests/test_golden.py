@@ -8,21 +8,26 @@ every step is kept on dev CE, the curve moves between m = 1 and m = 5 and
 the prefixes of most test documents decode to different action sequences,
 so that it covers the frozen logits of steps k >= 2 and the decoder's group
 splits.  The same pipelines run with one and with two BLAS threads must give
-the same outputs.  A third pin runs README quick-start steps 1-6 as written,
-``compare``'s report included, and a fourth trains without a hidden layer (``LINEAR_TRAIN``), where the SGD
-epoch gathers and writes back both heads' columns.  Two L2 pins
+the same outputs.  A third pin runs README quick-start steps 1-6, ``compare``'s report
+included, as written: ``README_STEPS`` is read from the ``rstboost`` lines of the README's
+quick-start block.  A fourth trains without a hidden layer (``LINEAR_TRAIN``), where the
+SGD epoch gathers and writes back both heads' columns.  Two L2 pins
 (``L2_TRAIN``, the benchmark's ``train-l2`` setting, and ``LINEAR_L2_TRAIN``) cover
 the eager decay of the small arrays and the lazy decay of the input-wide ones,
 with and without a hidden layer.  The ``synth`` pins
 (``SYNTH_PINS``) cover settings other than the defaults: the benchmark's two
 configs and a config with the domains swapped and no domain rules.  The
 sparse pin (``SPARSE_SYNTH``) is the README's data-sparse probe: ten training
-documents, where span F1 moves with m in both domains.
+documents, where span F1 moves with m in both domains.  The README's data-sparse and
+weak-learner commands are checked against ``SPARSE_SYNTH``, ``SPARSE_TRAIN`` and
+``WEAK_TRAIN``, so a command edited on one side alone fails a test.
 """
 
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -140,19 +145,21 @@ m,domain,docs,span_p,span_r,span_f1,nuc_p,nuc_r,nuc_f1,rel_p,rel_r,rel_f1
 5,chat,100,0.7352,0.7352,0.7352,0.3304,0.3304,0.3304,0.0700,0.0700,0.0700
 """
 
-# README quick-start steps 1-6 at seed 1, in the README's own paths and sizes.
-README_STEPS = [
-    ["--seed", "1", "synth", "--out", "data/"],
-    ["--seed", "1", "train", "data/train_news.tb", "--out", "runs/model.json", "--steps", "5"],
-    ["parse", "runs/model.json", "data/test_news.tb", "--out", "runs/pred.tb", "--trace"],
-    ["parse", "runs/model.json", "data/test_news.tb", "--out", "runs/pred_m1.tb",
-     "--prefix", "1"],
-    ["eval", "data/test_news.tb", "runs/pred.tb", "--csv", "runs/eval.csv"],
-    ["curve", "runs/model.json", "data/test_news.tb", "data/test_chat.tb",
-     "--out", "runs/curve.csv"],
-    ["--seed", "1", "compare", "data/train_news.tb", "--steps", "5", "--match-params",
-     "--out", "runs/compare.json"],
-]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_sh_block(after: str) -> list[list[str]]:
+    """The command lines of the first ``sh`` block after the text ``after`` in the README,
+    each split as the shell splits it; comment and blank lines are left out."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", text[text.index(after):], re.S).group(1)
+    return [shlex.split(line) for line in block.splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
+# README quick-start steps 1-6 at seed 1, in the README's own paths and sizes: the
+# ``rstboost`` lines of its quick-start block, in order.
+README_STEPS = [argv[1:] for argv in readme_sh_block("## Quick start") if argv[0] == "rstboost"]
 
 README_SHA256 = {
     "data/train_news.tb": "ad686b571b9da4c25694d56fe1a68e52f82954f1d5985b3790efbd9eaa43001e",
@@ -278,6 +285,20 @@ def test_readme_quickstart_matches_pin(tmp_path, monkeypatch):
     # The train split's oracle states, and those with one legal class, which SGD skips.
     report = json.loads((tmp_path / "runs/model.json.report.json").read_text())
     assert (report["train_states"], report["skipped_states"]) == (2030, 470)
+
+
+def test_readme_commands_are_the_pinned_ones():
+    """The README's data-sparse probe is the sparse pin's setting, and its weak-learner
+    ``train`` is the weak pin's flags at the default five steps."""
+    echo, synth, train, _ = readme_sh_block("**A data-sparse probe.**")
+    assert echo[0] == "echo" and echo[2:] == [">", synth[synth.index("--config") + 1]]
+    assert json.loads(echo[1]) == SPARSE_SYNTH
+    assert synth[:4] == ["rstboost", "--seed", "1", "synth"]
+    assert train[:4] == ["rstboost", "--seed", "1", "train"] and train[5] == "--out"
+    assert train[7:] == SPARSE_TRAIN
+    [weak] = readme_sh_block("to watch boosting do work")
+    assert weak[:4] == ["rstboost", "--seed", "1", "train"] and weak[5] == "--out"
+    assert weak[7:] == ["--steps", "5", *WEAK_TRAIN]
 
 
 def test_synth_at_other_settings_matches_pin(tmp_path):

@@ -241,6 +241,16 @@ class TestFileIO:
         with pytest.raises(MalformedSyntax, match="#relations label"):
             load_treebank(path)
 
+    @pytest.mark.parametrize("tag", ["ne,ws", 'news"', "news;x"])
+    def test_domain_tag_outside_grammar_rejected(self, tmp_path, tag):
+        """A domain tag is written unquoted into metric CSV cells, so it must match
+        ``[\\w.-]+``, as a synth setting's must."""
+        path = tmp_path / "bad.tb"
+        path.write_text('#doc d1 news\n(leaf "a")\n\n'
+                        f'#doc d2 {tag}\n(NS elaboration (leaf "a") (leaf "b"))\n')
+        with pytest.raises(MalformedSyntax, match=r"record 2 \(d2\): domain tag"):
+            load_treebank(path)
+
     @pytest.mark.parametrize("header", ["#relationsBad zebra", "#relations-x zebra",
                                         "#relations,zebra", "#relationszebra"])
     def test_relations_keyword_glued_to_text_rejected(self, tmp_path, header):
