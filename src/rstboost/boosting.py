@@ -42,7 +42,8 @@ from .transition import (
     legal_actions,
     oracle,
 )
-from .treebank import NUCLEARITIES, _RELATION_RE, DiscourseNode, Document, Treebank, _atomic_write
+from .treebank import (NUCLEARITIES, _DOMAIN_TAG_RE, _RELATION_RE, DiscourseNode, Document,
+                       Treebank, _atomic_write)
 from .weak_learner import LearnerConfig, WeakLearner
 
 
@@ -359,7 +360,7 @@ def _child_seed(seed: int, *path: int) -> np.random.SeedSequence:
 def split_dev(
     treebank: Treebank, dev_fraction: float, seed: int
 ) -> tuple[tuple, tuple]:
-    """Seeded document-level split into (train_entries, dev_entries).
+    """Seeded document-level split into the (train, dev) entries.
 
     ``dev_fraction`` must lie in (0, 1).  Single-document treebanks train
     without a dev split; otherwise at least one document goes to each side.
@@ -441,15 +442,15 @@ def _check_dims(cfg: BoostConfig, enc_cfg: EncoderConfig, inventory: tuple[str, 
 
 
 def _instance_sets(ensemble: BoostedEnsemble, train_entries,
-                   dev_entries) -> tuple[_Instances, _Instances | None]:
-    """The instance sets of ``train_entries`` and ``dev_entries`` (dev None when there are
-    none) that the next step of ``ensemble`` is fit and selected on, each holding the
-    summed logits of all its steps."""
+                   held_out) -> tuple[_Instances, _Instances | None]:
+    """The instance sets of ``train_entries`` and the dev entries ``held_out`` (None when
+    there are none) that the next step of ``ensemble`` is fit and selected on, each
+    holding the summed logits of all its steps."""
     if not train_entries:
         raise EmptyTreebank("cannot train on an empty treebank")
     _check_dims(ensemble.boost_config, ensemble.encoder_config, ensemble.relation_inventory)
     return (_build_instances(train_entries, ensemble),
-            _build_instances(dev_entries, ensemble) if dev_entries else None)
+            _build_instances(held_out, ensemble) if held_out else None)
 
 
 def _append_step(ensemble: BoostedEnsemble, seed: int, train_inst: _Instances,
@@ -467,16 +468,12 @@ def _append_step(ensemble: BoostedEnsemble, seed: int, train_inst: _Instances,
     return replace(ensemble, steps=ensemble.steps + (learner,)), report
 
 
-def train_step(ensemble: BoostedEnsemble, treebank: Treebank, seed: int,
-               dev_entries: tuple | None = None) -> tuple[BoostedEnsemble, StepReport]:
+def train_step(ensemble: BoostedEnsemble, treebank: Treebank,
+               seed: int) -> tuple[BoostedEnsemble, StepReport]:
     """Train and append one frozen step against the current ensemble sum, through the
-    routine ``train`` runs for each step.
-
-    ``dev_entries`` pins the early-stopping split, and all of ``treebank`` trains; when
-    omitted, a dev_fraction split of ``treebank`` is drawn here with ``seed``.
-    """
-    split = (split_dev(treebank, ensemble.boost_config.dev_fraction, seed)
-             if dev_entries is None else (treebank.entries, dev_entries))
+    routine ``train`` runs for each step, on the ``split_dev`` of ``treebank`` that
+    ``train`` draws with ``seed``."""
+    split = split_dev(treebank, ensemble.boost_config.dev_fraction, seed)
     return _append_step(ensemble, seed, *_instance_sets(ensemble, *split))
 
 
@@ -653,25 +650,19 @@ def _model_chunks(ensemble: BoostedEnsemble) -> Iterator[bytes]:
         yield b'"' + tail
 
 
-def model_to_json(ensemble: BoostedEnsemble) -> str:
-    """The model as JSON; each parameter is its shape and the base64 of its
-    little-endian float64 bytes in row-major order (``_model_chunks``, joined)."""
-    return b"".join(_model_chunks(ensemble)).decode()
-
-
-def model_from_json(data: bytes | str) -> BoostedEnsemble:
-    """Parse a model from its file's bytes (a ``str`` is UTF-8 encoded first).
-    ``_cut_blobs`` takes out the parameters' base64; the rest is decoded as UTF-8,
-    and so never sniffed as UTF-16 or UTF-32 as ``json.loads`` would sniff bytes, and
-    each parameter is decoded from its view of ``data``.  Undecodable JSON or UTF-8,
-    a missing or unknown key at any level, a config that ``config_from_json``
-    refuses, an unsupported format, a relation inventory that is not a list of
-    distinct labels in ``[a-z_-]+``, a domain tag that is not a string, no steps,
-    undecodable or non-finite parameters, a learner config or parameter shapes that
-    do not fit the encoder width and inventory, and cut strings that do not pair one
-    to one with the parameters raise MalformedSyntax."""
+def model_from_json(data: bytes) -> BoostedEnsemble:
+    """Parse a model from its file's bytes.  ``_cut_blobs`` takes out the parameters'
+    base64; the rest is decoded as UTF-8, and so never sniffed as UTF-16 or UTF-32 as
+    ``json.loads`` would sniff bytes, and each parameter is decoded from its view of
+    ``data``.  Undecodable JSON or UTF-8, a missing or unknown key at any level, a
+    config that ``config_from_json`` refuses, an unsupported format, a relation
+    inventory that is not a list of distinct labels in ``[a-z_-]+``, a domain tag that
+    is not a string in ``[\\w.-]+`` (a treebank record's tag, so ``""`` is refused), no
+    steps, undecodable or non-finite parameters, a learner config or parameter shapes
+    that do not fit the encoder width and inventory, and cut strings that do not pair
+    one to one with the parameters raise MalformedSyntax."""
     try:
-        skeleton, blobs = _cut_blobs(data.encode() if isinstance(data, str) else data)
+        skeleton, blobs = _cut_blobs(data)
         doc = json.loads(skeleton.decode("utf-8"))
         if doc.get("format_version") != FORMAT_VERSION:
             raise InvalidConfig(
@@ -685,8 +676,8 @@ def model_from_json(data: bytes | str) -> BoostedEnsemble:
         inventory, tag = doc["relation_inventory"], doc["train_domain_tag"]
         if not json_typed(inventory, tuple[str, ...]) or len(set(inventory)) < len(inventory):
             raise MalformedSyntax("relation_inventory must be a list of distinct labels")
-        if not json_typed(tag, str):
-            raise MalformedSyntax(f"train_domain_tag must be a string, got {tag!r}")
+        if not (json_typed(tag, str) and _DOMAIN_TAG_RE.match(tag)):
+            raise MalformedSyntax(f"train_domain_tag must be a string in [\\w.-]+, got {tag!r}")
         for rel in inventory:
             if not _RELATION_RE.match(rel):
                 raise MalformedSyntax(f"bad relation label {rel!r} (expected [a-z_-]+)")
@@ -717,7 +708,9 @@ def model_from_json(data: bytes | str) -> BoostedEnsemble:
 
 
 def save_model(ensemble: BoostedEnsemble, path: str | Path) -> None:
-    """Write the model to ``path``, streaming ``_model_chunks`` through ``_atomic_write``."""
+    """Write the model to ``path`` as JSON, streaming ``_model_chunks`` through
+    ``_atomic_write``; each parameter is its shape and the base64 of its little-endian
+    float64 bytes in row-major order."""
     _atomic_write(path, _model_chunks(ensemble))
 
 

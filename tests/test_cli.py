@@ -511,17 +511,25 @@ class TestMalformedModel:
         ("relation_inventory", "repeated", "relation_inventory must be a list"),
         ("train_domain_tag", 5, "train_domain_tag must be a string"),
         ("train_domain_tag", None, "train_domain_tag must be a string"),
+        ("train_domain_tag", "ne,ws", "train_domain_tag must be a string in [\\w.-]+, got 'ne,ws'"),
+        ("train_domain_tag", "", "train_domain_tag must be a string in [\\w.-]+, got ''"),
     ])
     def test_top_level_value_of_the_wrong_json_type_is_data_error(
             self, model_doc, data_dir, tmp_path, capsys, key, value, needle):
         """An inventory string of the right length would load as one-letter labels, and a
-        repeated label or a non-string domain tag would be written on into outputs."""
+        repeated label or a non-string domain tag would be written on into outputs.  A
+        tag that no treebank record can carry would match no treebank, and ``curve``
+        would write no gaps."""
         inventory = model_doc["relation_inventory"]
         model_doc[key] = {"as-a-string": "abcdefghijklmnopqrstuvwxyz"[:len(inventory)],
                           "repeated": inventory[:-1] + inventory[:1]}.get(value, value)
         assert self.parse_with(json.dumps(model_doc), data_dir, tmp_path) == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "pred.tb").exists()
+        assert run("--quiet", "curve", tmp_path / "bad.json", data_dir / "test_news.tb",
+                   data_dir / "test_chat.tb", "--out", tmp_path / "curve.csv") == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
 
     @pytest.mark.parametrize("level,key,edit", [
         pytest.param("model", "train_domain_tags",
