@@ -39,7 +39,6 @@ from .transition import (
     SHIFT,
     apply,
     initial_state,
-    legal_actions,
     oracle,
 )
 from .treebank import (NUCLEARITIES, _DOMAIN_TAG_RE, _RELATION_RE, DiscourseNode, Document,
@@ -55,10 +54,7 @@ def action_to_class(action: Action) -> int:
 
 
 def structure_mask(state: ParserState) -> np.ndarray:
-    legal = legal_actions(state)
-    return np.array(
-        [legal.shift_legal, legal.reduce_legal, legal.reduce_legal, legal.reduce_legal]
-    )
+    return np.array([state.can_shift] + [state.can_reduce] * 3)
 
 
 def _decision(mask: np.ndarray, structure: np.ndarray,
@@ -553,8 +549,7 @@ def decode_batch(ensemble: BoostedEnsemble, docs, prefixes) -> list[dict[int, Di
             shared, frontier = frontier, {}
             # Every key shifts all its prefixes unless its state can reduce.
             chosen = {key: {SHIFT: [m for *_, g in es for m in g]} for key, es in shared.items()}
-            scored = [(key, es[0][1]) for key, es in shared.items()
-                      if legal_actions(es[0][1]).reduce_legal]
+            scored = [(key, es[0][1]) for key, es in shared.items() if es[0][1].can_reduce]
             if scored:
                 rows = [encode_state(state, docs[key[0]], cfg, bags.setdefault(key[0], {}))
                         for key, state in scored]

@@ -9,7 +9,7 @@ tree over n EDUs has exactly one derivation: n shifts and n-1 reduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import IllegalAction, InvalidInput
 from .treebank import DiscourseNode, Internal, Leaf, postorder
@@ -44,10 +44,13 @@ class ParserState:
     def is_terminal(self) -> bool:
         return len(self.stack) == 1 and self.queue_cursor > self.n_edus
 
+    @property
+    def can_shift(self) -> bool:
+        return self.queue_cursor <= self.n_edus
 
-class LegalActions(NamedTuple):
-    shift_legal: bool
-    reduce_legal: bool
+    @property
+    def can_reduce(self) -> bool:
+        return len(self.stack) >= 2
 
 
 def initial_state(n_edus: int) -> ParserState:
@@ -56,25 +59,17 @@ def initial_state(n_edus: int) -> ParserState:
     return ParserState(stack=(), queue_cursor=1, n_edus=n_edus)
 
 
-def legal_actions(state: ParserState) -> LegalActions:
-    return LegalActions(
-        shift_legal=state.queue_cursor <= state.n_edus,
-        reduce_legal=len(state.stack) >= 2,
-    )
-
-
 def apply(state: ParserState, action: Action) -> ParserState:
     """Apply one action, returning a new state (inputs are never mutated)."""
-    legal = legal_actions(state)
     if isinstance(action, Shift):
-        if not legal.shift_legal:
+        if not state.can_shift:
             raise IllegalAction("Shift with an empty queue")
         return ParserState(
             stack=state.stack + (Leaf(state.queue_cursor),),
             queue_cursor=state.queue_cursor + 1,
             n_edus=state.n_edus,
         )
-    if not legal.reduce_legal:
+    if not state.can_reduce:
         raise IllegalAction(f"Reduce with {len(state.stack)} item(s) on the stack")
     left, right = state.stack[-2], state.stack[-1]
     node = Internal(action.nuclearity, action.relation, left, right)

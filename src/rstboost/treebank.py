@@ -369,11 +369,12 @@ def load_treebank(path: str | Path, text: str | None = None) -> Treebank:
 
 
 def load_documents(path: str | Path, text: str) -> tuple[list[Document], str]:
-    """A file's documents and domain tag: a treebank if its first non-blank line starts
-    with ``#doc`` or is a ``#relations`` header, else raw EDUs tagged ``raw`` (one per line,
-    a blank or whitespace-only line between documents, named ``raw-0000``, ...)."""
+    """A file's documents and domain tag: a treebank if its first non-blank line, leading
+    whitespace ignored as ``load_treebank`` ignores it, starts with ``#doc`` or is a
+    ``#relations`` header, else raw EDUs tagged ``raw`` (one per line, a blank or
+    whitespace-only line between documents, named ``raw-0000``, ...)."""
     lines = text.splitlines()
-    first = next((line for line in lines if line.strip()), "")
+    first = next((line.lstrip() for line in lines if line.strip()), "")
     if first.startswith("#doc") or relations_header(first) is not None:
         tb = load_treebank(path, text)
         return [doc for doc, _ in tb.entries], tb.domain_tag

@@ -879,15 +879,19 @@ class TestEval:
         assert run("--quiet", "eval", data_dir / "test_news.tb", pred) == 0
         assert "span" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("form", ["treebank", "raw"])
+    @pytest.mark.parametrize("form", ["treebank", "raw", "indented"])
     def test_parse_of_the_gold_file_pairs_with_it(self, model_path, data_dir, tmp_path, form):
-        """The parser keeps each EDU's tokens, whether it reads the gold treebank or its
-        EDUs as raw text, so its output always pairs with the gold file."""
+        """The parser keeps each EDU's tokens, whether it reads the gold treebank, a copy
+        with its first line indented, or its EDUs as raw text, so its output always pairs
+        with the gold file."""
         gold = data_dir / "test_news.tb"
-        source = gold if form == "treebank" else tmp_path / "raw.txt"
+        source = gold if form == "treebank" else tmp_path / f"{form}.txt"
         if form == "raw":
             source.write_text("\n".join("".join(" ".join(edu) + "\n" for edu in doc.edus)
                                         for doc, _ in load_treebank(gold).entries))
+        if form == "indented":
+            source.write_text("  " + gold.read_text())
+            gold = source
         pred = tmp_path / "pred.tb"
         assert run("--quiet", "parse", model_path, source, "--out", pred) == 0
         assert run("--quiet", "eval", gold, pred) == 0

@@ -15,7 +15,7 @@ from rstboost.encoder import (
     truncate_center,
 )
 from rstboost.errors import InvalidConfig
-from rstboost.transition import SHIFT, Reduce, apply, initial_state, legal_actions
+from rstboost.transition import SHIFT, Reduce, apply, initial_state
 from rstboost.treebank import NUCLEARITIES, Document, Internal, Leaf, postorder
 
 from conftest import dense, head_nucleus_edu, make_doc, random_tree
@@ -218,8 +218,7 @@ class TestRowKey:
             state = initial_state(doc.n_edus)
             while not state.is_terminal:
                 states.append(state)
-                legal = legal_actions(state)
-                if legal.shift_legal and (not legal.reduce_legal or rng.random() < 0.5):
+                if state.can_shift and (not state.can_reduce or rng.random() < 0.5):
                     state = apply(state, SHIFT)
                 else:
                     state = apply(state, Reduce(rng.choice(NUCLEARITIES), "r"))

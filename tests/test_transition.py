@@ -10,7 +10,6 @@ from rstboost.transition import (
     Shift,
     apply,
     initial_state,
-    legal_actions,
     oracle,
 )
 from rstboost.treebank import Internal, Leaf
@@ -32,20 +31,18 @@ class TestInitialState:
             initial_state(0)
 
 
-class TestLegalActions:
+class TestLegality:
     def test_initial_shift_only(self):
-        legal = legal_actions(initial_state(3))
-        assert legal.shift_legal and not legal.reduce_legal
+        s = initial_state(3)
+        assert s.can_shift and not s.can_reduce
 
     def test_reduce_only_when_queue_empty(self):
         s = ParserState(stack=(Leaf(1), Leaf(2)), queue_cursor=3, n_edus=2)
-        legal = legal_actions(s)
-        assert not legal.shift_legal and legal.reduce_legal
+        assert not s.can_shift and s.can_reduce
 
     def test_both_legal(self):
         s = ParserState(stack=(Leaf(1), Leaf(2)), queue_cursor=3, n_edus=4)
-        legal = legal_actions(s)
-        assert legal.shift_legal and legal.reduce_legal
+        assert s.can_shift and s.can_reduce
 
 
 class TestApply:
